@@ -4,15 +4,13 @@ Builds a rest-to-rest sequence of three motion segments (arcs and a helix
 stretch), runs the full pipeline (smooth, detect intervals, classify
 planarity, build merit curves, rank peaks by prominence), and compares the
 selected frames with the analytic merit maxima the generator knows.
+
+merit_curves takes every interval of the trajectory at once: it
+differentiates the trajectory a single time and fits all interval planes in
+one batch, which is how extract_keyframes calls it as well.
 """
 
-from trajkf import (
-    CurveSpec,
-    MeritMethod,
-    extract_keyframes,
-    generate,
-    merit_curve,
-)
+from trajkf import CurveSpec, MeritMethod, extract_keyframes, generate, merit_curves
 
 
 def main():
@@ -30,8 +28,7 @@ def main():
     print(f"video: {traj.n_samples} frames at {traj.frame_rate:g} fps, "
           f"{len(res.intervals)} signing intervals")
 
-    for itv in res.intervals:
-        curve = merit_curve(traj, itv, MeritMethod.MT)
+    for itv, curve in zip(res.intervals, merit_curves(traj, res.intervals, MeritMethod.MT)):
         print(f"  interval [{itv.start:4d}, {itv.end:4d}]  branch: {curve.branch}")
 
     selected = extract_keyframes(traj, method=MeritMethod.MT, count=len(res.keyframes))

@@ -30,7 +30,7 @@ from .geometry import (
     torsion_s,
     torsion_t,
 )
-from .merit import MeritMethod, harmonic_mean_curve, merit_curve
+from .merit import MeritMethod, harmonic_mean_curve, merit_curves
 from .pipeline import extract_keyframes
 from .planarity import PlanarityResult, fit_plane, project_to_plane
 from .selection import (
@@ -97,7 +97,7 @@ __all__ = [
     "keyframes_to_json",
     "load_annotations",
     "load_trajectory",
-    "merit_curve",
+    "merit_curves",
     "project_to_plane",
     "proximity_labels",
     "reports_to_csv",

@@ -90,15 +90,10 @@ def _write_output(path: str | None, text: str) -> None:
         raise
 
 
-def _guess_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return "json" if path.endswith(".json") else "csv"
-
-
-def _load_input(path: str, fmt: str | None, fps: float):
+def _read(path: str, load, *args):
+    """Run a file loader on ``path``, naming the file in any ParseError."""
     try:
-        return load_trajectory(path, _guess_format(path, fmt), fps)
+        return load(path, *args)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -116,12 +111,13 @@ def cmd_extract(args) -> int:
         method=MeritMethod(args.method), count=args.count, r_c=args.r_c,
     )
     config.validate_budget()
-    traj = _load_input(args.input, args.format, config.fps)
+    fmt = args.format or ("json" if args.input.endswith(".json") else "csv")
+    traj = _read(args.input, load_trajectory, fmt, config.fps)
 
     intervals = None
     annotations = None
     if args.annotations:
-        annotations = load_annotations(args.annotations)
+        annotations = _read(args.annotations, load_annotations)
         if annotations.intervals:
             intervals = []
             for itv in annotations.intervals:
@@ -163,8 +159,8 @@ def _ranked_frames(pred: KeyframeSet) -> list[int]:
 
 
 def cmd_evaluate(args) -> int:
-    pred, pred_n = keyframes_from_json(args.pred)
-    truth = load_annotations(args.truth)
+    pred, pred_n = _read(args.pred, keyframes_from_json)
+    truth = _read(args.truth, load_annotations)
     if pred_n is not None and truth.n_frames is not None and pred_n != truth.n_frames:
         raise ValueError(
             f"video length mismatch: {args.pred} has n_frames={pred_n}, "
@@ -313,10 +309,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
-        print(f"trajkf: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ValueError, OSError) as exc:   # ParseError is a ValueError
         print(f"trajkf: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except AssertionError as exc:

@@ -66,19 +66,11 @@ def score(pred, truth: Sequence[int], delta: int, n_frames: int) -> EvaluationRe
     fp = int(np.sum(pred_labels & ~truth_labels))
     fn = int(np.sum(~pred_labels & truth_labels))
 
-    degenerate = False
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall, degenerate = 0.0, True
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision, degenerate = 0.0, True
-    if 4 * precision + recall > 0:
-        f2 = 5 * precision * recall / (4 * precision + recall)
-    else:
-        f2, degenerate = 0.0, True
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    f2_den = 4 * precision + recall
+    f2 = 5 * precision * recall / f2_den if f2_den > 0 else 0.0
+    degenerate = tp + fn == 0 or tp + fp == 0 or f2_den == 0
     return EvaluationReport(recall, precision, f2, int(delta), degenerate=degenerate)
 
 

@@ -105,84 +105,79 @@ def _require(d: DerivativeStack, order: int, what: str) -> None:
         raise ValueError(f"{what} needs third derivatives")
 
 
+def _masked_ratio(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
+                  kind: CurveKind) -> DescriptorCurve:
+    vals = np.zeros_like(num)
+    np.divide(num, den, out=vals, where=mask)
+    return DescriptorCurve(vals, kind, mask)
+
+
+def _descriptor_kernel(
+    d: DerivativeStack, rate: bool, torsion: bool = False
+) -> tuple[np.ndarray, DescriptorCurve, DescriptorCurve | None]:
+    """Speed, curvature and (with ``torsion``, else None) torsion magnitude.
+
+    The one kernel behind curvature_s/_t, torsion_s/_t and the merit engine;
+    speed and d1 x d2 are computed once.  ``rate`` selects the time
+    parameterization (K, |T|) over arc length (kappa, |tau|).
+    """
+    if torsion and d.dim != 3:
+        raise ValueError("torsion is a 3-D notion; got a 2-D derivative stack")
+    _require(d, 3 if torsion else 2, "torsion" if torsion else "curvature")
+    v = speed(d)
+    cross_vec, cross_mag = _cross(d.d1, d.d2)
+    moving = v >= SPEED_EPS
+    kind = (CurveKind.K_T_3D if d.dim == 3 else CurveKind.K_T_2D) if rate \
+        else (CurveKind.KAPPA_S_3D if d.dim == 3 else CurveKind.KAPPA_S_2D)
+    curvature = _masked_ratio(cross_mag, v**2 if rate else v**3, moving, kind)
+    if not torsion:
+        return v, curvature, None
+    num = np.abs(np.einsum("ij,ij->i", cross_vec, d.d3))
+    if rate:
+        num = num * v
+    tau = _masked_ratio(num, cross_mag**2, moving & (cross_mag >= CROSS_EPS),
+                        CurveKind.T_T if rate else CurveKind.TAU_S)
+    return v, curvature, tau
+
+
 def curvature_s(d: DerivativeStack) -> DescriptorCurve:
     """Arc-length curvature per sample; masked where the speed degenerates."""
-    _require(d, 2, "curvature")
-    v = speed(d)
-    _, cross_mag = _cross(d.d1, d.d2)
-    mask = v >= SPEED_EPS
-    vals = np.zeros_like(v)
-    np.divide(cross_mag, v**3, out=vals, where=mask)
-    kind = CurveKind.KAPPA_S_3D if d.dim == 3 else CurveKind.KAPPA_S_2D
-    return DescriptorCurve(vals, kind, mask)
+    return _descriptor_kernel(d, rate=False)[1]
 
 
 def curvature_t(d: DerivativeStack) -> DescriptorCurve:
     """Time-parameterized curvature (instantaneous turning rate, 1/s)."""
-    _require(d, 2, "curvature")
-    v = speed(d)
-    _, cross_mag = _cross(d.d1, d.d2)
-    mask = v >= SPEED_EPS
-    vals = np.zeros_like(v)
-    np.divide(cross_mag, v**2, out=vals, where=mask)
-    kind = CurveKind.K_T_3D if d.dim == 3 else CurveKind.K_T_2D
-    return DescriptorCurve(vals, kind, mask)
+    return _descriptor_kernel(d, rate=True)[1]
 
 
 def torsion_s(d: DerivativeStack) -> DescriptorCurve:
     """Arc-length torsion magnitude; 3-D only, masked where curvature degenerates."""
-    if d.dim != 3:
-        raise ValueError("torsion is a 3-D notion; got a 2-D derivative stack")
-    _require(d, 3, "torsion")
-    v = speed(d)
-    cross_vec, cross_mag = _cross(d.d1, d.d2)
-    num = np.abs(np.einsum("ij,ij->i", cross_vec, d.d3))
-    mask = (v >= SPEED_EPS) & (cross_mag >= CROSS_EPS)
-    vals = np.zeros_like(v)
-    np.divide(num, cross_mag**2, out=vals, where=mask)
-    return DescriptorCurve(vals, CurveKind.TAU_S, mask)
+    return _descriptor_kernel(d, rate=False, torsion=True)[2]
 
 
 def torsion_t(d: DerivativeStack) -> DescriptorCurve:
     """Time-parameterized torsion magnitude (twist rate, 1/s); 3-D only."""
-    if d.dim != 3:
-        raise ValueError("torsion is a 3-D notion; got a 2-D derivative stack")
-    _require(d, 3, "torsion")
-    v = speed(d)
-    cross_vec, cross_mag = _cross(d.d1, d.d2)
-    num = np.abs(np.einsum("ij,ij->i", cross_vec, d.d3)) * v
-    mask = (v >= SPEED_EPS) & (cross_mag >= CROSS_EPS)
-    vals = np.zeros_like(v)
-    np.divide(num, cross_mag**2, out=vals, where=mask)
-    return DescriptorCurve(vals, CurveKind.T_T, mask)
+    return _descriptor_kernel(d, rate=True, torsion=True)[2]
 
 
 def frenet_frame(d: DerivativeStack) -> FrenetFrame:
     """Tangent/normal/binormal unit vectors per sample (3-D only).
 
-    The tangent is the normalized velocity; the normal is the component of
-    the acceleration orthogonal to the tangent, normalized; the binormal is
-    their cross product.  Samples with degenerate speed or curvature are
-    masked.
+    The tangent is the normalized velocity d1, the binormal the normalized
+    d1 x d2, and the normal completes the right-handed frame as b x t.
+    Samples with degenerate speed or curvature are masked (stored as 0).
     """
     if d.dim != 3:
         raise ValueError("moving frames are 3-D; got a 2-D derivative stack")
     _require(d, 2, "frame")
     v = speed(d)
-    _, cross_mag = _cross(d.d1, d.d2)
+    cross_vec, cross_mag = _cross(d.d1, d.d2)
     mask = (v >= SPEED_EPS) & (cross_mag >= CROSS_EPS)
-
     t_vec = np.zeros_like(d.d1)
+    b_vec = np.zeros_like(d.d1)
     np.divide(d.d1, v[:, None], out=t_vec, where=mask[:, None])
-    proj = np.einsum("ij,ij->i", d.d2, t_vec)
-    n_raw = d.d2 - proj[:, None] * t_vec
-    n_norm = np.linalg.norm(n_raw, axis=1)
-    mask = mask & (n_norm > 0)
-    n_vec = np.zeros_like(n_raw)
-    np.divide(n_raw, n_norm[:, None], out=n_vec, where=mask[:, None])
-    b_vec = np.cross(t_vec, n_vec)
-    b_vec[~mask] = 0.0
-    t_vec[~mask] = 0.0
+    np.divide(cross_vec, cross_mag[:, None], out=b_vec, where=mask[:, None])
+    n_vec = np.cross(b_vec, t_vec)
     for arr in (t_vec, n_vec, b_vec, mask):
         arr.flags.writeable = False
     return FrenetFrame(t_vec, n_vec, b_vec, mask)

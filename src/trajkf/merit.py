@@ -6,24 +6,26 @@ turn rate of the plane-projected motion when it is planar.  Baseline
 descriptors (arc-length curvature in 2-D/3-D, time-parameterized curvature
 in 2-D/3-D) share the same curve representation so one selection stage
 serves all of them.
+
+``merit_curves`` differentiates the whole trajectory once, computes speed
+and the descriptor kernel once, fits all interval planes in one batch and
+slices the results per interval.  ``merit_curve`` is its one-interval case,
+kept for the benchmark tracer (``perfbench/tracing.py``) that wraps it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from . import geometry
 from .geometry import BRANCH_NONPLANAR, BRANCH_PLANAR, CurveKind, DescriptorCurve
-from .planarity import DEFAULT_F_ERROR, fit_plane, project_to_plane
-from .trajectory import (
-    DerivativeStack,
-    SigningInterval,
-    TimedTrajectory,
-    differentiate,
-    speed,
-)
+# fit_plane and project_to_plane stay importable here for perfbench/tracing.py
+from .planarity import DEFAULT_F_ERROR, fit_plane, fit_planes, project_to_plane  # noqa: F401
+from .trajectory import MIN_SAMPLES, DerivativeStack, SigningInterval, TimedTrajectory
+from .trajectory import differentiate, speed
 
 HARMONIC_EPS = 1e-12
 
@@ -31,8 +33,6 @@ HARMONIC_EPS = 1e-12
 # tails near rest boundaries are noise-dominated; they are masked (and thus
 # zeroed in the merit) below this fraction of the interval's fast speed.
 TORSION_SPEED_FRACTION = 0.25
-
-_STENCIL_PAD = 3
 
 
 class MeritMethod(Enum):
@@ -61,29 +61,74 @@ def harmonic_mean_curve(k: DescriptorCurve, t_abs: DescriptorCurve) -> Descripto
     return DescriptorCurve(vals, CurveKind.H_T, mask)
 
 
-def _padded_window(traj: TimedTrajectory, interval: SigningInterval) -> tuple[TimedTrajectory, slice]:
-    """Interval plus a few neighbouring samples, so the interval's own edges
-    are differentiated with interior stencils whenever neighbours exist."""
-    lo = max(0, interval.start - _STENCIL_PAD)
-    hi = min(traj.n_samples - 1, interval.end + _STENCIL_PAD)
-    window = traj.restrict(SigningInterval(lo, hi))
-    offset = interval.start - lo
-    return window, slice(offset, offset + interval.length)
+def merit_curves(
+    traj: TimedTrajectory,
+    intervals: Sequence[SigningInterval],
+    method: MeritMethod,
+    f_error: float = DEFAULT_F_ERROR,
+    torsion_speed_fraction: float = TORSION_SPEED_FRACTION,
+    speed_threshold: float = 0.0,
+) -> list[DescriptorCurve]:
+    """Descriptor curve of each signing interval under the given method.
 
+    For MeritMethod.MT on 3-D input each interval's points are plane-fitted.
+    Planar intervals are ranked by the turn rate of the motion projected onto
+    their plane (the whole-trajectory derivatives times the plane basis);
+    non-planar ones by the harmonic mean of turn and twist rates, with the
+    twist factor masked below ``torsion_speed_fraction`` of the interval's
+    95th-percentile speed.  2-D input takes the planar branch directly; each
+    curve's ``branch`` records which case ran.  Baseline methods skip the
+    classification; the 2-D ones read the first two coordinates.  Samples
+    slower than a positive ``speed_threshold`` are masked too.  Curves are
+    aligned to their interval's samples with masked entries stored as 0.
 
-def _sliced_derivatives(window: TimedTrajectory, sl: slice, order: int) -> DerivativeStack:
-    d = differentiate(window, order)
-    return DerivativeStack(
-        d.d1[sl],
-        d.d2[sl] if d.d2 is not None else None,
-        d.d3[sl] if d.d3 is not None else None,
-    )
+    Derivatives go to third order only when the trajectory has enough
+    samples for it; a non-planar interval without them raises ValueError.
+    """
+    n = traj.n_samples
+    for itv in intervals:
+        if itv.end >= n:
+            raise ValueError(
+                f"interval [{itv.start}, {itv.end}] outside trajectory of {n} samples")
+    if not intervals:
+        return []
+    if method in (MeritMethod.K3DT, MeritMethod.KAPPA3DS) and traj.dim != 3:
+        raise ValueError(f"method {method.value} needs a 3-D trajectory")
 
+    fit = method is MeritMethod.MT and traj.dim == 3
+    d = differentiate(traj, 3 if fit and n >= MIN_SAMPLES[3] else 2)
+    shape = d
+    if method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3:
+        shape = DerivativeStack(d.d1[:, :2], d.d2[:, :2])
+    rate = method not in (MeritMethod.KAPPA2DS, MeritMethod.KAPPA3DS)
+    v, base, twist = geometry._descriptor_kernel(shape, rate, torsion=d.d3 is not None)
+    if shape is not d:
+        v = speed(d)
+    harmonic = harmonic_mean_curve(base, twist) if twist is not None else None
+    planes = fit_planes(traj.points, intervals, f_error) if fit else [None] * len(intervals)
+    moving = v >= speed_threshold if speed_threshold > 0 else np.ones(n, dtype=bool)
+    kind = CurveKind.M_T if method is MeritMethod.MT else base.kind
 
-def _guard_slow_torsion(t_abs: DescriptorCurve, v: np.ndarray,
-                        fraction: float) -> DescriptorCurve:
-    cutoff = fraction * np.percentile(v, 95)
-    return DescriptorCurve(t_abs.values, t_abs.kind, t_abs.valid_mask & (v >= cutoff))
+    curves = []
+    for itv, plane in zip(intervals, planes):
+        sl = slice(itv.start, itv.end + 1)
+        branch = BRANCH_PLANAR if method is MeritMethod.MT else None
+        if plane is None:
+            values, mask = base.values[sl], base.valid_mask[sl]
+        elif plane.is_planar:
+            flat = DerivativeStack(d.d1[sl] @ plane.basis.T, d.d2[sl] @ plane.basis.T)
+            projected = geometry.curvature_t(flat)
+            values, mask = projected.values, projected.valid_mask
+        elif harmonic is None:
+            raise ValueError(
+                f"need at least {MIN_SAMPLES[3]} samples for order 3, got {n}")
+        else:
+            cutoff = torsion_speed_fraction * np.percentile(v[sl], 95)
+            values = harmonic.values[sl]
+            mask = harmonic.valid_mask[sl] & (v[sl] >= cutoff)
+            branch = BRANCH_NONPLANAR
+        curves.append(DescriptorCurve(values, kind, mask & moving[sl], branch))
+    return curves
 
 
 def merit_curve(
@@ -93,43 +138,5 @@ def merit_curve(
     f_error: float = DEFAULT_F_ERROR,
     torsion_speed_fraction: float = TORSION_SPEED_FRACTION,
 ) -> DescriptorCurve:
-    """Descriptor curve for one signing interval under the given method.
-
-    For MeritMethod.MT the interval's points are plane-fitted first; planar
-    intervals are projected onto the plane and ranked by the turn rate of the
-    projection, non-planar intervals by the harmonic mean of turn and twist
-    rates, with the twist factor masked below ``torsion_speed_fraction`` of
-    the interval's fast speed.  The curve's ``branch`` field records which
-    case ran.  Baseline methods skip the classification.  Output is aligned
-    to the interval's samples with masked entries stored as 0.
-    """
-    seg = traj.restrict(interval)
-    window, sl = _padded_window(traj, interval)
-
-    if method is MeritMethod.MT:
-        if seg.dim == 2:
-            curve = geometry.curvature_t(_sliced_derivatives(window, sl, 2))
-            branch = BRANCH_PLANAR
-        else:
-            plane = fit_plane(seg.points, f_error)
-            if plane.is_planar:
-                flat = project_to_plane(window, plane)
-                curve = geometry.curvature_t(_sliced_derivatives(flat, sl, 2))
-                branch = BRANCH_PLANAR
-            else:
-                d = _sliced_derivatives(window, sl, 3)
-                t_abs = _guard_slow_torsion(geometry.torsion_t(d), speed(d),
-                                            torsion_speed_fraction)
-                curve = harmonic_mean_curve(geometry.curvature_t(d), t_abs)
-                branch = BRANCH_NONPLANAR
-        return DescriptorCurve(curve.values, CurveKind.M_T, curve.valid_mask, branch)
-
-    if method in (MeritMethod.K3DT, MeritMethod.KAPPA3DS) and seg.dim != 3:
-        raise ValueError(f"method {method.value} needs a 3-D trajectory")
-
-    if method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS):
-        window = window.take_xy()
-    d = _sliced_derivatives(window, sl, 2)
-    if method in (MeritMethod.K2DT, MeritMethod.K3DT):
-        return geometry.curvature_t(d)
-    return geometry.curvature_s(d)
+    """merit_curves for one interval; each call differentiates the whole trajectory."""
+    return merit_curves(traj, [interval], method, f_error, torsion_speed_fraction)[0]

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .geometry import DescriptorCurve
-from .merit import MeritMethod, merit_curve
+# merit_curve and differentiate stay importable here for perfbench/tracing.py
+from .merit import MeritMethod, merit_curve, merit_curves  # noqa: F401
 from .planarity import DEFAULT_F_ERROR
 from .selection import (
     DEFAULT_MIN_GAP,
@@ -16,13 +16,7 @@ from .selection import (
     find_peaks,
     select_keyframes,
 )
-from .trajectory import (
-    SigningInterval,
-    TimedTrajectory,
-    differentiate,
-    gaussian_smooth,
-    speed,
-)
+from .trajectory import SigningInterval, TimedTrajectory, differentiate, gaussian_smooth  # noqa: F401
 
 DEFAULT_SIGMA = 2.0
 
@@ -41,8 +35,9 @@ def extract_keyframes(
     """Select the ``count`` most prominent merit maxima of a trajectory.
 
     The trajectory is smoothed first; signing intervals are detected from the
-    speed profile unless supplied (e.g. from an annotation file).  Per
-    interval, the merit curve of ``method`` is peak-picked, and peaks are
+    speed profile unless supplied (e.g. from an annotation file).  One
+    merit_curves pass over the smoothed trajectory yields every interval's
+    merit curve of ``method``; each curve is peak-picked, and peaks are
     pooled and ranked globally by prominence.  Frames slower than the
     interval-detection speed threshold never become candidates, so rest
     frames inside annotated rest-to-rest intervals stay excluded.  Frames in
@@ -52,21 +47,8 @@ def extract_keyframes(
     threshold = speed_threshold if speed_threshold is not None \
         else default_speed_threshold(smoothed)
     if intervals is None:
-        if threshold <= 0:
-            intervals = []
-        else:
-            intervals = detect_intervals(smoothed, threshold, min_gap, min_len)
+        intervals = detect_intervals(smoothed, threshold, min_gap, min_len) if threshold > 0 else []
 
-    moving = None
-    if threshold > 0 and smoothed.n_samples >= 3:
-        moving = speed(differentiate(smoothed, 1)) >= threshold
-
-    per_interval = []
-    for itv in intervals:
-        curve = merit_curve(smoothed, itv, method, f_error)
-        if moving is not None:
-            guard = moving[itv.start : itv.end + 1]
-            curve = DescriptorCurve(curve.values, curve.kind,
-                                    curve.valid_mask & guard, curve.branch)
-        per_interval.append((itv, find_peaks(curve)))
+    curves = merit_curves(smoothed, intervals, method, f_error, speed_threshold=threshold)
+    per_interval = [(itv, find_peaks(curve)) for itv, curve in zip(intervals, curves)]
     return select_keyframes(per_interval, count, method=method)

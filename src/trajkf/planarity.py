@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import TimedTrajectory
+from .trajectory import SigningInterval, TimedTrajectory
 
 DEFAULT_F_ERROR = 5e-2
 
@@ -27,33 +27,49 @@ class PlanarityResult:
     centroid: np.ndarray   # (3,)
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    # deterministic orientation: largest-magnitude component positive
-    return -v if v[np.argmax(np.abs(v))] < 0 else v
+def fit_planes(points, intervals, f_error: float = DEFAULT_F_ERROR) -> list[PlanarityResult]:
+    """Fit a plane by PCA to each inclusive interval of a 3-D point sequence.
 
-
-def fit_plane(points, f_error: float = DEFAULT_F_ERROR) -> PlanarityResult:
-    """Fit a plane through a 3-D point set by PCA.
-
-    Point sets of size <= 2 (and exactly collinear sets) always lie in a
-    plane and come back with fitting_error 0.
+    One batch: per-interval centroids and the six distinct covariance terms
+    are summed segment-wise, then the stacked (I, 3, 3) covariances go
+    through a single SVD.  Point sets of size <= 2 (and exactly collinear
+    sets) always lie in a plane and come back with fitting_error 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be an (N, 3) array")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    cov = centered.T @ centered / pts.shape[0]
+    if not intervals:
+        return []
+    starts = np.array([itv.start for itv in intervals])
+    lengths = np.array([itv.length for itv in intervals])
+    if (starts + lengths).max() > pts.shape[0]:
+        raise ValueError(f"interval outside the {pts.shape[0]} points")
+    offsets = np.cumsum(lengths) - lengths
+    seg = pts[np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)]
+    centroids = np.add.reduceat(seg, offsets, axis=0) / lengths[:, None]
+    seg -= np.repeat(centroids, lengths, axis=0)
+    cov = np.empty((len(lengths), 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            cov[:, a, b] = cov[:, b, a] = \
+                np.add.reduceat(seg[:, a] * seg[:, b], offsets) / lengths
     u, sigma, _ = np.linalg.svd(cov)
-    total = sigma.sum()
-    if pts.shape[0] < 3 or total == 0:
-        fitting_error = 0.0
-    else:
-        fitting_error = float(sigma[2] / total)
-    basis = np.vstack([_fix_sign(u[:, 0]), _fix_sign(u[:, 1])])
+    total = sigma.sum(axis=1)
+    errors = np.zeros(len(lengths))
+    np.divide(sigma[:, 2], total, out=errors, where=(lengths >= 3) & (total != 0))
+    # rows span the plane; deterministic orientation: largest-magnitude component positive
+    basis = u[:, :, :2].transpose(0, 2, 1).copy()
+    lead = np.take_along_axis(basis, np.abs(basis).argmax(axis=2)[..., None], axis=2)
+    np.negative(basis, out=basis, where=lead < 0)
     basis.flags.writeable = False
-    centroid.flags.writeable = False
-    return PlanarityResult(fitting_error, fitting_error < f_error, basis, centroid)
+    centroids.flags.writeable = False
+    return [PlanarityResult(float(e), bool(e < f_error), b, c)
+            for e, b, c in zip(errors, basis, centroids)]
+
+
+def fit_plane(points, f_error: float = DEFAULT_F_ERROR) -> PlanarityResult:
+    """Fit a plane through a 3-D point set by PCA: fit_planes on one interval."""
+    return fit_planes(points, [SigningInterval(0, len(points) - 1)], f_error)[0]
 
 
 def project_to_plane(traj: TimedTrajectory, result: PlanarityResult) -> TimedTrajectory:

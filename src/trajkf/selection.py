@@ -9,6 +9,7 @@ exists) and the strongest ones across all intervals become the keyframes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from .trajectory import (
     TimedTrajectory,
     _float9,
     differentiate,
+    json_list,
+    json_n_frames,
     speed,
 )
 
@@ -80,18 +83,8 @@ def detect_intervals(
     if traj.n_samples < 3:
         return []
     active = speed(differentiate(traj, 1)) >= speed_threshold
-    runs: list[list[int]] = []
-    idx = 0
-    n = traj.n_samples
-    while idx < n:
-        if active[idx]:
-            j = idx
-            while j + 1 < n and active[j + 1]:
-                j += 1
-            runs.append([idx, j])
-            idx = j + 1
-        else:
-            idx += 1
+    edges = np.flatnonzero(np.diff(active, prepend=False, append=False))
+    runs = [[int(a), int(b) - 1] for a, b in zip(edges[::2], edges[1::2])]
     merged: list[list[int]] = []
     for run in runs:
         if merged and run[0] - merged[-1][1] - 1 < min_gap:
@@ -201,15 +194,24 @@ def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ParseError('keyframe file must hold an object with a "frames" list')
-    frames = obj["frames"]
-    scores = obj.get("scores", [0.0] * len(frames))
+    frames = json_list(obj, "frames")
+    for i, f in enumerate(frames):
+        if type(f) is not int:
+            raise ParseError(f"frames[{i}]: must be an integer frame index")
+    scores = json_list(obj, "scores") if "scores" in obj else [0.0] * len(frames)
     if len(scores) != len(frames):
         raise ParseError('"scores" and "frames" lengths differ')
-    method = MeritMethod(obj["method"]) if obj.get("method") else None
+    for i, sc in enumerate(scores):
+        if type(sc) not in (int, float) or not math.isfinite(sc):
+            raise ParseError(f"scores[{i}]: must be a finite number")
+    try:
+        method = MeritMethod(obj["method"]) if obj.get("method") else None
+    except ValueError:
+        raise ParseError(f'"method": unknown method {obj["method"]!r}') from None
     ks = KeyframeSet(
-        frames=tuple(int(f) for f in frames),
+        frames=tuple(frames),
         scores=tuple(float(s) for s in scores),
         method=method,
         shortfall=bool(obj.get("shortfall", False)),
     )
-    return ks, obj.get("n_frames")
+    return ks, json_n_frames(obj)

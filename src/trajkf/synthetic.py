@@ -133,10 +133,6 @@ def _burst_maxima(spec: CurveSpec) -> tuple[int, ...]:
     return tuple(frames)
 
 
-def _curve(values, kind, mask) -> DescriptorCurve:
-    return DescriptorCurve(values, kind, mask)
-
-
 def generate(spec: CurveSpec, seed: int = 0) -> SyntheticResult:
     """Sample a synthetic curve and return it with its exact descriptors.
 
@@ -182,7 +178,6 @@ def generate(spec: CurveSpec, seed: int = 0) -> SyntheticResult:
         dth = np.abs(dtheta(t))
         a, b = spec.radius, spec.pitch
         if spec.kind == "circle":
-            base = np.column_stack([a * np.cos(th), a * np.sin(th), np.zeros(n)])
             shape_speed, kappa_c, tau_c = a, 1.0 / a, 0.0
 
             def shape_fn(theta_vals, _a=a):
@@ -193,7 +188,6 @@ def generate(spec: CurveSpec, seed: int = 0) -> SyntheticResult:
 
         elif spec.kind == "helix":
             c2 = a * a + b * b
-            base = np.column_stack([a * np.cos(th), a * np.sin(th), b * th])
             shape_speed, kappa_c, tau_c = np.sqrt(c2), a / c2, abs(b) / c2
 
             def shape_fn(theta_vals, _a=a, _b=b):
@@ -202,7 +196,6 @@ def generate(spec: CurveSpec, seed: int = 0) -> SyntheticResult:
                 )
 
         else:  # line
-            base = np.column_stack([th, np.zeros(n), np.zeros(n)])
             shape_speed, kappa_c, tau_c = 1.0, 0.0, 0.0
 
             def shape_fn(theta_vals):
@@ -211,6 +204,7 @@ def generate(spec: CurveSpec, seed: int = 0) -> SyntheticResult:
                     [theta_vals, np.zeros(theta_vals.shape), np.zeros(theta_vals.shape)]
                 )
 
+        base = shape_fn(th)
         v = dth * shape_speed
         kappa_vals = np.full(n, kappa_c)
         tau_vals = np.full(n, tau_c)
@@ -238,10 +232,10 @@ def generate(spec: CurveSpec, seed: int = 0) -> SyntheticResult:
     k_kind = CurveKind.K_T_3D if three_d else CurveKind.K_T_2D
     return SyntheticResult(
         trajectory=traj,
-        curvature_s=_curve(kappa_vals, kappa_kind, moving),
-        torsion_s=_curve(tau_vals, CurveKind.TAU_S, tau_mask) if three_d else None,
-        curvature_t=_curve(k_vals, k_kind, moving),
-        torsion_t=_curve(tau_vals * v, CurveKind.T_T, tau_mask) if three_d else None,
+        curvature_s=DescriptorCurve(kappa_vals, kappa_kind, moving),
+        torsion_s=DescriptorCurve(tau_vals, CurveKind.TAU_S, tau_mask) if three_d else None,
+        curvature_t=DescriptorCurve(k_vals, k_kind, moving),
+        torsion_t=DescriptorCurve(tau_vals * v, CurveKind.T_T, tau_mask) if three_d else None,
         keyframes=keyframes,
         intervals=(SigningInterval(0, n - 1),),
         position_fn=position_fn,
@@ -370,10 +364,10 @@ def _generate_signing(spec: CurveSpec, rng: np.random.Generator) -> SyntheticRes
 
     return SyntheticResult(
         trajectory=TimedTrajectory(points, fps, 0),
-        curvature_s=_curve(kappa_vals, CurveKind.KAPPA_S_3D, moving),
-        torsion_s=_curve(tau_vals, CurveKind.TAU_S, tau_mask),
-        curvature_t=_curve(kappa_vals * v, CurveKind.K_T_3D, moving),
-        torsion_t=_curve(tau_vals * v, CurveKind.T_T, tau_mask),
+        curvature_s=DescriptorCurve(kappa_vals, CurveKind.KAPPA_S_3D, moving),
+        torsion_s=DescriptorCurve(tau_vals, CurveKind.TAU_S, tau_mask),
+        curvature_t=DescriptorCurve(kappa_vals * v, CurveKind.K_T_3D, moving),
+        torsion_t=DescriptorCurve(tau_vals * v, CurveKind.T_T, tau_mask),
         keyframes=tuple(keyframes),
         intervals=tuple(intervals),
         position_fn=position_fn,

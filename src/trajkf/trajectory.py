@@ -184,7 +184,7 @@ def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
     return TimedTrajectory(smoothed, traj.frame_rate, traj.start_frame)
 
 
-_MIN_SAMPLES = {1: 3, 2: 4, 3: 7}
+MIN_SAMPLES = {1: 3, 2: 4, 3: 7}   # fewest samples per derivative order
 
 
 def differentiate(traj: TimedTrajectory, order_max: int = 3) -> DerivativeStack:
@@ -203,9 +203,9 @@ def differentiate(traj: TimedTrajectory, order_max: int = 3) -> DerivativeStack:
     if order_max not in (1, 2, 3):
         raise ValueError(f"order_max must be 1, 2 or 3, got {order_max}")
     n = traj.n_samples
-    if n < _MIN_SAMPLES[order_max]:
+    if n < MIN_SAMPLES[order_max]:
         raise ValueError(
-            f"need at least {_MIN_SAMPLES[order_max]} samples for order {order_max}, got {n}"
+            f"need at least {MIN_SAMPLES[order_max]} samples for order {order_max}, got {n}"
         )
     h = 1.0 / traj.frame_rate
     p = traj.points
@@ -226,19 +226,11 @@ def differentiate(traj: TimedTrajectory, order_max: int = 3) -> DerivativeStack:
     if order_max >= 3:
         d3 = np.empty_like(p)
         d3[2:-2] = (p[4:] - 2 * p[3:-1] + 2 * p[1:-3] - p[:-4]) / (2 * h**3)
-
-        def forward3(i):
-            return (-5 * p[i] + 18 * p[i + 1] - 24 * p[i + 2]
-                    + 14 * p[i + 3] - 3 * p[i + 4]) / (2 * h**3)
-
-        def backward3(i):
-            return (5 * p[i] - 18 * p[i - 1] + 24 * p[i - 2]
-                    - 14 * p[i - 3] + 3 * p[i - 4]) / (2 * h**3)
-
-        d3[0] = forward3(0)
-        d3[1] = forward3(1)
-        d3[-2] = backward3(n - 2)
-        d3[-1] = backward3(n - 1)
+        # one-sided five-point stencils for the first and last two samples
+        d3[:2] = (-5 * p[:2] + 18 * p[1:3] - 24 * p[2:4]
+                  + 14 * p[3:5] - 3 * p[4:6]) / (2 * h**3)
+        d3[-2:] = (5 * p[-2:] - 18 * p[-3:-1] + 24 * p[-4:-2]
+                   - 14 * p[-5:-3] + 3 * p[-6:-4]) / (2 * h**3)
 
     return DerivativeStack(d1, d2, d3)
 
@@ -317,7 +309,11 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
         coords.append(values)
     if not frames:
         raise ParseError("trajectory file has a header but no samples")
-    return TimedTrajectory(np.array(coords), frame_rate, frames[0])
+    points = np.array(coords)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ParseError(f"row {rows[1 + bad[0]][0]}: non-finite coordinate")
+    return TimedTrajectory(points, frame_rate, frames[0])
 
 
 def _load_json(text: str) -> TimedTrajectory:
@@ -336,7 +332,11 @@ def _load_json(text: str) -> TimedTrajectory:
     for i, row in enumerate(pts):
         if not isinstance(row, list) or len(row) != width:
             raise ParseError(f"points[{i}]: mixed dimensionality")
-    return TimedTrajectory(np.array(pts, dtype=float), obj["fps"], obj.get("start_frame", 0))
+    points = np.array(pts, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ParseError(f"points[{bad[0]}]: non-finite coordinate")
+    return TimedTrajectory(points, obj["fps"], obj.get("start_frame", 0))
 
 
 def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:
@@ -372,20 +372,36 @@ def load_annotations(source) -> Annotations:
     if not isinstance(obj, dict):
         raise ParseError("annotation file must hold a JSON object")
     intervals = []
-    for i, itv in enumerate(obj.get("intervals", [])):
+    for i, itv in enumerate(json_list(obj, "intervals")):
+        # type(...) is int: JSON integers only, so bools, floats and strings fail
+        if not (isinstance(itv, dict) and type(itv.get("start")) is int
+                and type(itv.get("end")) is int):
+            raise ParseError(f'intervals[{i}]: "start" and "end" must be integers')
         try:
-            intervals.append(SigningInterval(int(itv["start"]), int(itv["end"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            intervals.append(SigningInterval(itv["start"], itv["end"]))
+        except ValueError as exc:
             raise ParseError(f"intervals[{i}]: {exc}") from None
-    keyframes = []
-    for i, k in enumerate(obj.get("keyframes", [])):
-        if not isinstance(k, int):
+    keyframes = json_list(obj, "keyframes")
+    for i, k in enumerate(keyframes):
+        if type(k) is not int:
             raise ParseError(f"keyframes[{i}]: must be an integer frame index")
-        keyframes.append(k)
+    return Annotations(tuple(intervals), tuple(keyframes), json_n_frames(obj))
+
+
+def json_list(obj: dict, field: str) -> list:
+    """The list under ``field`` of a JSON object (empty when absent)."""
+    value = obj.get(field, [])
+    if not isinstance(value, list):
+        raise ParseError(f'"{field}" must be a list')
+    return value
+
+
+def json_n_frames(obj: dict) -> int | None:
+    """The optional positive-integer "n_frames" field of a JSON object."""
     n_frames = obj.get("n_frames")
-    if n_frames is not None and (not isinstance(n_frames, int) or n_frames <= 0):
+    if n_frames is not None and (type(n_frames) is not int or n_frames <= 0):
         raise ParseError('"n_frames" must be a positive integer')
-    return Annotations(tuple(intervals), tuple(keyframes), n_frames)
+    return n_frames
 
 
 def save_annotations(ann: Annotations, dest, extra: dict | None = None) -> None:

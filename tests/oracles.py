@@ -3,13 +3,31 @@
 These deliberately avoid the library's code paths: shape descriptors are
 computed by resampling curves to unit speed and differentiating with respect
 to arc length (np.gradient, not the library's stencils), peaks and
-prominences by exhaustive bracketing-minimum search, and scores by a literal
-per-frame Python loop.
+prominences by exhaustive bracketing-minimum search, scores by a literal
+per-frame Python loop, and merit curves by the per-interval route
+(re-differentiating a padded window of each interval).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from trajkf import (
+    BRANCH_NONPLANAR,
+    BRANCH_PLANAR,
+    DerivativeStack,
+    DescriptorCurve,
+    MeritMethod,
+    TimedTrajectory,
+    curvature_s,
+    curvature_t,
+    differentiate,
+    fit_plane,
+    harmonic_mean_curve,
+    project_to_plane,
+    speed,
+    torsion_t,
+)
 
 
 def arclength_of(points: np.ndarray) -> np.ndarray:
@@ -127,3 +145,48 @@ def random_rotation(rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 2] = -q[:, 2]
     return q
+
+
+STENCIL_PAD = 3
+
+
+def padded_window_merit(traj, interval, method, f_error=0.05, torsion_speed_fraction=0.25):
+    """Merit curve of one interval by the per-interval route.
+
+    Differentiates the interval plus up to STENCIL_PAD neighbouring samples
+    per side, so the interval's own edges get interior stencils whenever
+    neighbours exist.  A 3-D MT interval is classified by fitting a plane to
+    its own points; when planar, the window's positions are projected onto
+    the plane and differentiated again.  Returns (values, valid_mask, branch).
+    """
+    lo = max(0, interval.start - STENCIL_PAD)
+    hi = min(traj.n_samples - 1, interval.end + STENCIL_PAD)
+    window = TimedTrajectory(traj.points[lo : hi + 1], traj.frame_rate)
+    sl = slice(interval.start - lo, interval.start - lo + interval.length)
+
+    def derivatives(window, order):
+        d = differentiate(window, order)
+        return DerivativeStack(d.d1[sl], d.d2[sl], d.d3[sl] if order == 3 else None)
+
+    if method is MeritMethod.MT:
+        if traj.dim == 3:
+            plane = fit_plane(traj.points[interval.start : interval.end + 1], f_error)
+            if not plane.is_planar:
+                d = derivatives(window, 3)
+                v = speed(d)
+                t_abs = torsion_t(d)
+                guard = t_abs.valid_mask & (v >= torsion_speed_fraction * np.percentile(v, 95))
+                h = harmonic_mean_curve(curvature_t(d),
+                                        DescriptorCurve(t_abs.values, t_abs.kind, guard))
+                return h.values, h.valid_mask, BRANCH_NONPLANAR
+            window = project_to_plane(window, plane)
+        k = curvature_t(derivatives(window, 2))
+        return k.values, k.valid_mask, BRANCH_PLANAR
+
+    if method in (MeritMethod.K3DT, MeritMethod.KAPPA3DS) and traj.dim != 3:
+        raise ValueError(f"method {method.value} needs a 3-D trajectory")
+    if method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS):
+        window = TimedTrajectory(window.points[:, :2], traj.frame_rate)
+    d = derivatives(window, 2)
+    curve = curvature_t(d) if method in (MeritMethod.K2DT, MeritMethod.K3DT) else curvature_s(d)
+    return curve.values, curve.valid_mask, None

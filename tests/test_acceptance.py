@@ -23,7 +23,7 @@ from trajkf import (
     fit_plane,
     generate,
     harmonic_mean_curve,
-    merit_curve,
+    merit_curves,
     score,
     speed,
     torsion_s,
@@ -158,8 +158,8 @@ def test_criterion_5_merit_branches():
     res = generate(CurveSpec(kind="piecewise_signing", radius=0.25, duration=1.0,
                              rest_duration=0.5, n_segments=2,
                              segment_kinds=("arc", "helix")), seed=5)
-    branches = [merit_curve(res.trajectory, itv, MeritMethod.MT).branch
-                for itv in res.intervals]
+    branches = [c.branch for c in
+                merit_curves(res.trajectory, res.intervals, MeritMethod.MT)]
     ok = branches == [BRANCH_PLANAR, BRANCH_NONPLANAR]
     assert report(5, "merit branch selection", ok), f"branches {branches}"
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from trajkf.cli import main
@@ -119,6 +120,31 @@ class TestExtract:
         assert run("extract", str(bad), "--count", "1") == 2
         assert "empty.csv" in capsys.readouterr().err
 
+    def test_non_finite_coordinate_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "helix"
+        assert run("synth", "--kind", "helix", "--a", "1", "--b", "1",
+                   "--out", str(out)) == 0
+        path = tmp_path / "helix.csv"
+        lines = path.read_text().splitlines()
+        frame = lines[150].split(",")[0]
+        lines[150] = f"{frame},nan,0.5,0.5"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("extract", str(path), "--count", "3") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "row 151" in err
+
+    def test_short_nonplanar_interval_is_validation_error(self, tmp_path, capsys):
+        t = 2.0 * np.arange(5)
+        path = tmp_path / "short.csv"
+        rows = [f"{i},{np.cos(a):.17g},{np.sin(a):.17g},{a / 4:.17g}" for i, a in enumerate(t)]
+        path.write_text("frame,x,y,z\n" + "\n".join(rows) + "\n")
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({"intervals": [{"start": 0, "end": 4}]}))
+        assert run("extract", str(path), "--annotations", str(ann), "--count", "1",
+                   "--sigma", "0") == 2
+        assert "need at least 7 samples" in capsys.readouterr().err
+
     def test_missing_file_is_validation_error(self):
         assert run("extract", "/nonexistent/x.csv", "--count", "1") == 2
 
@@ -224,6 +250,34 @@ class TestEvaluate:
         for r_c in (0.5, 1.0):
             by_delta = {r["delta"]: r["recall"] for r in reports if r["r_c"] == r_c}
             assert by_delta[5] >= by_delta[0]
+
+    @pytest.mark.parametrize("payload,where", [
+        ({"frames": 5}, '"frames"'),
+        ({"frames": [1.7, 2]}, "frames[0]"),
+        ({"frames": [3, True]}, "frames[1]"),
+        ({"frames": [3, 4], "scores": [1.0, "high"]}, "scores[1]"),
+        ({"frames": [3, 4], "scores": [1.0, float("nan")]}, "scores[1]"),
+        ({"frames": [3, 4], "scores": 2.0}, '"scores"'),
+        ({"frames": [3], "n_frames": "200"}, '"n_frames"'),
+        ({"frames": [3], "method": "fast"}, '"method"'),
+    ])
+    def test_malformed_prediction_names_file_and_field(self, files, tmp_path, capsys,
+                                                       payload, where):
+        _, truth = files
+        pred = tmp_path / "bad.json"
+        pred.write_text(json.dumps(payload))
+        assert run("evaluate", "--pred", str(pred), "--truth", str(truth)) == 2
+        err = capsys.readouterr().err
+        assert str(pred) in err and where in err
+
+    def test_malformed_truth_names_file(self, files, tmp_path, capsys):
+        pred, _ = files
+        truth = tmp_path / "bad_truth.json"
+        truth.write_text(json.dumps({"intervals": [{"start": "20", "end": 100}],
+                                     "keyframes": [30]}))
+        assert run("evaluate", "--pred", str(pred), "--truth", str(truth)) == 2
+        err = capsys.readouterr().err
+        assert str(truth) in err and "intervals[0]" in err
 
     def test_mismatched_lengths_rejected(self, files, tmp_path, capsys):
         pred, truth = files

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import padded_window_merit, random_rotation
 from trajkf import (
     BRANCH_NONPLANAR,
     BRANCH_PLANAR,
@@ -12,10 +15,12 @@ from trajkf import (
     MeritMethod,
     SigningInterval,
     TimedTrajectory,
+    extract_keyframes,
     generate,
     harmonic_mean_curve,
-    merit_curve,
+    merit_curves,
 )
+from trajkf.merit import merit_curve
 
 
 def curve(values, mask=None, kind=CurveKind.K_T_3D):
@@ -180,3 +185,85 @@ class TestKinematicSensitivity:
             assert m0.branch == m1.branch
             assert np.allclose(m0.values, m1.values, atol=1e-9)
             assert np.argmax(m0.values) == np.argmax(m1.values)
+
+
+def assert_matches_reference(curve, reference):
+    values, mask, branch = reference
+    assert curve.branch == branch
+    assert np.array_equal(curve.valid_mask, mask)
+    np.testing.assert_allclose(curve.values, values, rtol=1e-9,
+                               atol=1e-9 * np.abs(values).max())
+
+
+@st.composite
+def walk_and_intervals(draw):
+    """A random walk, 2-D or 3-D and flat to fully spatial, with 1-6 intervals
+    of 1-12 samples, many touching the first or the last sample."""
+    n = draw(st.integers(7, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # step lengths spread over orders of magnitude, so the slow-sample guards engage
+    steps = rng.normal(size=(n, 3)) * rng.exponential(size=(n, 1)) ** 2
+    steps[:, 2] *= draw(st.sampled_from([0.0, 0.05, 1.0]))
+    points = np.cumsum(steps, axis=0) @ random_rotation(rng).T
+    intervals = []
+    for _ in range(draw(st.integers(1, 6))):
+        length = draw(st.integers(1, min(12, n)))
+        start = draw(st.sampled_from([0, n - length]) | st.integers(0, n - length))
+        intervals.append(SigningInterval(start, start + length - 1))
+    return TimedTrajectory(points[:, : draw(st.sampled_from([2, 3]))], 60.0), intervals
+
+
+class TestSinglePassEngine:
+    """merit_curves against the per-interval padded-window reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=walk_and_intervals(), f_error=st.sampled_from([0.005, 0.05]))
+    def test_matches_padded_window_reference(self, case, f_error):
+        traj, intervals = case
+        for method in MeritMethod:
+            if method in (MeritMethod.K3DT, MeritMethod.KAPPA3DS) and traj.dim == 2:
+                with pytest.raises(ValueError, match="3-D"):
+                    merit_curves(traj, intervals, method)
+                continue
+            curves = merit_curves(traj, intervals, method, f_error)
+            for itv, curve in zip(intervals, curves):
+                assert_matches_reference(curve, padded_window_merit(traj, itv, method, f_error))
+
+    @staticmethod
+    def short_points(n, kind):
+        t = 2.0 * np.arange(n)
+        if kind == "2d":
+            return np.column_stack([np.cos(t), np.sin(t)])
+        if kind == "planar":
+            flat = np.column_stack([np.cos(t), np.sin(t), np.zeros(n)])
+            return flat @ random_rotation(np.random.default_rng(n)).T
+        return np.column_stack([np.cos(t), np.sin(t), 0.25 * t])
+
+    @pytest.mark.parametrize("kind", ["2d", "planar", "nonplanar"])
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_short_trajectory_differentiates_to_the_order_it_allows(self, n, kind):
+        traj = TimedTrajectory(self.short_points(n, kind), 60.0)
+        whole = [SigningInterval(0, n - 1)]
+        if kind == "nonplanar" and n < 7:
+            with pytest.raises(ValueError, match="need at least 7 samples"):
+                extract_keyframes(traj, intervals=whole, sigma=0.0)
+            return
+        extract_keyframes(traj, intervals=whole, sigma=0.0)
+        curve, = merit_curves(traj, whole, MeritMethod.MT)
+        assert curve.branch == (BRANCH_NONPLANAR if kind == "nonplanar" else BRANCH_PLANAR)
+        assert_matches_reference(curve, padded_window_merit(traj, whole[0], MeritMethod.MT))
+
+    def test_speed_threshold_masks_slow_samples(self):
+        res = generate(CurveSpec(kind="circle", radius=1.0, phase="quadratic", rate=0.5,
+                                 duration=4.0, fps=60.0), seed=0)
+        itv = SigningInterval(0, res.trajectory.n_samples - 1)
+        free, = merit_curves(res.trajectory, [itv], MeritMethod.MT)
+        guarded, = merit_curves(res.trajectory, [itv], MeritMethod.MT, speed_threshold=1.0)
+        slow = np.linalg.norm(np.gradient(res.trajectory.points, 1 / 60.0, axis=0), axis=1) < 0.99
+        assert not guarded.valid_mask[slow].any()
+        assert np.array_equal(guarded.values[guarded.valid_mask], free.values[guarded.valid_mask])
+
+    def test_interval_outside_trajectory_rejected(self):
+        traj = TimedTrajectory(np.random.default_rng(0).normal(size=(20, 3)), 60.0)
+        with pytest.raises(ValueError, match="outside trajectory"):
+            merit_curves(traj, [SigningInterval(5, 20)], MeritMethod.MT)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from trajkf import TimedTrajectory, fit_plane, project_to_plane
+from trajkf import SigningInterval, TimedTrajectory, fit_plane, project_to_plane
+from trajkf.planarity import fit_planes
 from oracles import random_rotation
 
 
@@ -13,6 +14,27 @@ def dense_svd_fitting_error(points):
     s = np.linalg.svd(centered, compute_uv=False)
     sq = s**2  # covariance singular values scale as data singular values squared
     return sq[2] / sq.sum()
+
+
+class TestFitPlanes:
+    def test_batch_equals_one_fit_per_interval(self):
+        rng = np.random.default_rng(4)
+        pts = np.cumsum(rng.normal(size=(200, 3)), axis=0)
+        intervals = [SigningInterval(0, 0), SigningInterval(0, 11), SigningInterval(5, 7),
+                     SigningInterval(40, 120), SigningInterval(100, 199)]
+        for itv, got in zip(intervals, fit_planes(pts, intervals, 0.02)):
+            want = fit_plane(pts[itv.start : itv.end + 1], 0.02)
+            assert got.fitting_error == want.fitting_error
+            assert got.is_planar == want.is_planar
+            assert np.array_equal(got.basis, want.basis)
+            assert np.array_equal(got.centroid, want.centroid)
+            if itv.length >= 3:
+                assert got.fitting_error == pytest.approx(
+                    dense_svd_fitting_error(pts[itv.start : itv.end + 1]), rel=1e-9)
+
+    def test_interval_outside_points_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            fit_planes(np.zeros((10, 3)), [SigningInterval(5, 10)])
 
 
 class TestFitPlane:

@@ -179,7 +179,7 @@ class TestPipelineInvariants:
             extract_keyframes,
             gaussian_smooth,
             generate,
-            merit_curve,
+            merit_curves,
         )
 
         res = generate(CurveSpec(kind="piecewise_signing", radius=0.25,
@@ -193,7 +193,7 @@ class TestPipelineInvariants:
         for frame in selected.frames:
             home = [itv for itv in intervals if itv.contains(frame)]
             assert len(home) == 1
-            curve = merit_curve(smoothed, home[0], MeritMethod.MT)
+            curve, = merit_curves(smoothed, home, MeritMethod.MT)
             k = frame - home[0].start
             assert curve.values[k] > curve.values[k - 1]
             assert curve.values[k] > curve.values[k + 1]

@@ -10,7 +10,7 @@ from trajkf import (
     detect_intervals,
     differentiate,
     generate,
-    merit_curve,
+    merit_curves,
     warp_time,
 )
 from trajkf.geometry import BRANCH_NONPLANAR, BRANCH_PLANAR
@@ -136,8 +136,8 @@ class TestPiecewiseSigning:
 
     def test_segment_kinds_control_branches(self):
         res = generate(self.spec(segment_kinds=("arc", "helix"), n_segments=2), seed=4)
-        branches = [merit_curve(res.trajectory, itv, MeritMethod.MT).branch
-                    for itv in res.intervals]
+        branches = [c.branch for c in
+                    merit_curves(res.trajectory, res.intervals, MeritMethod.MT)]
         assert branches == [BRANCH_PLANAR, BRANCH_NONPLANAR]
 
     def test_analytic_curves_masked_at_rests(self):

@@ -95,6 +95,18 @@ class TestTrajectoryFiles:
         with pytest.raises(ParseError):
             load_trajectory(io.StringIO(""), "csv")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_csv_non_finite_coordinate_names_row(self, bad):
+        text = f"frame,x,y,z\n0,1,2,3\n1,1,{bad},3\n2,1,2,3\n"
+        with pytest.raises(ParseError, match="row 3: non-finite"):
+            load_trajectory(io.StringIO(text), "csv")
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_json_non_finite_coordinate_names_point(self, bad):
+        text = f'{{"fps": 60, "points": [[1, 2, 3], [1, 2, 3], [{bad}, 2, 3]]}}'
+        with pytest.raises(ParseError, match="points\\[2\\]: non-finite"):
+            load_trajectory(io.StringIO(text), "json")
+
     def test_json_round_trip(self, tmp_path):
         traj = make_traj([[0.125, 1.5, -2.25], [0.25, 1.0, 3.0]], fps=30.0, start=7)
         path = tmp_path / "t.json"
@@ -156,6 +168,22 @@ class TestAnnotations:
 
         with pytest.raises(ParseError, match="keyframes\\[0\\]"):
             load_annotations(io.StringIO('{"keyframes": ["ten"]}'))
+
+    @pytest.mark.parametrize("bound", ['"3"', "2.9", "true"])
+    def test_interval_bounds_must_be_integers(self, bound):
+        from trajkf import load_annotations
+
+        text = f'{{"intervals": [{{"start": 1, "end": 9}}, {{"start": {bound}, "end": 9}}]}}'
+        with pytest.raises(ParseError, match="intervals\\[1\\]"):
+            load_annotations(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", ['{"keyframes": [4, true]}', '{"keyframes": 5}',
+                                      '{"intervals": {"start": 1}}'])
+    def test_keyframes_and_intervals_must_be_lists_of_the_right_type(self, text):
+        from trajkf import load_annotations
+
+        with pytest.raises(ParseError, match="keyframes|intervals"):
+            load_annotations(io.StringIO(text))
 
 
 class TestGaussianSmooth:
