@@ -13,7 +13,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .evaluation import reports_to_csv, reports_to_json, sweep
+from .evaluation import budget_for_ratio, ranked_picker, reports_to_csv, reports_to_json, sweep
 from .merit import MeritMethod
 from .pipeline import DEFAULT_SIGMA, extract_keyframes
 from .planarity import DEFAULT_F_ERROR
@@ -133,7 +133,7 @@ def cmd_extract(args) -> int:
     if config.r_c is not None:
         if annotations is None or not annotations.keyframes:
             raise ValueError("--r-c needs --annotations with ground-truth keyframes")
-        count = max(1, int(config.r_c * len(annotations.keyframes) + 0.5))
+        count = max(1, budget_for_ratio(config.r_c, len(annotations.keyframes)))
     else:
         count = config.count
 
@@ -180,9 +180,7 @@ def cmd_evaluate(args) -> int:
 
     ranked = _ranked_frames(pred)
     if args.per_gloss:
-        def pred_fn(count, interval):
-            inside = [f for f in ranked if interval.contains(f)]
-            return inside[:count]
+        pred_fn = ranked_picker(ranked)
     else:
         def pred_fn(count):
             return ranked[:count]

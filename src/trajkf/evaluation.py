@@ -91,6 +91,33 @@ def budget_for_ratio(r_c: float, total_truth: int) -> int:
     return int(r_c * total_truth + 0.5)
 
 
+def _counts_in(frames: Sequence[int], starts: np.ndarray, ends: np.ndarray) -> list[int]:
+    """How many of ``frames`` (repeats included) lie in each [start, end] span."""
+    ordered = np.sort(np.asarray(frames))
+    hi = np.searchsorted(ordered, ends, side="right")
+    return (hi - np.searchsorted(ordered, starts, side="left")).tolist()
+
+
+def ranked_picker(ranked: Sequence[int]) -> Callable:
+    """Per-gloss ``pred_fn`` over frames listed best first.
+
+    ``pred_fn(count, interval)`` equals
+    ``[f for f in ranked if interval.contains(f)][:count]``: one stable sort
+    by frame finds each interval's frames by binary search, and their
+    positions in ``ranked`` give the order.
+    """
+    ranked = np.asarray(ranked)
+    order = np.argsort(ranked, kind="stable")
+    by_frame = ranked[order]
+
+    def pred_fn(count: int, interval: SigningInterval) -> list[int]:
+        lo = np.searchsorted(by_frame, interval.start, side="left")
+        hi = np.searchsorted(by_frame, interval.end, side="right")
+        return ranked[np.sort(order[lo:hi])[:count]].tolist()
+
+    return pred_fn
+
+
 def sweep(
     pred_fn: Callable,
     truth_keyframes: Sequence[int],
@@ -111,12 +138,15 @@ def sweep(
     if per_gloss and not intervals:
         raise ValueError("per-gloss budgets need annotated intervals")
     truth = list(truth_keyframes)
+    if intervals:
+        spans = (np.array([itv.start for itv in intervals]),
+                 np.array([itv.end for itv in intervals]))
+        truth_counts = _counts_in(truth, *spans)
     reports: list[EvaluationReport] = []
     for r_c in r_c_values:
         if per_gloss:
             frames: list[int] = []
-            for itv in intervals:
-                l_s = sum(1 for k in truth if itv.contains(k))
+            for itv, l_s in zip(intervals, truth_counts):
                 if l_s == 0:
                     continue
                 frames.extend(_frames_of(pred_fn(budget_for_ratio(r_c, l_s), itv)))
@@ -127,11 +157,10 @@ def sweep(
         per_sign = None
         c_s = None
         if intervals:
-            rows = []
-            for itv in intervals:
-                l_s = sum(1 for k in truth if itv.contains(k))
-                l_x = sum(1 for f in frames if itv.contains(f))
-                rows.append({"start": itv.start, "end": itv.end, "l_x": l_x, "l_s": l_s})
+            rows = [
+                {"start": itv.start, "end": itv.end, "l_x": l_x, "l_s": l_s}
+                for itv, l_x, l_s in zip(intervals, _counts_in(frames, *spans), truth_counts)
+            ]
             per_sign = tuple(rows)
             counted = [(r["l_x"], r["l_s"]) for r in rows if r["l_s"] >= 1]
             if counted:

@@ -9,7 +9,6 @@ exists) and the strongest ones across all intervals become the keyframes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .trajectory import (
     TimedTrajectory,
     _float9,
     differentiate,
+    json_finite_number,
     json_list,
     json_n_frames,
     speed,
@@ -202,7 +202,7 @@ def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
     if len(scores) != len(frames):
         raise ParseError('"scores" and "frames" lengths differ')
     for i, sc in enumerate(scores):
-        if type(sc) not in (int, float) or not math.isfinite(sc):
+        if not json_finite_number(sc):
             raise ParseError(f"scores[{i}]: must be a finite number")
     try:
         method = MeritMethod(obj["method"]) if obj.get("method") else None

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import SPEED_EPS, CurveKind, DescriptorCurve
 from .trajectory import SigningInterval, TimedTrajectory
@@ -403,5 +402,6 @@ def warp_time(
         if traj.dim == 2:
             new_points = new_points[:, :2]
     else:
+        from scipy.interpolate import CubicSpline   # the one use of scipy: import it here
         new_points = CubicSpline(times, traj.points, axis=0)(warped)
     return TimedTrajectory(new_points, traj.frame_rate, traj.start_frame)

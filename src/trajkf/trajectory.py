@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -316,6 +318,11 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
     return TimedTrajectory(points, frame_rate, frames[0])
 
 
+def json_finite_number(v) -> bool:
+    """A JSON number inside the float range; bools and strings are not numbers."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def _load_json(text: str) -> TimedTrajectory:
     try:
         obj = json.loads(text)
@@ -323,20 +330,32 @@ def _load_json(text: str) -> TimedTrajectory:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "fps" not in obj or "points" not in obj:
         raise ParseError('trajectory JSON must contain "fps" and "points"')
+    fps = obj["fps"]
+    if not (json_finite_number(fps) and fps > 0):
+        raise ParseError('"fps" must be a finite positive number')
+    start_frame = obj.get("start_frame", 0)
+    if type(start_frame) is not int or start_frame < 0:
+        raise ParseError('"start_frame" must be a non-negative integer')
     pts = obj["points"]
     if not isinstance(pts, list) or not pts:
         raise ParseError('"points" must be a non-empty list')
-    width = len(pts[0])
+    width = len(pts[0]) if isinstance(pts[0], list) else 0
     if width not in (2, 3):
-        raise ParseError(f"points[0]: dimensionality must be 2 or 3, got {width}")
+        raise ParseError("points[0]: must be a list of 2 or 3 numbers")
     for i, row in enumerate(pts):
         if not isinstance(row, list) or len(row) != width:
             raise ParseError(f"points[{i}]: mixed dimensionality")
-    points = np.array(pts, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise ParseError(f"points[{bad[0]}]: non-finite coordinate")
-    return TimedTrajectory(points, obj["fps"], obj.get("start_frame", 0))
+    # the type set is one pass in C; the per-value scan below runs only on failure
+    points = None
+    if set(map(type, itertools.chain.from_iterable(pts))) <= {int, float}:
+        try:
+            points = np.array(pts, dtype=float)
+        except OverflowError:   # an integer beyond the float range
+            pass
+    if points is None or not np.isfinite(points).all():
+        i = next(i for i, row in enumerate(pts) if not all(map(json_finite_number, row)))
+        raise ParseError(f"points[{i}]: non-finite or non-numeric coordinate in {pts[i]!r}")
+    return TimedTrajectory(points, fps, start_frame)
 
 
 def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:

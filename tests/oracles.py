@@ -4,8 +4,9 @@ These deliberately avoid the library's code paths: shape descriptors are
 computed by resampling curves to unit speed and differentiating with respect
 to arc length (np.gradient, not the library's stencils), peaks and
 prominences by exhaustive bracketing-minimum search, scores by a literal
-per-frame Python loop, and merit curves by the per-interval route
-(re-differentiating a padded window of each interval).
+per-frame Python loop, merit curves by the per-interval route
+(re-differentiating a padded window of each interval), and per-sign counts by
+testing every frame against every interval.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ from trajkf import (
     DescriptorCurve,
     MeritMethod,
     TimedTrajectory,
+    EvaluationReport,
+    budget_for_ratio,
+    complexity_metric,
     curvature_s,
     curvature_t,
     differentiate,
     fit_plane,
     harmonic_mean_curve,
     project_to_plane,
+    score,
     speed,
     torsion_t,
 )
@@ -137,6 +142,51 @@ def brute_score(pred, truth, delta, n_frames):
     precision = tp / (tp + fp) if tp + fp else 0.0
     f2 = 5 * precision * recall / (4 * precision + recall) if 4 * precision + recall else 0.0
     return recall, precision, f2
+
+
+def brute_sweep(pred_fn, truth_keyframes, n_frames, r_c_values, delta_values,
+                intervals=None, per_gloss=False):
+    """``trajkf.sweep`` with every per-sign count taken by SigningInterval.contains.
+
+    Budgets, scores and the complexity metric come from the library; only the
+    counting differs, so the reports must be equal under ==.
+    """
+    if per_gloss and not intervals:
+        raise ValueError("per-gloss budgets need annotated intervals")
+    truth = list(truth_keyframes)
+    reports = []
+    for r_c in r_c_values:
+        if per_gloss:
+            frames = []
+            for itv in intervals:
+                l_s = sum(1 for k in truth if itv.contains(k))
+                if l_s == 0:
+                    continue
+                frames.extend(pred_fn(budget_for_ratio(r_c, l_s), itv))
+            frames = sorted(set(frames))
+        else:
+            frames = sorted(pred_fn(budget_for_ratio(r_c, len(truth))))
+
+        per_sign = None
+        c_s = None
+        if intervals:
+            rows = []
+            for itv in intervals:
+                l_s = sum(1 for k in truth if itv.contains(k))
+                l_x = sum(1 for f in frames if itv.contains(f))
+                rows.append({"start": itv.start, "end": itv.end, "l_x": l_x, "l_s": l_s})
+            per_sign = tuple(rows)
+            counted = [(r["l_x"], r["l_s"]) for r in rows if r["l_s"] >= 1]
+            if counted:
+                c_s = complexity_metric(counted)
+
+        for delta in delta_values:
+            base = score(frames, truth, delta, n_frames)
+            reports.append(EvaluationReport(
+                base.recall, base.precision, base.f2, base.delta, r_c=float(r_c),
+                c_s=c_s, per_sign=per_sign, degenerate=base.degenerate,
+            ))
+    return reports
 
 
 def random_rotation(rng) -> np.ndarray:

@@ -1,11 +1,18 @@
 """End-to-end tests of the extract / evaluate / synth subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajkf
+from trajkf import load_annotations, reports_to_json, sweep
 from trajkf.cli import main
+from trajkf.selection import keyframes_from_json
 
 
 def run(*argv):
@@ -145,6 +152,25 @@ class TestExtract:
                    "--sigma", "0") == 2
         assert "need at least 7 samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload,where", [
+        ({"fps": "60"}, '"fps"'),
+        ({"fps": True}, '"fps"'),
+        ({"start_frame": 2.5}, '"start_frame"'),
+        ({"start_frame": "3"}, '"start_frame"'),
+        ({"points": [5, 6]}, "points[0]"),
+        ({"points": [[1, 2, 3], [1, "x", 1], [1, 2, 3]]}, "points[1]"),
+        ({"points": [[1, 2, 3], [1, [1], 1], [1, 2, 3]]}, "points[1]"),
+        ({"points": [[1, 2, 3], [1, 2, 3], [1, False, 3]]}, "points[2]"),
+    ])
+    def test_malformed_trajectory_json_names_file_and_field(self, tmp_path, capsys,
+                                                            payload, where):
+        obj = {"fps": 60, "points": [[0.1 * i, i % 3, 0.0] for i in range(12)]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**obj, **payload}))
+        assert run("extract", str(path), "--count", "1") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and where in err
+
     def test_missing_file_is_validation_error(self):
         assert run("extract", "/nonexistent/x.csv", "--count", "1") == 2
 
@@ -257,6 +283,7 @@ class TestEvaluate:
         ({"frames": [3, True]}, "frames[1]"),
         ({"frames": [3, 4], "scores": [1.0, "high"]}, "scores[1]"),
         ({"frames": [3, 4], "scores": [1.0, float("nan")]}, "scores[1]"),
+        ({"frames": [3, 4], "scores": [1.0, 10**400]}, "scores[1]"),
         ({"frames": [3, 4], "scores": 2.0}, '"scores"'),
         ({"frames": [3], "n_frames": "200"}, '"n_frames"'),
         ({"frames": [3], "method": "fast"}, '"method"'),
@@ -306,6 +333,33 @@ class TestEvaluate:
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["recall"] == 1.0
 
+    def test_per_gloss_repeats_and_ties_match_reference(self, tmp_path, capsys):
+        pred = tmp_path / "pred.json"
+        truth = tmp_path / "truth.json"
+        pred.write_text(json.dumps({
+            "frames": [10, 10, 25, 30, 30, 30, 55, 80, 80, 95],
+            "scores": [1.0, 2.0, 2.0, 1.0, 1.0, 3.0, 2.0, 2.0, 0.5, 2.0],
+            "n_frames": 100,
+        }))
+        # overlapping, nested and keyframe-free intervals
+        truth.write_text(json.dumps({
+            "intervals": [{"start": 0, "end": 40}, {"start": 20, "end": 60},
+                          {"start": 50, "end": 99}, {"start": 70, "end": 75}],
+            "keyframes": [33, 12, 28, 56, 91, 90, 28],
+            "n_frames": 100,
+        }))
+        assert run("evaluate", "--pred", str(pred), "--truth", str(truth), "--per-gloss",
+                   "--r-c", "0.2,0.5,1,2", "--delta", "0,5") == 0
+
+        keys, _ = keyframes_from_json(pred)
+        ranked = [f for f, _ in sorted(zip(keys.frames, keys.scores),
+                                       key=lambda fs: (-fs[1], fs[0]))]
+        ann = load_annotations(truth)
+        reports = sweep(lambda count, itv: [f for f in ranked if itv.contains(f)][:count],
+                        ann.keyframes, 100, [0.2, 0.5, 1.0, 2.0], [0, 5],
+                        intervals=ann.intervals, per_gloss=True)
+        assert capsys.readouterr().out == reports_to_json(reports)
+
     def test_round_trip_with_extract(self, tmp_path, capsys):
         out = tmp_path / "vid"
         assert run("synth", "--kind", "piecewise_signing", "--a", "0.25",
@@ -327,3 +381,12 @@ class TestEvaluate:
         assert all(min(abs(f - t) for t in truth) <= 5 for f in pred_frames)
         assert reports[0]["recall"] > 0.85
         assert reports[0]["c_s"] == 0.0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, trajkf.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    env = {**os.environ, "PYTHONPATH": str(Path(trajkf.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"

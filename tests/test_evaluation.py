@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajkf import (
     KeyframeSet,
@@ -12,7 +14,8 @@ from trajkf import (
     score,
     sweep,
 )
-from oracles import brute_score
+from trajkf.evaluation import ranked_picker
+from oracles import brute_score, brute_sweep
 
 
 class TestProximityLabels:
@@ -200,3 +203,61 @@ class TestSweep:
     def test_per_gloss_requires_intervals(self):
         with pytest.raises(ValueError):
             sweep(lambda k, itv: [], [1], 10, [1.0], [5], per_gloss=True)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Intervals that overlap, nest, touch frame 0 or hold no truth; unsorted truth
+    with repeats; ranked predictions with repeats and frames outside every interval."""
+    n = draw(st.integers(1, 80))
+    frame = st.integers(0, n - 1)
+    intervals = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = draw(st.just(0) | frame)
+        intervals.append(SigningInterval(start, draw(st.integers(start, n - 1))))
+    truth = draw(st.lists(frame, max_size=20))
+    ranked = draw(st.lists(frame, max_size=30))
+    # 0.01 gives a budget of 0 for every count here
+    r_cs = draw(st.lists(st.sampled_from([0.01, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                         min_size=1, max_size=3))
+    deltas = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    return n, intervals, truth, ranked, r_cs, deltas
+
+
+class TestSweepAgainstBruteForce:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=sweep_cases(), per_gloss=st.booleans())
+    def test_reports_equal(self, case, per_gloss):
+        n, intervals, truth, ranked, r_cs, deltas = case
+        if per_gloss:
+            def pred_fn(count, interval):
+                return [f for f in ranked if interval.contains(f)][:count]
+        else:
+            def pred_fn(count):
+                return ranked[:count]
+
+        args = (pred_fn, truth, n, r_cs, deltas, intervals, per_gloss)
+        got = sweep(*args)
+        assert got == brute_sweep(*args)
+        assert all(type(v) is int for r in got for row in r.per_sign for v in row.values())
+
+
+class TestRankedPicker:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(frames=st.lists(st.integers(0, 40), max_size=30), data=st.data())
+    def test_matches_list_comprehension(self, frames, data):
+        # tied scores from a three-value set; ranked as the CLI ranks, or left unsorted
+        scores = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                    min_size=len(frames), max_size=len(frames)))
+        ranked = frames
+        if data.draw(st.booleans()):
+            order = sorted(zip(frames, scores), key=lambda fs: (-fs[1], fs[0]))
+            ranked = [f for f, _ in order]
+        pick = ranked_picker(ranked)
+        for _ in range(4):
+            start = data.draw(st.integers(0, 45))
+            interval = SigningInterval(start, data.draw(st.integers(start, 50)))
+            count = data.draw(st.integers(0, len(ranked) + 1))
+            got = pick(count, interval)
+            assert got == [f for f in ranked if interval.contains(f)][:count]
+            assert all(type(f) is int for f in got)
