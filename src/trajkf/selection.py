@@ -25,6 +25,7 @@ from .trajectory import (
     json_finite_number,
     json_list,
     json_n_frames,
+    parse_json,
     speed,
 )
 
@@ -95,46 +96,44 @@ def detect_intervals(
 
 
 def find_peaks(curve: DescriptorCurve | np.ndarray) -> list[Peak]:
-    """Strict local maxima with topographic prominences.
+    """Strict local maxima with topographic prominences, in O(n).
 
     A sample is a peak iff it is strictly above both neighbours; for a
     plateau, the leftmost sample of a maximal run strictly above both flanks
     counts.  Endpoints are never peaks.  Prominence is the peak value minus
     the larger of the two bracketing minima, each taken over the gap to the
     nearest strictly higher ground on that side (or the curve boundary).
+    Higher ground always holds a higher peak, so one stack pass per side over
+    the peaks, not the samples, finds those minima.  Values must be NaN-free.
     """
-    if isinstance(curve, DescriptorCurve):
-        values = curve.selection_values()
-    else:
-        values = np.asarray(curve, dtype=float)
-    n = len(values)
-    peak_idx: list[int] = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        if 0 < i and j < n - 1 and values[i - 1] < values[i] > values[j + 1]:
-            peak_idx.append(i)
-        i = j + 1
+    values = curve.values if isinstance(curve, DescriptorCurve) else np.asarray(curve, dtype=float)
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    s, after = starts[1:-1], starts[2:]   # equal-valued runs touching neither end; next runs
+    idx = s[(values[s - 1] < values[s]) & (values[s] > values[after])]
+    if idx.size == 0:
+        return []
+    # seg[k]: min from peak k-1 (or sample 0) up to peak k; seg[-1]: last peak to the end
+    seg = np.minimum.reduceat(values, np.concatenate(([0], idx))).tolist()
+    peak_values = values[idx].tolist()
+    left = _stack_bases(peak_values, seg)
+    right = _stack_bases(peak_values[::-1], seg[::-1])[::-1]
+    return [Peak(p, v, v - max(lo, hi))
+            for p, v, lo, hi in zip(idx.tolist(), peak_values, left, right)]
 
-    peaks = []
-    for p in peak_idx:
-        v = values[p]
-        left_min = v
-        k = p - 1
-        while k >= 0 and values[k] <= v:
-            if values[k] < left_min:
-                left_min = values[k]
-            k -= 1
-        right_min = v
-        k = p + 1
-        while k < n and values[k] <= v:
-            if values[k] < right_min:
-                right_min = values[k]
-            k += 1
-        peaks.append(Peak(p, float(v), float(v - max(left_min, right_min))))
-    return peaks
+
+def _stack_bases(peak_values: list[float], seg: list[float]) -> list[float]:
+    """Per peak, the minimum of ``seg`` back to the nearest strictly higher peak.
+
+    Each stack entry holds a peak value and the minimum since the entry below.
+    """
+    stack: list[tuple[float, float]] = []
+    bases = []
+    for v, low in zip(peak_values, seg):
+        while stack and stack[-1][0] <= v:
+            low = min(low, stack.pop()[1])
+        bases.append(low)
+        stack.append((v, low))
+    return bases
 
 
 def select_keyframes(
@@ -187,11 +186,7 @@ def keyframes_to_json(ks: KeyframeSet, start_frame: int = 0, n_frames: int | Non
 
 def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
     """Read a keyframe file; returns the set and its n_frames field if any."""
-    text = Path(source).read_text() if isinstance(source, (str, Path)) else source.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    obj = parse_json(Path(source).read_text() if isinstance(source, (str, Path)) else source.read())
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ParseError('keyframe file must hold an object with a "frames" list')
     frames = json_list(obj, "frames")

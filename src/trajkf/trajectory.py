@@ -324,10 +324,7 @@ def json_finite_number(v) -> bool:
 
 
 def _load_json(text: str) -> TimedTrajectory:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    obj = parse_json(text)
     if not isinstance(obj, dict) or "fps" not in obj or "points" not in obj:
         raise ParseError('trajectory JSON must contain "fps" and "points"')
     fps = obj["fps"]
@@ -383,11 +380,7 @@ def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:
 
 def load_annotations(source) -> Annotations:
     """Read an interval/keyframe annotation JSON file."""
-    text = _as_text(source)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    obj = parse_json(_as_text(source))
     if not isinstance(obj, dict):
         raise ParseError("annotation file must hold a JSON object")
     intervals = []
@@ -405,6 +398,15 @@ def load_annotations(source) -> Annotations:
         if type(k) is not int:
             raise ParseError(f"keyframes[{i}]: must be an integer frame index")
     return Annotations(tuple(intervals), tuple(keyframes), json_n_frames(obj))
+
+
+def parse_json(text: str):
+    """``json.loads`` with every failure as a ParseError: a JSONDecodeError, the
+    ValueError of an over-long integer literal, or deep nesting's RecursionError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
 
 
 def json_list(obj: dict, field: str) -> list:

@@ -383,6 +383,35 @@ class TestEvaluate:
         assert reports[0]["c_s"] == 0.0
 
 
+HUGE_INT = "1" * 5000   # beyond the interpreter's int-string digit limit
+DEEP_NEST = "[" * 200_000
+
+
+@pytest.mark.parametrize("role", ["trajectory", "annotations", "keyframes"])
+@pytest.mark.parametrize("text", [
+    pytest.param({"trajectory": '{"fps": 60, "points": [[1, 2], [%s, 2]]}' % HUGE_INT,
+                  "annotations": '{"keyframes": [%s]}' % HUGE_INT,
+                  "keyframes": '{"frames": [%s]}' % HUGE_INT}, id="huge_int"),
+    pytest.param(dict.fromkeys(["trajectory", "annotations", "keyframes"], DEEP_NEST),
+                 id="deep_nesting"),
+])
+def test_unparseable_json_exits_2_naming_file(tmp_path, capsys, role, text):
+    pred = tmp_path / "pred.json"
+    truth = tmp_path / "truth.json"
+    pred.write_text(json.dumps({"frames": [5], "n_frames": 20}))
+    truth.write_text(json.dumps({"intervals": [], "keyframes": [5], "n_frames": 20}))
+    bad = tmp_path / f"bad_{role}.json"
+    bad.write_text(text[role])
+    if role == "trajectory":
+        argv = ["extract", str(bad), "--count", "1"]
+    else:
+        argv = ["evaluate", "--pred", str(bad if role == "keyframes" else pred),
+                "--truth", str(bad if role == "annotations" else truth)]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "invalid JSON" in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = ("import sys, trajkf.cli; "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
