@@ -23,10 +23,8 @@ from .geometry import (
     BRANCH_PLANAR,
     CurveKind,
     DescriptorCurve,
-    FrenetFrame,
     curvature_s,
     curvature_t,
-    frenet_frame,
     torsion_s,
     torsion_t,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "DerivativeStack",
     "DescriptorCurve",
     "EvaluationReport",
-    "FrenetFrame",
     "KeyframeSet",
     "MeritMethod",
     "ParseError",
@@ -89,7 +86,6 @@ __all__ = [
     "extract_keyframes",
     "find_peaks",
     "fit_plane",
-    "frenet_frame",
     "gaussian_smooth",
     "generate",
     "harmonic_mean_curve",

@@ -7,10 +7,8 @@ Exit codes: 0 success, 1 usage error, 2 input validation or I/O failure,
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .evaluation import budget_for_ratio, ranked_picker, reports_to_csv, reports_to_json, sweep
@@ -29,11 +27,12 @@ from .trajectory import (
     Annotations,
     ParseError,
     SigningInterval,
-    _float9,
+    float9,
     load_annotations,
     load_trajectory,
     save_annotations,
     save_trajectory,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -53,41 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunConfig:
-    """Validated settings shared by the subcommands."""
-
-    fps: float = 60.0
-    sigma: float = DEFAULT_SIGMA
-    f_error: float = DEFAULT_F_ERROR
-    method: MeritMethod = MeritMethod.MT
-    count: int | None = None
-    r_c: float | None = None
-
-    def validate_budget(self) -> None:
-        if (self.count is None) == (self.r_c is None):
-            raise ValueError("exactly one of --count and --r-c must be given")
-        if self.count is not None and self.count < 1:
-            raise ValueError("--count must be >= 1")
-        if self.r_c is not None and self.r_c <= 0:
-            raise ValueError("--r-c must be positive")
-
-
 def _write_output(path: str | None, text: str) -> None:
-    """Write to stdout, or atomically (temp file + rename) to a path."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write to stdout, or atomically to a path."""
+    write_text(sys.stdout if path in (None, "-") else path, text)
 
 
 def _read(path: str, load, *args):
@@ -98,21 +65,35 @@ def _read(path: str, load, *args):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _check(flag: str, value: float, positive: bool = False) -> float:
+    """``value`` if finite and >= 0 (> 0 if ``positive``); else raise naming ``flag``."""
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{flag} must be a finite {kind} number, got {value:g}")
+    return value
+
+
+def _parse_float_list(text: str, flag: str, positive: bool = False) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise ValueError(f"{flag} expects a comma-separated list of numbers") from None
+    return [_check(flag, v, positive) for v in values]
 
 
 def cmd_extract(args) -> int:
-    config = RunConfig(
-        fps=args.fps, sigma=args.sigma, f_error=args.f_error,
-        method=MeritMethod(args.method), count=args.count, r_c=args.r_c,
-    )
-    config.validate_budget()
+    if (args.count is None) == (args.r_c is None):
+        raise ValueError("exactly one of --count and --r-c must be given")
+    if args.count is not None and args.count < 1:
+        raise ValueError("--count must be >= 1")
+    for flag, value, positive in [("--fps", args.fps, True), ("--r-c", args.r_c, True),
+                                  ("--sigma", args.sigma, False),
+                                  ("--f-error", args.f_error, False),
+                                  ("--speed-threshold", args.speed_threshold, False)]:
+        if value is not None:
+            _check(flag, value, positive)
     fmt = args.format or ("json" if args.input.endswith(".json") else "csv")
-    traj = _read(args.input, load_trajectory, fmt, config.fps)
+    traj = _read(args.input, load_trajectory, fmt, args.fps)
 
     intervals = None
     annotations = None
@@ -130,19 +111,19 @@ def cmd_extract(args) -> int:
                     )
                 intervals.append(SigningInterval(start, end))
 
-    if config.r_c is not None:
+    if args.r_c is not None:
         if annotations is None or not annotations.keyframes:
             raise ValueError("--r-c needs --annotations with ground-truth keyframes")
-        count = max(1, budget_for_ratio(config.r_c, len(annotations.keyframes)))
+        count = max(1, budget_for_ratio(args.r_c, len(annotations.keyframes)))
     else:
-        count = config.count
+        count = args.count
 
     result = extract_keyframes(
         traj,
-        method=config.method,
+        method=MeritMethod(args.method),
         count=count,
-        sigma=config.sigma,
-        f_error=config.f_error,
+        sigma=args.sigma,
+        f_error=args.f_error,
         intervals=intervals,
         speed_threshold=args.speed_threshold,
         min_gap=args.min_gap,
@@ -166,8 +147,11 @@ def cmd_evaluate(args) -> int:
             f"video length mismatch: {args.pred} has n_frames={pred_n}, "
             f"{args.truth} has n_frames={truth.n_frames}"
         )
-    deltas = [int(d) for d in _parse_float_list(args.delta, "--delta")]
-    r_cs = _parse_float_list(args.r_c, "--r-c")
+    deltas = _parse_float_list(args.delta, "--delta")
+    if not all(d.is_integer() for d in deltas):
+        raise ValueError("--delta expects whole numbers of frames")
+    deltas = [int(d) for d in deltas]
+    r_cs = _parse_float_list(args.r_c, "--r-c", positive=True)
     if not deltas or not r_cs:
         raise ValueError("--delta and --r-c must be non-empty")
 
@@ -225,12 +209,12 @@ def cmd_synth(args) -> int:
     ann_path = out.parent / f"{out.name}.annotations.json"
     save_trajectory(traj, traj_path, args.format)
 
-    extra: dict = {"fps": _float9(spec.fps)}
+    extra: dict = {"fps": float9(spec.fps)}
     if args.kind in ("circle", "helix", "line"):
         extra["analytic"] = {
-            "kappa": _float9(result.curvature_s.values[result.curvature_s.valid_mask][0])
+            "kappa": float9(result.curvature_s.values[result.curvature_s.valid_mask][0])
             if result.curvature_s.valid_mask.any() else 0.0,
-            "tau_abs": _float9(result.torsion_s.values[result.torsion_s.valid_mask][0])
+            "tau_abs": float9(result.torsion_s.values[result.torsion_s.valid_mask][0])
             if result.torsion_s is not None and result.torsion_s.valid_mask.any() else None,
         }
     ann = Annotations(result.intervals, result.keyframes, traj.n_samples)

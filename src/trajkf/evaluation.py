@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .selection import KeyframeSet
-from .trajectory import SigningInterval, _float9
+from .trajectory import SigningInterval, float9
 
 
 @dataclass(frozen=True)
@@ -167,14 +167,8 @@ def sweep(
                 c_s = complexity_metric(counted)
 
         for delta in delta_values:
-            base = score(frames, truth, delta, n_frames)
-            reports.append(
-                EvaluationReport(
-                    base.recall, base.precision, base.f2, base.delta,
-                    r_c=float(r_c), c_s=c_s, per_sign=per_sign,
-                    degenerate=base.degenerate,
-                )
-            )
+            reports.append(replace(score(frames, truth, delta, n_frames),
+                                   r_c=float(r_c), c_s=c_s, per_sign=per_sign))
     return reports
 
 
@@ -182,12 +176,12 @@ def reports_to_json(reports: Sequence[EvaluationReport]) -> str:
     rows = []
     for r in reports:
         row: dict = {
-            "r_c": _float9(r.r_c) if r.r_c is not None else None,
+            "r_c": float9(r.r_c) if r.r_c is not None else None,
             "delta": r.delta,
-            "recall": _float9(r.recall),
-            "precision": _float9(r.precision),
-            "f2": _float9(r.f2),
-            "c_s": _float9(r.c_s) if r.c_s is not None else None,
+            "recall": float9(r.recall),
+            "precision": float9(r.precision),
+            "f2": float9(r.f2),
+            "c_s": float9(r.c_s) if r.c_s is not None else None,
             "degenerate": r.degenerate,
         }
         if r.per_sign is not None:

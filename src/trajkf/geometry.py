@@ -1,4 +1,4 @@
-"""Discrete curvature, torsion, and moving-frame computation.
+"""Discrete curvature and torsion descriptors.
 
 Shape descriptors (arc-length parameterization) and rate descriptors (time
 parameterization) are both derived from time derivatives of the sampled
@@ -26,7 +26,7 @@ import numpy as np
 from .trajectory import DerivativeStack, speed
 
 SPEED_EPS = 1e-6   # below this speed (units/s) descriptors are undefined
-CROSS_EPS = 1e-9   # below this |d1 x d2| torsion and frames are undefined
+CROSS_EPS = 1e-9   # below this |d1 x d2| torsion is undefined
 
 BRANCH_PLANAR = "planar_curvature"
 BRANCH_NONPLANAR = "harmonic_mean"
@@ -79,32 +79,6 @@ class DescriptorCurve:
         return np.where(self.valid_mask, self.values, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class FrenetFrame:
-    """Per-sample tangent/normal/binormal unit vectors, masked where undefined."""
-
-    t_vec: np.ndarray
-    n_vec: np.ndarray
-    b_vec: np.ndarray
-    valid_mask: np.ndarray
-
-
-def _cross(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """Cross product of derivative rows: (vector or None for 2-D, magnitude)."""
-    if d1.shape[1] == 2:
-        scalar = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        return None, np.abs(scalar)
-    vec = np.cross(d1, d2)
-    return vec, np.linalg.norm(vec, axis=1)
-
-
-def _require(d: DerivativeStack, order: int, what: str) -> None:
-    if order >= 2 and d.d2 is None:
-        raise ValueError(f"{what} needs second derivatives")
-    if order >= 3 and d.d3 is None:
-        raise ValueError(f"{what} needs third derivatives")
-
-
 def _masked_ratio(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
                   kind: CurveKind) -> DescriptorCurve:
     vals = np.zeros_like(num)
@@ -112,7 +86,7 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
     return DescriptorCurve(vals, kind, mask)
 
 
-def _descriptor_kernel(
+def descriptor_kernel(
     d: DerivativeStack, rate: bool, torsion: bool = False
 ) -> tuple[np.ndarray, DescriptorCurve, DescriptorCurve | None]:
     """Speed, curvature and (with ``torsion``, else None) torsion magnitude.
@@ -123,9 +97,16 @@ def _descriptor_kernel(
     """
     if torsion and d.dim != 3:
         raise ValueError("torsion is a 3-D notion; got a 2-D derivative stack")
-    _require(d, 3 if torsion else 2, "torsion" if torsion else "curvature")
+    if d.d2 is None or (torsion and d.d3 is None):
+        what = "torsion needs third" if torsion else "curvature needs second"
+        raise ValueError(f"{what} derivatives")
     v = speed(d)
-    cross_vec, cross_mag = _cross(d.d1, d.d2)
+    if d.dim == 2:
+        cross_vec = None
+        cross_mag = np.abs(d.d1[:, 0] * d.d2[:, 1] - d.d1[:, 1] * d.d2[:, 0])
+    else:
+        cross_vec = np.cross(d.d1, d.d2)
+        cross_mag = np.linalg.norm(cross_vec, axis=1)
     moving = v >= SPEED_EPS
     kind = (CurveKind.K_T_3D if d.dim == 3 else CurveKind.K_T_2D) if rate \
         else (CurveKind.KAPPA_S_3D if d.dim == 3 else CurveKind.KAPPA_S_2D)
@@ -142,42 +123,19 @@ def _descriptor_kernel(
 
 def curvature_s(d: DerivativeStack) -> DescriptorCurve:
     """Arc-length curvature per sample; masked where the speed degenerates."""
-    return _descriptor_kernel(d, rate=False)[1]
+    return descriptor_kernel(d, rate=False)[1]
 
 
 def curvature_t(d: DerivativeStack) -> DescriptorCurve:
     """Time-parameterized curvature (instantaneous turning rate, 1/s)."""
-    return _descriptor_kernel(d, rate=True)[1]
+    return descriptor_kernel(d, rate=True)[1]
 
 
 def torsion_s(d: DerivativeStack) -> DescriptorCurve:
     """Arc-length torsion magnitude; 3-D only, masked where curvature degenerates."""
-    return _descriptor_kernel(d, rate=False, torsion=True)[2]
+    return descriptor_kernel(d, rate=False, torsion=True)[2]
 
 
 def torsion_t(d: DerivativeStack) -> DescriptorCurve:
     """Time-parameterized torsion magnitude (twist rate, 1/s); 3-D only."""
-    return _descriptor_kernel(d, rate=True, torsion=True)[2]
-
-
-def frenet_frame(d: DerivativeStack) -> FrenetFrame:
-    """Tangent/normal/binormal unit vectors per sample (3-D only).
-
-    The tangent is the normalized velocity d1, the binormal the normalized
-    d1 x d2, and the normal completes the right-handed frame as b x t.
-    Samples with degenerate speed or curvature are masked (stored as 0).
-    """
-    if d.dim != 3:
-        raise ValueError("moving frames are 3-D; got a 2-D derivative stack")
-    _require(d, 2, "frame")
-    v = speed(d)
-    cross_vec, cross_mag = _cross(d.d1, d.d2)
-    mask = (v >= SPEED_EPS) & (cross_mag >= CROSS_EPS)
-    t_vec = np.zeros_like(d.d1)
-    b_vec = np.zeros_like(d.d1)
-    np.divide(d.d1, v[:, None], out=t_vec, where=mask[:, None])
-    np.divide(cross_vec, cross_mag[:, None], out=b_vec, where=mask[:, None])
-    n_vec = np.cross(b_vec, t_vec)
-    for arr in (t_vec, n_vec, b_vec, mask):
-        arr.flags.writeable = False
-    return FrenetFrame(t_vec, n_vec, b_vec, mask)
+    return descriptor_kernel(d, rate=True, torsion=True)[2]

@@ -66,7 +66,6 @@ def merit_curves(
     intervals: Sequence[SigningInterval],
     method: MeritMethod,
     f_error: float = DEFAULT_F_ERROR,
-    torsion_speed_fraction: float = TORSION_SPEED_FRACTION,
     speed_threshold: float = 0.0,
 ) -> list[DescriptorCurve]:
     """Descriptor curve of each signing interval under the given method.
@@ -74,8 +73,8 @@ def merit_curves(
     For MeritMethod.MT on 3-D input each interval's points are plane-fitted.
     Planar intervals are ranked by the turn rate of the motion projected onto
     their plane (the whole-trajectory derivatives times the plane basis);
-    non-planar ones by the harmonic mean of turn and twist rates, with the
-    twist factor masked below ``torsion_speed_fraction`` of the interval's
+    non-planar ones by the harmonic mean of turn and twist rates, masked
+    where the speed is below TORSION_SPEED_FRACTION of the interval's
     95th-percentile speed.  2-D input takes the planar branch directly; each
     curve's ``branch`` records which case ran.  Baseline methods skip the
     classification; the 2-D ones read the first two coordinates.  Samples
@@ -101,7 +100,7 @@ def merit_curves(
     if method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3:
         shape = DerivativeStack(d.d1[:, :2], d.d2[:, :2])
     rate = method not in (MeritMethod.KAPPA2DS, MeritMethod.KAPPA3DS)
-    v, base, twist = geometry._descriptor_kernel(shape, rate, torsion=d.d3 is not None)
+    v, base, twist = geometry.descriptor_kernel(shape, rate, torsion=d.d3 is not None)
     if shape is not d:
         v = speed(d)
     harmonic = harmonic_mean_curve(base, twist) if twist is not None else None
@@ -123,7 +122,7 @@ def merit_curves(
             raise ValueError(
                 f"need at least {MIN_SAMPLES[3]} samples for order 3, got {n}")
         else:
-            cutoff = torsion_speed_fraction * np.percentile(v[sl], 95)
+            cutoff = TORSION_SPEED_FRACTION * np.percentile(v[sl], 95)
             values = harmonic.values[sl]
             mask = harmonic.valid_mask[sl] & (v[sl] >= cutoff)
             branch = BRANCH_NONPLANAR
@@ -136,7 +135,6 @@ def merit_curve(
     interval: SigningInterval,
     method: MeritMethod,
     f_error: float = DEFAULT_F_ERROR,
-    torsion_speed_fraction: float = TORSION_SPEED_FRACTION,
 ) -> DescriptorCurve:
     """merit_curves for one interval; each call differentiates the whole trajectory."""
-    return merit_curves(traj, [interval], method, f_error, torsion_speed_fraction)[0]
+    return merit_curves(traj, [interval], method, f_error)[0]

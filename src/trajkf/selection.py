@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -20,12 +19,13 @@ from .trajectory import (
     ParseError,
     SigningInterval,
     TimedTrajectory,
-    _float9,
     differentiate,
+    float9,
     json_finite_number,
     json_list,
     json_n_frames,
     parse_json,
+    read_text,
     speed,
 )
 
@@ -176,7 +176,7 @@ def keyframes_to_json(ks: KeyframeSet, start_frame: int = 0, n_frames: int | Non
     obj: dict = {
         "method": ks.method.value if ks.method else None,
         "frames": [start_frame + f for f in ks.frames],
-        "scores": [_float9(s) for s in ks.scores],
+        "scores": [float9(s) for s in ks.scores],
         "shortfall": ks.shortfall,
     }
     if n_frames is not None:
@@ -186,7 +186,7 @@ def keyframes_to_json(ks: KeyframeSet, start_frame: int = 0, n_frames: int | Non
 
 def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
     """Read a keyframe file; returns the set and its n_frames field if any."""
-    obj = parse_json(Path(source).read_text() if isinstance(source, (str, Path)) else source.read())
+    obj = parse_json(read_text(source))
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ParseError('keyframe file must hold an object with a "frames" list')
     frames = json_list(obj, "frames")

@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ class ParseError(ValueError):
     """A trajectory or annotation file violates its schema."""
 
 
-def _float9(x: float) -> float:
+def float9(x: float) -> float:
     """Round to 9 significant digits (canonical precision for emitted files)."""
     return float(format(float(x), ".9g"))
 
@@ -76,25 +77,6 @@ class TimedTrajectory:
         """Sample times in seconds."""
         n = self.n_samples
         return (self.start_frame + np.arange(n)) / self.frame_rate
-
-    def restrict(self, interval: "SigningInterval") -> "TimedTrajectory":
-        """Sub-trajectory over an inclusive sample-index range."""
-        if not (0 <= interval.start and interval.end < self.n_samples):
-            raise ValueError(
-                f"interval [{interval.start}, {interval.end}] outside trajectory "
-                f"of {self.n_samples} samples"
-            )
-        return TimedTrajectory(
-            self.points[interval.start : interval.end + 1],
-            self.frame_rate,
-            self.start_frame + interval.start,
-        )
-
-    def take_xy(self) -> "TimedTrajectory":
-        """First two coordinate channels as a 2-D trajectory."""
-        if self.dim == 2:
-            return self
-        return TimedTrajectory(self.points[:, :2], self.frame_rate, self.start_frame)
 
 
 @dataclass(frozen=True)
@@ -253,7 +235,8 @@ def speed(d: DerivativeStack) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _as_text(source) -> str:
+def read_text(source) -> str:
+    """Text of a path, bytes or stream, UTF-8 byte order mark removed."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
     elif isinstance(source, bytes):
@@ -264,6 +247,28 @@ def _as_text(source) -> str:
     return text.lstrip("﻿")
 
 
+def write_text(dest, text: str) -> None:
+    """Write ``text`` to a stream, or atomically to a path.
+
+    A path gets a temp file in its directory, renamed over it once written,
+    so a failed write leaves any old file whole.  The temp file is created
+    with mode 0o666, which the umask narrows as for any new file.
+    """
+    if not isinstance(dest, (str, Path)):
+        dest.write(text)
+        return
+    target = Path(dest)
+    tmp = target.with_name(f".tmp-{os.urandom(8).hex()}-{target.name}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> TimedTrajectory:
     """Read a trajectory from a CSV or JSON stream, path, or bytes.
 
@@ -272,7 +277,7 @@ def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> Ti
     from the columns present.  Malformed rows, non-monotone or non-consecutive
     frame indices, and mixed dimensionality raise ParseError naming the row.
     """
-    text = _as_text(source)
+    text = read_text(source)
     if format == "csv":
         return _load_csv(text, frame_rate)
     if format == "json":
@@ -365,22 +370,19 @@ def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:
         text = "\n".join(lines) + "\n"
     elif format == "json":
         obj = {
-            "fps": _float9(traj.frame_rate),
+            "fps": float9(traj.frame_rate),
             "start_frame": traj.start_frame,
-            "points": [[_float9(v) for v in row] for row in traj.points],
+            "points": [[float9(v) for v in row] for row in traj.points],
         }
         text = json.dumps(obj, indent=2) + "\n"
     else:
         raise ValueError(f"unknown trajectory format {format!r}")
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text)
-    else:
-        dest.write(text)
+    write_text(dest, text)
 
 
 def load_annotations(source) -> Annotations:
     """Read an interval/keyframe annotation JSON file."""
-    obj = parse_json(_as_text(source))
+    obj = parse_json(read_text(source))
     if not isinstance(obj, dict):
         raise ParseError("annotation file must hold a JSON object")
     intervals = []
@@ -434,8 +436,4 @@ def save_annotations(ann: Annotations, dest, extra: dict | None = None) -> None:
         obj["n_frames"] = ann.n_frames
     if extra:
         obj.update(extra)
-    text = json.dumps(obj, indent=2) + "\n"
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text)
-    else:
-        dest.write(text)
+    write_text(dest, json.dumps(obj, indent=2) + "\n")

@@ -297,6 +297,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(pred) in err and where in err
 
+    def test_bom_prefixed_prediction_reads_as_plain(self, files, tmp_path, capsys):
+        pred, truth = files
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + pred.read_bytes())
+        outs = []
+        for path in (pred, bom):
+            assert run("evaluate", "--pred", str(path), "--truth", str(truth),
+                       "--r-c", "0.5,1", "--delta", "0,5") == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_malformed_truth_names_file(self, files, tmp_path, capsys):
         pred, _ = files
         truth = tmp_path / "bad_truth.json"
@@ -419,3 +430,52 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def small_clip(tmp_path):
+    assert run("synth", "--kind", "piecewise_signing", "--segments", "2", "--dur", "1",
+               "--noise", "0.001", "--seed", "3", "--out", str(tmp_path / "clip")) == 0
+    return tmp_path / "clip.csv", tmp_path / "clip.annotations.json"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_files_get_mode_from_umask(tmp_path, small_clip, umask):
+    traj, truth = small_clip
+    kf, report, table = tmp_path / "kf.json", tmp_path / "r.json", tmp_path / "r.csv"
+    old = os.umask(umask)
+    try:
+        assert run("synth", "--kind", "helix", "--out", str(tmp_path / "helix")) == 0
+        assert run("extract", str(traj), "--count", "2", "-o", str(kf)) == 0
+        assert run("evaluate", "--pred", str(kf), "--truth", str(truth),
+                   "-o", str(report), "--csv", str(table)) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()
+             if p.name.startswith(("helix", "kf", "r."))}
+    assert modes == dict.fromkeys(
+        ["helix.csv", "helix.annotations.json", "kf.json", "r.json", "r.csv"], 0o666 & ~umask)
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *[("extract", flag, value) for flag, value in [
+        ("--sigma", "inf"), ("--sigma", "nan"), ("--sigma", "-1"),
+        ("--fps", "inf"), ("--fps", "nan"), ("--fps", "0"),
+        ("--f-error", "nan"), ("--speed-threshold", "nan"), ("--speed-threshold", "-1"),
+        ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "0")]],
+    *[("evaluate", flag, value) for flag, value in [
+        ("--delta", "inf"), ("--delta", "nan"), ("--delta", "2.7"), ("--delta", "5,-1"),
+        ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "-1"), ("--r-c", "1,0")]],
+])
+def test_bad_number_exits_2_naming_flag(small_clip, tmp_path, capsys, command, flag, value):
+    traj, truth = small_clip
+    kf = tmp_path / "kf.json"
+    assert run("extract", str(traj), "--count", "2", "-o", str(kf)) == 0
+    if command == "extract":
+        budget = ["--annotations", str(truth)] if flag == "--r-c" else ["--count", "2"]
+        argv = ["extract", str(traj), *budget]
+    else:
+        argv = ["evaluate", "--pred", str(kf), "--truth", str(truth)]
+    assert run(*argv, flag, value) == 2
+    assert flag in capsys.readouterr().err

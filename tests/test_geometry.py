@@ -1,4 +1,4 @@
-"""Tests for curvature/torsion descriptors and the moving frame.
+"""Tests for curvature/torsion descriptors.
 
 Closed-form circle/helix values come from radius r (curvature 1/r) and the
 helix constants a/(a^2+b^2), b/(a^2+b^2); everything else is checked against
@@ -15,7 +15,6 @@ from trajkf import (
     curvature_s,
     curvature_t,
     differentiate,
-    frenet_frame,
     generate,
     speed,
     torsion_s,
@@ -151,51 +150,6 @@ class TestTorsionT:
         traj = TimedTrajectory(np.column_stack([np.cos(t), np.sin(t)]), 60.0)
         with pytest.raises(ValueError, match="3-D"):
             torsion_t(differentiate(traj, 3))
-
-
-class TestFrenetFrame:
-    def test_helix_frame_at_zero_phase(self):
-        # sample around t=0 so it sits in the interior
-        t = np.arange(-30, 31) / 60.0
-        pts = np.column_stack([np.cos(t), np.sin(t), t])
-        frame = frenet_frame(differentiate(TimedTrajectory(pts, 60.0), 2))
-        mid = 30
-        assert frame.valid_mask[mid]
-        assert frame.t_vec[mid] == pytest.approx([0, 1 / np.sqrt(2), 1 / np.sqrt(2)], abs=1e-4)
-        assert frame.n_vec[mid] == pytest.approx([-1, 0, 0], abs=1e-4)
-        expected_b = np.cross(frame.t_vec[mid], frame.n_vec[mid])
-        assert frame.b_vec[mid] == pytest.approx(expected_b, abs=1e-12)
-
-    def test_planar_circle_binormal_constant(self):
-        d = differentiate(circle_traj().trajectory, 2)
-        frame = frenet_frame(d)
-        b_int = interior(frame.b_vec)
-        assert np.allclose(np.abs(b_int[:, 2]), 1.0, atol=1e-6)
-        assert np.allclose(b_int[:, :2], 0.0, atol=1e-6)
-
-    def test_straight_line_fully_masked(self):
-        t = np.arange(40) / 60.0
-        traj = TimedTrajectory(np.column_stack([t, t, t]), 60.0)
-        frame = frenet_frame(differentiate(traj, 2))
-        assert not frame.valid_mask.any()
-
-    def test_orthonormality_on_random_smooth_curves(self):
-        rng = np.random.default_rng(3)
-        t = np.arange(300) / 60.0
-        for _ in range(5):
-            c = rng.normal(size=(3, 3))
-            pts = np.column_stack([
-                np.sin(c[0, 0] * t) + 0.3 * np.cos(c[0, 1] * t),
-                np.cos(c[1, 0] * t) + 0.3 * np.sin(c[1, 1] * t),
-                0.5 * np.sin(c[2, 0] * t + 1.0),
-            ])
-            frame = frenet_frame(differentiate(TimedTrajectory(pts, 60.0), 2))
-            m = frame.valid_mask
-            for vec in (frame.t_vec[m], frame.n_vec[m], frame.b_vec[m]):
-                assert np.allclose(np.linalg.norm(vec, axis=1), 1.0, atol=1e-9)
-            assert np.allclose(np.einsum("ij,ij->i", frame.t_vec[m], frame.n_vec[m]), 0, atol=1e-9)
-            assert np.allclose(np.einsum("ij,ij->i", frame.t_vec[m], frame.b_vec[m]), 0, atol=1e-9)
-            assert np.allclose(np.einsum("ij,ij->i", frame.n_vec[m], frame.b_vec[m]), 0, atol=1e-9)
 
 
 class TestInvariances:

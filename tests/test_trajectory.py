@@ -2,11 +2,13 @@
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 
 from trajkf import (
+    Annotations,
     DerivativeStack,
     ParseError,
     SigningInterval,
@@ -14,6 +16,7 @@ from trajkf import (
     differentiate,
     gaussian_smooth,
     load_trajectory,
+    save_annotations,
     save_trajectory,
     speed,
 )
@@ -43,18 +46,6 @@ class TestTimedTrajectory:
         traj = make_traj([[0, 0], [1, 1], [2, 2]])
         with pytest.raises(ValueError):
             traj.points[0, 0] = 9.0
-
-    def test_restrict_adjusts_start_frame(self):
-        traj = make_traj(np.arange(20).reshape(10, 2), start=3)
-        sub = traj.restrict(SigningInterval(2, 5))
-        assert sub.n_samples == 4
-        assert sub.start_frame == 5
-        assert np.array_equal(sub.points, traj.points[2:6])
-
-    def test_restrict_out_of_range(self):
-        traj = make_traj(np.arange(20).reshape(10, 2))
-        with pytest.raises(ValueError):
-            traj.restrict(SigningInterval(8, 12))
 
 
 class TestTrajectoryFiles:
@@ -300,3 +291,21 @@ class TestSpeed:
             v1 = speed(differentiate(make_traj(pts @ rot.T), 1))
             assert np.allclose(v0, v1, atol=1e-9)
         assert np.all(v0 >= 0)
+
+
+@pytest.mark.parametrize("save", [
+    lambda path: save_trajectory(make_traj([[0, 0], [1, 1], [2, 2]]), path),
+    lambda path: save_annotations(Annotations(keyframes=(1,)), path),
+], ids=["save_trajectory", "save_annotations"])
+def test_failed_rename_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, save):
+    target = tmp_path / "out"
+    target.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        save(target)
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
