@@ -12,7 +12,6 @@ from .evaluation import (
     EvaluationReport,
     budget_for_ratio,
     complexity_metric,
-    proximity_labels,
     reports_to_csv,
     reports_to_json,
     score,
@@ -95,7 +94,6 @@ __all__ = [
     "load_trajectory",
     "merit_curves",
     "project_to_plane",
-    "proximity_labels",
     "reports_to_csv",
     "reports_to_json",
     "save_annotations",

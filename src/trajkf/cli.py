@@ -65,12 +65,20 @@ def _read(path: str, load, *args):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _check(flag: str, value: float, positive: bool = False) -> float:
-    """``value`` if finite and >= 0 (> 0 if ``positive``); else raise naming ``flag``."""
-    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+def _check(flag: str, value: float | None, positive: bool = False) -> float | None:
+    """``value`` if None, or finite and >= 0 (> 0 if ``positive``); else raise naming ``flag``."""
+    # compared, not converted: an int flag may be too large for a float
+    if value is not None and (not 0 <= value < math.inf or (positive and value == 0)):
         kind = "positive" if positive else "non-negative"
-        raise ValueError(f"{flag} must be a finite {kind} number, got {value:g}")
+        raise ValueError(f"{flag} must be a finite {kind} number, got {value}")
     return value
+
+
+def _check_ratio(r_c: float, total: int) -> float:
+    """``r_c`` if its keyframe budget over ``total`` annotated keyframes is finite."""
+    if not math.isfinite(r_c * total):
+        raise ValueError(f"--r-c {r_c:g} times {total} annotated keyframes overflows")
+    return r_c
 
 
 def _parse_float_list(text: str, flag: str, positive: bool = False) -> list[float]:
@@ -84,14 +92,14 @@ def _parse_float_list(text: str, flag: str, positive: bool = False) -> list[floa
 def cmd_extract(args) -> int:
     if (args.count is None) == (args.r_c is None):
         raise ValueError("exactly one of --count and --r-c must be given")
-    if args.count is not None and args.count < 1:
-        raise ValueError("--count must be >= 1")
-    for flag, value, positive in [("--fps", args.fps, True), ("--r-c", args.r_c, True),
+    for flag, value, positive in [("--count", args.count, True),
+                                  ("--fps", args.fps, True), ("--r-c", args.r_c, True),
                                   ("--sigma", args.sigma, False),
                                   ("--f-error", args.f_error, False),
-                                  ("--speed-threshold", args.speed_threshold, False)]:
-        if value is not None:
-            _check(flag, value, positive)
+                                  ("--speed-threshold", args.speed_threshold, False),
+                                  ("--min-gap", args.min_gap, True),
+                                  ("--min-len", args.min_len, True)]:
+        _check(flag, value, positive)
     fmt = args.format or ("json" if args.input.endswith(".json") else "csv")
     traj = _read(args.input, load_trajectory, fmt, args.fps)
 
@@ -114,7 +122,8 @@ def cmd_extract(args) -> int:
     if args.r_c is not None:
         if annotations is None or not annotations.keyframes:
             raise ValueError("--r-c needs --annotations with ground-truth keyframes")
-        count = max(1, budget_for_ratio(args.r_c, len(annotations.keyframes)))
+        total = len(annotations.keyframes)
+        count = max(1, budget_for_ratio(_check_ratio(args.r_c, total), total))
     else:
         count = args.count
 
@@ -151,11 +160,12 @@ def cmd_evaluate(args) -> int:
     if not all(d.is_integer() for d in deltas):
         raise ValueError("--delta expects whole numbers of frames")
     deltas = [int(d) for d in deltas]
-    r_cs = _parse_float_list(args.r_c, "--r-c", positive=True)
+    r_cs = [_check_ratio(r_c, len(truth.keyframes))
+            for r_c in _parse_float_list(args.r_c, "--r-c", positive=True)]
     if not deltas or not r_cs:
         raise ValueError("--delta and --r-c must be non-empty")
 
-    n_frames = args.n_frames or pred_n or truth.n_frames
+    n_frames = _check("--n-frames", args.n_frames, positive=True) or pred_n or truth.n_frames
     if n_frames is None:
         indices = list(pred.frames) + list(truth.keyframes)
         if not indices:

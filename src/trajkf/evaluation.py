@@ -2,9 +2,9 @@
 
 Keyframe matching is converted to a per-frame binary problem: every frame
 within ``delta`` frames of a keyframe is labeled positive, and recall,
-precision, and the recall-weighted F2 score are counted over all frames.
-A complexity metric compares per-sign keyframe counts against the
-annotators' counts.
+precision, and the recall-weighted F2 score are counted over all frames
+(from window lengths, with no per-frame arrays).  A complexity metric
+compares per-sign keyframe counts against the annotators' counts.
 """
 
 from __future__ import annotations
@@ -35,18 +35,17 @@ class EvaluationReport:
     degenerate: bool = False   # a zero denominator forced some rate to 0
 
 
-def proximity_labels(keyframes: Sequence[int], delta: int, n_frames: int) -> np.ndarray:
-    """Per-frame boolean labels: true within ``delta`` frames of a keyframe."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if n_frames <= 0:
-        raise ValueError(f"n_frames must be positive, got {n_frames}")
-    labels = np.zeros(n_frames, dtype=bool)
-    for k in keyframes:
-        if not 0 <= k < n_frames:
-            raise ValueError(f"keyframe {k} out of range [0, {n_frames})")
-        labels[max(0, k - delta) : min(n_frames, k + delta + 1)] = True
-    return labels
+def _covered(frames: np.ndarray, delta: int, n_frames: int) -> int:
+    """How many frames of [0, n_frames) lie within ``delta`` of one of ``frames``.
+
+    The windows share one width, so over sorted frames both clipped ends
+    ascend and each window adds the frames past the previous window's end
+    (a repeat adds none).
+    """
+    frames = np.sort(frames)
+    lo = np.maximum(frames - delta, 0)
+    hi = np.minimum(frames + (delta + 1), n_frames)
+    return int(np.sum(hi - np.maximum(lo, np.concatenate([lo[:1], hi[:-1]]))))
 
 
 def _frames_of(pred) -> Sequence[int]:
@@ -60,17 +59,26 @@ def score(pred, truth: Sequence[int], delta: int, n_frames: int) -> EvaluationRe
     Zero-denominator rates come back as 0 with the report's degenerate flag
     set.
     """
-    pred_labels = proximity_labels(_frames_of(pred), delta, n_frames)
-    truth_labels = proximity_labels(truth, delta, n_frames)
-    tp = int(np.sum(pred_labels & truth_labels))
-    fp = int(np.sum(pred_labels & ~truth_labels))
-    fn = int(np.sum(~pred_labels & truth_labels))
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0 < n_frames <= 2**62:
+        raise ValueError(f"n_frames must be positive and at most 2**62, got {n_frames}")
+    pred = _frames_of(pred)
+    frames = [*pred, *truth]
+    for k in frames:
+        if not 0 <= k < n_frames:
+            raise ValueError(f"keyframe {k} out of range [0, {n_frames})")
+    # no wider window covers more frames; this one keeps every end below 2**63
+    width = min(delta, n_frames - 1)
+    frames = np.asarray(frames, dtype=np.int64)
+    pred_pos, truth_pos = (_covered(f, width, n_frames) for f in np.split(frames, [len(pred)]))
+    tp = pred_pos + truth_pos - _covered(frames, width, n_frames)
 
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / truth_pos if truth_pos > 0 else 0.0     # positives: tp + fn
+    precision = tp / pred_pos if pred_pos > 0 else 0.0    # positives: tp + fp
     f2_den = 4 * precision + recall
     f2 = 5 * precision * recall / f2_den if f2_den > 0 else 0.0
-    degenerate = tp + fn == 0 or tp + fp == 0 or f2_den == 0
+    degenerate = truth_pos == 0 or pred_pos == 0 or f2_den == 0
     return EvaluationReport(recall, precision, f2, int(delta), degenerate=degenerate)
 
 

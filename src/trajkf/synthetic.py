@@ -376,32 +376,25 @@ def _generate_signing(spec: CurveSpec, rng: np.random.Generator) -> SyntheticRes
 def warp_time(
     traj: TimedTrajectory,
     f: Callable[[np.ndarray], np.ndarray],
-    position_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    position_fn: Callable[[np.ndarray], np.ndarray],
 ) -> TimedTrajectory:
-    """Resample a trajectory at warped times f(t_n).
+    """Resample a synthetic trajectory at warped times f(t_n).
 
-    ``f`` must be strictly increasing on the sample grid and fix both
-    endpoints.  With ``position_fn`` (a synthetic curve) the warped positions
-    are evaluated exactly; otherwise the sampled trajectory is interpolated
-    with a cubic spline, which keeps third derivatives meaningful downstream.
+    ``f`` maps the array of sample times to an array of warped times; it must
+    be strictly increasing on the sample grid and fix both endpoints.  The
+    warped positions are evaluated exactly by ``position_fn`` (the curve's
+    ``SyntheticResult.position_fn``).
     """
     times = traj.times()
-    try:
-        warped = np.asarray(f(times), dtype=float)
-        if warped.shape != times.shape:
-            raise TypeError
-    except TypeError:
-        warped = np.array([f(t) for t in times], dtype=float)
+    warped = np.asarray(f(times), dtype=float)
+    if warped.shape != times.shape:
+        raise ValueError(f"time warp must return shape {times.shape}, got {warped.shape}")
     if np.any(np.diff(warped) <= 0):
         raise ValueError("time warp must be strictly increasing")
     tol = 1e-9 * max(1.0, times[-1] - times[0])
     if abs(warped[0] - times[0]) > tol or abs(warped[-1] - times[-1]) > tol:
         raise ValueError("time warp must fix both endpoints")
-    if position_fn is not None:
-        new_points = position_fn(warped)
-        if traj.dim == 2:
-            new_points = new_points[:, :2]
-    else:
-        from scipy.interpolate import CubicSpline   # the one use of scipy: import it here
-        new_points = CubicSpline(times, traj.points, axis=0)(warped)
+    new_points = position_fn(warped)
+    if traj.dim == 2:
+        new_points = new_points[:, :2]
     return TimedTrajectory(new_points, traj.frame_rate, traj.start_frame)

@@ -142,20 +142,21 @@ def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
     """Smooth each coordinate channel with a truncated Gaussian kernel.
 
     The kernel has standard deviation ``sigma`` (in frames), is truncated at
-    +/- ceil(4 sigma) taps, and is renormalized to sum 1; near the boundaries
-    the truncated overlap is renormalized the same way, so constants are
-    preserved everywhere.  ``sigma = 0`` returns the input unchanged.
+    +/- min(ceil(4 sigma), n - 1) taps (a longer tap reaches no sample) and
+    renormalized to sum 1; near the boundaries the truncated overlap is
+    renormalized too, so constants are preserved.  ``sigma = 0`` is a no-op.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return traj
-    radius = math.ceil(4 * sigma)
+    n = traj.n_samples
+    radius = math.ceil(min(4 * sigma, n - 1))
     k = np.arange(-radius, radius + 1, dtype=float)
-    kernel = np.exp(-(k**2) / (2 * sigma**2))
+    with np.errstate(over="ignore"):   # a huge sigma squares to inf: a flat kernel
+        kernel = np.exp(-(k**2) / (2 * np.float64(sigma) ** 2))
     kernel /= kernel.sum()
 
-    n = traj.n_samples
     # full convolution sliced back to the signal length; mode="same" would
     # return kernel-length output when the kernel outgrows a short signal
     def convolve(x):

@@ -463,10 +463,12 @@ def test_output_files_get_mode_from_umask(tmp_path, small_clip, umask):
         ("--sigma", "inf"), ("--sigma", "nan"), ("--sigma", "-1"),
         ("--fps", "inf"), ("--fps", "nan"), ("--fps", "0"),
         ("--f-error", "nan"), ("--speed-threshold", "nan"), ("--speed-threshold", "-1"),
-        ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "0")]],
+        ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "0"), ("--r-c", "1e308"),
+        ("--min-gap", "0"), ("--min-len", "0")]],
     *[("evaluate", flag, value) for flag, value in [
         ("--delta", "inf"), ("--delta", "nan"), ("--delta", "2.7"), ("--delta", "5,-1"),
-        ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "-1"), ("--r-c", "1,0")]],
+        ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "-1"), ("--r-c", "1,0"),
+        ("--r-c", "1e308"), ("--n-frames", "0"), ("--n-frames", "-5")]],
 ])
 def test_bad_number_exits_2_naming_flag(small_clip, tmp_path, capsys, command, flag, value):
     traj, truth = small_clip

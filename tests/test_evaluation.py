@@ -1,8 +1,10 @@
-"""Tests for proximity labeling, scoring, the complexity metric, and sweeps."""
+"""Tests for proximity scoring, the complexity metric, and sweeps."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajkf import (
@@ -10,7 +12,6 @@ from trajkf import (
     SigningInterval,
     budget_for_ratio,
     complexity_metric,
-    proximity_labels,
     score,
     sweep,
 )
@@ -18,34 +19,66 @@ from trajkf.evaluation import ranked_picker
 from oracles import brute_score, brute_sweep
 
 
-class TestProximityLabels:
+def covered_share(frames, delta, n):
+    """Share of the n frames within ``delta`` of ``frames``: the recall
+    against a truth keyframe on every frame."""
+    return score(frames, range(n), delta, n).recall
+
+
+class TestProximityWindows:
     def test_window_around_single_keyframe(self):
-        labels = proximity_labels([10], delta=5, n_frames=30)
-        expected = np.zeros(30, dtype=bool)
-        expected[5:16] = True
-        assert np.array_equal(labels, expected)
+        assert covered_share([10], 5, 30) == 11 / 30
+        # pred window [5, 15], truth window [10, 20]: TP=6, FP=5, FN=5
+        report = score([10], [15], delta=5, n_frames=30)
+        assert (report.recall, report.precision) == (6 / 11, 6 / 11)
 
     def test_delta_zero_marks_only_keyframes(self):
-        labels = proximity_labels([3, 7], delta=0, n_frames=10)
-        assert np.flatnonzero(labels).tolist() == [3, 7]
+        assert covered_share([3, 7], 0, 10) == 2 / 10
+        report = score([3, 7], [3, 8], delta=0, n_frames=10)
+        assert (report.recall, report.precision) == (0.5, 0.5)
 
     def test_overlapping_windows_union(self):
-        labels = proximity_labels([3, 6], delta=2, n_frames=10)
-        assert np.flatnonzero(labels).tolist() == list(range(1, 9))
+        assert covered_share([3, 6], 2, 10) == 8 / 10     # frames 1..8
+        assert covered_share([6, 3, 6], 2, 10) == 8 / 10  # repeats and order do not matter
 
     def test_window_clipped_at_boundaries(self):
-        labels = proximity_labels([1], delta=5, n_frames=10)
-        assert np.flatnonzero(labels).tolist() == list(range(0, 7))
+        assert covered_share([1], 5, 10) == 7 / 10   # frames 0..6
+        assert covered_share([8], 5, 10) == 7 / 10   # frames 3..9
+        assert covered_share([0], 10**30, 10) == 1.0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            proximity_labels([30], delta=5, n_frames=30)
-        with pytest.raises(ValueError, match="out of range"):
-            proximity_labels([-1], delta=5, n_frames=30)
+        with pytest.raises(ValueError, match="keyframe 30 out of range"):
+            score([30], [1], delta=5, n_frames=30)
+        with pytest.raises(ValueError, match="keyframe -1 out of range"):
+            score([1], [-1], delta=5, n_frames=30)
+        # the first bad frame in input order, pred before truth, and no OverflowError
+        with pytest.raises(ValueError, match=f"keyframe {10**30} out of range"):
+            score([3, 10**30, -1], [-2], delta=5, n_frames=30)
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            proximity_labels([1], delta=-1, n_frames=10)
+        with pytest.raises(ValueError, match="delta"):
+            score([1], [1], delta=-1, n_frames=10)
+
+    def test_memory_does_not_grow_with_video_length(self):
+        score([0], [5], 3, 10)   # numpy imports some modules on first use
+        tracemalloc.start()
+        try:
+            score([0], [5], 3, 2 * 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+
+@st.composite
+def score_cases(draw):
+    """Unsorted frames with repeats, touching 0 and n - 1; delta up to past n."""
+    n = draw(st.integers(1, 60))
+    frame = st.sampled_from([0, n - 1]) | st.integers(0, n - 1)
+    pred = draw(st.lists(frame, max_size=10))
+    truth = draw(st.lists(frame, max_size=10))
+    delta = draw(st.just(0) | st.integers(0, 2 * n + 2))
+    return pred, truth, delta, n
 
 
 class TestScore:
@@ -72,6 +105,17 @@ class TestScore:
         ks = KeyframeSet(frames=(10,), scores=(1.0,))
         report = score(ks, [12], delta=5, n_frames=30)
         assert report.recall == pytest.approx(9 / 11)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(case=score_cases())
+    @example(case=([], [], 0, 1))
+    @example(case=([], [3], 2, 10))
+    @example(case=([0, 9, 0], [9], 0, 10))
+    @example(case=([4], [0, 9], 10, 10))
+    def test_counts_equal_brute_force_labels(self, case):
+        pred, truth, delta, n = case
+        report = score(pred, truth, delta, n)
+        assert (report.recall, report.precision, report.f2) == brute_score(pred, truth, delta, n)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(21)

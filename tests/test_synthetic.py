@@ -170,22 +170,19 @@ class TestWarpTime:
         sl = slice(40, -6)
         assert np.max(np.abs(k.values[sl] - 2 * t[sl] / span)) < 1e-2
 
-    def test_cubic_interpolation_fallback(self):
-        res = generate(CurveSpec(kind="circle", radius=1.0, duration=4.0, fps=120.0), seed=0)
-        span = res.trajectory.times()[-1]
-        warp = lambda t: span * (t / span) ** 1.5
-        exact = warp_time(res.trajectory, warp, res.position_fn)
-        splined = warp_time(res.trajectory, warp)
-        assert np.max(np.abs(exact.points - splined.points)) < 1e-5
-
     def test_non_monotone_warp_rejected(self):
         res = generate(CurveSpec(kind="circle", radius=1.0, duration=2.0, fps=60.0), seed=0)
         span = res.trajectory.times()[-1]
         wiggly = lambda t: t + 1.5 * span / (2 * np.pi) * np.sin(2 * np.pi * t / span)
         with pytest.raises(ValueError, match="increasing"):
-            warp_time(res.trajectory, wiggly)
+            warp_time(res.trajectory, wiggly, res.position_fn)
 
     def test_endpoint_moving_warp_rejected(self):
         res = generate(CurveSpec(kind="circle", radius=1.0, duration=2.0, fps=60.0), seed=0)
         with pytest.raises(ValueError, match="endpoints"):
-            warp_time(res.trajectory, lambda t: 0.5 * t)
+            warp_time(res.trajectory, lambda t: 0.5 * t, res.position_fn)
+
+    def test_wrong_shape_warp_rejected(self):
+        res = generate(CurveSpec(kind="circle", radius=1.0, duration=2.0, fps=60.0), seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            warp_time(res.trajectory, lambda t: t[:-1], res.position_fn)

@@ -224,6 +224,13 @@ class TestGaussianSmooth:
         with pytest.raises(ValueError):
             gaussian_smooth(make_traj(np.zeros((5, 2))), -1.0)
 
+    @pytest.mark.parametrize("sigma", [1e5, 1e300])
+    def test_huge_sigma_averages_the_clip(self, sigma):
+        # taps stop at n - 1 each way, so no 8e5- or 8e300-tap kernel is built
+        pts = np.random.default_rng(3).normal(size=(2000, 3))
+        out = gaussian_smooth(make_traj(pts), sigma)
+        assert np.allclose(out.points, pts.mean(axis=0), atol=1e-4)
+
 
 class TestDifferentiate:
     def test_linear_motion_exact(self):
