@@ -24,6 +24,7 @@ from .selection import (
 )
 from .synthetic import CurveSpec, generate
 from .trajectory import (
+    MAX_N_FRAMES,
     Annotations,
     ParseError,
     SigningInterval,
@@ -165,12 +166,18 @@ def cmd_evaluate(args) -> int:
     if not deltas or not r_cs:
         raise ValueError("--delta and --r-c must be non-empty")
 
-    n_frames = _check("--n-frames", args.n_frames, positive=True) or pred_n or truth.n_frames
+    if args.n_frames is not None and not 0 < args.n_frames <= MAX_N_FRAMES:
+        raise ValueError(f"--n-frames must be a positive integer at most 2**62, "
+                         f"got {args.n_frames}")
+    n_frames = args.n_frames or pred_n or truth.n_frames
     if n_frames is None:
         indices = list(pred.frames) + list(truth.keyframes)
         if not indices:
             raise ValueError("cannot infer video length from empty files; pass --n-frames")
         n_frames = max(indices) + max(deltas) + 1
+        if n_frames > MAX_N_FRAMES:
+            raise ValueError(f"video length {n_frames} inferred from the last keyframe and "
+                             f"--delta exceeds 2**62; pass a smaller --delta or --n-frames")
 
     ranked = _ranked_frames(pred)
     if args.per_gloss:

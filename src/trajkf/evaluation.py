@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .selection import KeyframeSet
-from .trajectory import SigningInterval, float9
+from .trajectory import MAX_N_FRAMES, SigningInterval, float9
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def score(pred, truth: Sequence[int], delta: int, n_frames: int) -> EvaluationRe
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if not 0 < n_frames <= 2**62:
+    if not 0 < n_frames <= MAX_N_FRAMES:
         raise ValueError(f"n_frames must be positive and at most 2**62, got {n_frames}")
     pred = _frames_of(pred)
     frames = [*pred, *truth]
@@ -112,7 +112,9 @@ def ranked_picker(ranked: Sequence[int]) -> Callable:
     ``pred_fn(count, interval)`` equals
     ``[f for f in ranked if interval.contains(f)][:count]``: one stable sort
     by frame finds each interval's frames by binary search, and their
-    positions in ``ranked`` give the order.
+    positions in ``ranked`` give the order.  A call costs O(h log h), where h
+    is the number of ranked frames inside the interval: nested intervals
+    each pay for what they hold, not for the whole ranking.
     """
     ranked = np.asarray(ranked)
     order = np.argsort(ranked, kind="stable")

@@ -15,7 +15,9 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,17 +146,21 @@ def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
     The kernel has standard deviation ``sigma`` (in frames), is truncated at
     +/- min(ceil(4 sigma), n - 1) taps (a longer tap reaches no sample) and
     renormalized to sum 1; near the boundaries the truncated overlap is
-    renormalized too, so constants are preserved.  ``sigma = 0`` is a no-op.
+    renormalized too, so constants are preserved.  ``sigma = 0`` is a no-op,
+    and so is a sigma whose square underflows to 0 (its kernel is the unit
+    impulse).
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return traj
-    n = traj.n_samples
-    radius = math.ceil(min(4 * sigma, n - 1))
-    k = np.arange(-radius, radius + 1, dtype=float)
-    with np.errstate(over="ignore"):   # a huge sigma squares to inf: a flat kernel
-        kernel = np.exp(-(k**2) / (2 * np.float64(sigma) ** 2))
+    # a huge sigma squares to inf (a flat kernel); a tiny one's off-centre taps reach exp(-inf)
+    with np.errstate(over="ignore"):
+        two_var = 2 * np.float64(sigma) ** 2
+        if two_var == 0:
+            return traj
+        n = traj.n_samples
+        radius = math.ceil(min(4 * sigma, n - 1))
+        k = np.arange(-radius, radius + 1, dtype=float)
+        kernel = np.exp(-(k**2) / two_var)
     kernel /= kernel.sum()
 
     # full convolution sliced back to the signal length; mode="same" would
@@ -286,13 +292,68 @@ def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> Ti
     raise ValueError(f"unknown trajectory format {format!r}")
 
 
+_CSV_HEADERS = (["frame", "x", "y"], ["frame", "x", "y", "z"])
+# ASCII controls numpy's number parsers skip as whitespace but int() and float() refuse
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_NOT_SPACE = re.compile(r"\S")
+
+
+def _loadtxt_refuses_float_ints() -> bool:
+    """Whether ``np.loadtxt`` refuses "1.5" as an int64, as ``int()`` does.
+
+    Some NumPy releases from 1.23 on parse such a field through float, with
+    a DeprecationWarning; under those the row loop reads every file.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.loadtxt(["1.5"], dtype=np.int64)
+        except ValueError:
+            return True
+    return False
+
+
+_LOADTXT_EXACT_INTS = _loadtxt_refuses_float_ints()
+
+
 def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
+    """One ``np.loadtxt`` pass over the rows after a plain header line.
+
+    Anything that pass refuses or cannot vouch for (quoting, a bad field, a
+    frame gap or repeat, a non-finite value, no rows) goes to the row loop,
+    which accepts exactly what it always has and otherwise names the row.
+    Non-ASCII text goes there too: numpy reads some non-ASCII letters as digits.
+    """
+    end = text.find("\n")
+    head = text[:end]
+    # csv ends a record at a lone \r; loadtxt's skiprows would skip the whole line
+    if (_LOADTXT_EXACT_INTS and end >= 0
+            and [c.strip().lower() for c in head.split(",")] in _CSV_HEADERS
+            and "\r" not in head[:-1] and text.isascii()
+            and not any(c in text for c in _NUMPY_ONLY_SPACE)
+            and _NOT_SPACE.search(text, end)):   # no rows: loadtxt would warn
+        dtype = np.dtype([("frame", np.int64), ("xyz", np.float64, (head.count(","),))])
+        try:
+            table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None,
+                               quotechar=None, skiprows=1, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            frames, points = table["frame"], table["xyz"]
+            # diff 1 also holds across the int64 wrap from 2**63 - 1 to -2**63
+            if ((np.diff(frames) == 1).all() and frames[-1] >= frames[0]
+                    and np.isfinite(points).all()):
+                return TimedTrajectory(points, frame_rate, frames[0])
+    return _load_csv_rows(text, frame_rate)
+
+
+def _load_csv_rows(text: str, frame_rate: float) -> TimedTrajectory:
     rows = list(csv.reader(io.StringIO(text)))
     rows = [(i + 1, r) for i, r in enumerate(rows) if r]
     if not rows:
         raise ParseError("empty trajectory file")
     header = [c.strip().lower() for c in rows[0][1]]
-    if header not in (["frame", "x", "y"], ["frame", "x", "y", "z"]):
+    if header not in _CSV_HEADERS:
         raise ParseError(f"row 1: header must be frame,x,y[,z], got {','.join(header)}")
     ncols = len(header)
     frames: list[int] = []
@@ -364,16 +425,14 @@ def _load_json(text: str) -> TimedTrajectory:
 def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:
     """Write a trajectory as CSV or JSON (floats at 9 significant digits)."""
     if format == "csv":
-        lines = ["frame," + ",".join("xyz"[: traj.dim])]
-        for n in range(traj.n_samples):
-            vals = ",".join(f"{v:.9g}" for v in traj.points[n])
-            lines.append(f"{traj.start_frame + n},{vals}")
-        text = "\n".join(lines) + "\n"
+        row = "%d" + ",%.9g" * traj.dim
+        lines = [row % (n, *p) for n, p in enumerate(traj.points.tolist(), traj.start_frame)]
+        text = "\n".join(["frame," + ",".join("xyz"[: traj.dim]), *lines]) + "\n"
     elif format == "json":
         obj = {
             "fps": float9(traj.frame_rate),
             "start_frame": traj.start_frame,
-            "points": [[float9(v) for v in row] for row in traj.points],
+            "points": [list(map(float9, p)) for p in traj.points.tolist()],
         }
         text = json.dumps(obj, indent=2) + "\n"
     else:
@@ -420,11 +479,15 @@ def json_list(obj: dict, field: str) -> list:
     return value
 
 
+MAX_N_FRAMES = 2**62   # longest scorable video: frame windows stay inside int64
+
+
 def json_n_frames(obj: dict) -> int | None:
-    """The optional positive-integer "n_frames" field of a JSON object."""
+    """The optional "n_frames" field of a JSON object: an integer in [1, MAX_N_FRAMES]."""
     n_frames = obj.get("n_frames")
-    if n_frames is not None and (type(n_frames) is not int or n_frames <= 0):
-        raise ParseError('"n_frames" must be a positive integer')
+    if n_frames is not None and (type(n_frames) is not int
+                                 or not 0 < n_frames <= MAX_N_FRAMES):
+        raise ParseError('"n_frames" must be a positive integer at most 2**62')
     return n_frames
 
 

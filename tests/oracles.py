@@ -6,10 +6,16 @@ to arc length (np.gradient, not the library's stencils), peaks and
 prominences by exhaustive bracketing-minimum search, scores by a literal
 per-frame Python loop, merit curves by the per-interval route
 (re-differentiating a padded window of each interval), and per-sign counts by
-testing every frame against every interval.
+testing every frame against every interval.  Trajectory CSV is read by the
+row-at-a-time ``csv.reader`` loop (``int``/``float`` per field), and
+trajectory files are written one value at a time.
 """
 
 from __future__ import annotations
+
+import csv
+import io
+import json
 
 import numpy as np
 
@@ -19,6 +25,7 @@ from trajkf import (
     DerivativeStack,
     DescriptorCurve,
     MeritMethod,
+    ParseError,
     TimedTrajectory,
     EvaluationReport,
     budget_for_ratio,
@@ -240,3 +247,62 @@ def padded_window_merit(traj, interval, method, f_error=0.05, torsion_speed_frac
     d = derivatives(window, 2)
     curve = curvature_t(d) if method in (MeritMethod.K2DT, MeritMethod.K3DT) else curvature_s(d)
     return curve.values, curve.valid_mask, None
+
+
+def brute_load_csv(text: str) -> tuple[np.ndarray, int]:
+    """Points and start frame of trajectory CSV text, one row at a time.
+
+    Raises the ParseError, naming the row, that the library's loader must
+    raise for the same text.
+    """
+    rows = list(csv.reader(io.StringIO(text)))
+    rows = [(i + 1, r) for i, r in enumerate(rows) if r]
+    if not rows:
+        raise ParseError("empty trajectory file")
+    header = [c.strip().lower() for c in rows[0][1]]
+    if header not in (["frame", "x", "y"], ["frame", "x", "y", "z"]):
+        raise ParseError(f"row 1: header must be frame,x,y[,z], got {','.join(header)}")
+    ncols = len(header)
+    frames: list[int] = []
+    coords: list[list[float]] = []
+    for lineno, row in rows[1:]:
+        if len(row) != ncols:
+            raise ParseError(f"row {lineno}: expected {ncols} fields, got {len(row)}")
+        try:
+            frame = int(row[0])
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise ParseError(f"row {lineno}: malformed value ({exc})") from None
+        if frames:
+            if frame <= frames[-1]:
+                raise ParseError(f"row {lineno}: frame {frame} not after frame {frames[-1]}")
+            if frame != frames[-1] + 1:
+                raise ParseError(
+                    f"row {lineno}: frame indices must be consecutive "
+                    f"(gap between {frames[-1]} and {frame})"
+                )
+        frames.append(frame)
+        coords.append(values)
+    if not frames:
+        raise ParseError("trajectory file has a header but no samples")
+    points = np.array(coords)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ParseError(f"row {rows[1 + bad[0]][0]}: non-finite coordinate")
+    return points, frames[0]
+
+
+def brute_trajectory_text(traj: TimedTrajectory, fmt: str) -> str:
+    """The text ``save_trajectory`` must write, formatted one value at a time."""
+    if fmt == "csv":
+        lines = ["frame," + ",".join("xyz"[: traj.dim])]
+        for n in range(traj.n_samples):
+            vals = ",".join(f"{v:.9g}" for v in traj.points[n])
+            lines.append(f"{traj.start_frame + n},{vals}")
+        return "\n".join(lines) + "\n"
+    obj = {
+        "fps": float(format(traj.frame_rate, ".9g")),
+        "start_frame": traj.start_frame,
+        "points": [[float(f"{v:.9g}") for v in row] for row in traj.points],
+    }
+    return json.dumps(obj, indent=2) + "\n"

@@ -468,7 +468,8 @@ def test_output_files_get_mode_from_umask(tmp_path, small_clip, umask):
     *[("evaluate", flag, value) for flag, value in [
         ("--delta", "inf"), ("--delta", "nan"), ("--delta", "2.7"), ("--delta", "5,-1"),
         ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "-1"), ("--r-c", "1,0"),
-        ("--r-c", "1e308"), ("--n-frames", "0"), ("--n-frames", "-5")]],
+        ("--r-c", "1e308"), ("--n-frames", "0"), ("--n-frames", "-5"),
+        ("--n-frames", "10000000000000000000")]],
 ])
 def test_bad_number_exits_2_naming_flag(small_clip, tmp_path, capsys, command, flag, value):
     traj, truth = small_clip
@@ -481,3 +482,38 @@ def test_bad_number_exits_2_naming_flag(small_clip, tmp_path, capsys, command, f
         argv = ["evaluate", "--pred", str(kf), "--truth", str(truth)]
     assert run(*argv, flag, value) == 2
     assert flag in capsys.readouterr().err
+
+
+def test_underflowing_sigma_smooths_like_sigma_zero(small_clip, tmp_path, recwarn):
+    # 1e-300 squares to 0: the kernel is the unit impulse, as with no smoothing
+    traj, _ = small_clip
+    outs = [tmp_path / f"kf-{sigma}.json" for sigma in ("0", "1e-300")]
+    for sigma, out in zip(("0", "1e-300"), outs):
+        assert run("extract", str(traj), "--count", "2", "--sigma", sigma, "-o", str(out)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(json.loads(outs[1].read_text())["frames"]) == 2
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("source", ["pred", "truth", "--delta"])
+def test_video_length_above_2_62_names_its_source(tmp_path, capsys, source):
+    # --n-frames is a case of test_bad_number_exits_2_naming_flag
+    pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
+    too_long = {"n_frames": 2**62 + 1}
+    pred.write_text(json.dumps({"frames": [5], **(too_long if source == "pred" else {})}))
+    truth.write_text(json.dumps({"keyframes": [5], **(too_long if source == "truth" else {})}))
+    argv = ["evaluate", "--pred", str(pred), "--truth", str(truth)]
+    if source == "--delta":   # no file gives a length, so it is inferred
+        argv += ["--delta", "10000000000000000000"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert {"pred": str(pred), "truth": str(truth)}.get(source, source) in err
+    assert "2**62" in err
+
+
+def test_video_length_of_2_62_is_accepted(tmp_path):
+    pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
+    pred.write_text(json.dumps({"frames": [5], "n_frames": 2**62}))
+    truth.write_text(json.dumps({"keyframes": [5], "n_frames": 2**62}))
+    assert run("evaluate", "--pred", str(pred), "--truth", str(truth),
+               "-o", str(tmp_path / "r.json")) == 0

@@ -305,3 +305,13 @@ class TestRankedPicker:
             got = pick(count, interval)
             assert got == [f for f in ranked if interval.contains(f)][:count]
             assert all(type(f) is int for f in got)
+
+    def test_nested_intervals(self):
+        # each interval holds the next, over a ranking with every frame twice
+        ranked = np.random.default_rng(8).permutation(np.repeat(np.arange(200), 2)).tolist()
+        pick = ranked_picker(ranked)
+        for start in range(0, 100, 7):
+            interval = SigningInterval(start, 199 - start)
+            for count in (0, 1, 5, 400):
+                assert pick(count, interval) == \
+                    [f for f in ranked if interval.contains(f)][:count]

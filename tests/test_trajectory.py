@@ -1,11 +1,16 @@
 """Tests for trajectory containers, file I/O, smoothing, and differentiation."""
 
+import csv
 import io
 import math
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajkf import (
     Annotations,
@@ -20,7 +25,7 @@ from trajkf import (
     save_trajectory,
     speed,
 )
-from oracles import random_rotation
+from oracles import brute_load_csv, brute_trajectory_text, random_rotation
 
 
 def make_traj(points, fps=60.0, start=0):
@@ -126,6 +131,130 @@ class TestTrajectoryFiles:
             load_trajectory(io.StringIO(text), "json")
 
 
+def csv_outcome(load, text):
+    """Points bytes, shape and start frame, or the exception's type and text."""
+    try:
+        points, start = load(text)
+    except (ParseError, csv.Error) as exc:   # csv.Error: both read a lone \r in a field
+        return type(exc), str(exc)
+    return points.tobytes(), points.shape, start
+
+
+def library_csv(text):
+    traj = load_trajectory(io.StringIO(text), "csv")
+    return traj.points, traj.start_frame
+
+
+def oracle_csv(text):
+    return brute_load_csv(text.lstrip("\ufeff"))   # as read_text hands it over
+
+
+def assert_loads_like_row_loop(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = csv_outcome(library_csv, text)
+    assert got == csv_outcome(oracle_csv, text)
+
+
+H2 = "frame,x,y\n"
+CSV_EDGE_CASES = {
+    "plain": H2 + "0,1.5,2\n1,2,3\n",
+    "plain_3d": "frame,x,y,z\n4,1,2,3\n5,1,2,3\n",
+    "quoted_fields": H2 + '"0","1.5",2\n1,2,"3"\n',
+    "quoted_header": '"frame","x","y"\n0,1,2\n',
+    "plus_frame": H2 + "+5,1,2\n6,1,2\n",
+    "float_frame": H2 + "5.0,1,2\n",
+    "exponent_frame": H2 + "1e3,1,2\n",
+    "20_digit_frame": H2 + "12345678901234567890,1,2\n12345678901234567891,1,2\n",
+    "int64_wrap": H2 + "9223372036854775807,1,2\n-9223372036854775808,1,2\n",
+    "spaces_and_tabs": H2 + " 0 ,\t1.5\t, 2 \n\t1, 2 ,3\t\n",
+    "crlf": "frame,x,y\r\n0,1,2\r\n1,2,3\r\n",
+    "blank_line": H2 + "0,1,2\n\n1,2,3\n",
+    "blank_crlf_line": "frame,x,y\r\n0,1,2\r\n\r\n1,2,3\r\n",
+    "whitespace_only_line": H2 + "0,1,2\n  \n1,2,3\n",
+    "comment_line": H2 + "0,1,2\n# note\n1,2,3\n",
+    "comment_after_value": H2 + "0,1,2 # note\n",
+    "underscore_frame": H2 + "1_0,1,2\n11,1,2\n",
+    "underscore_value": H2 + "0,1_5,2\n",
+    "nan": H2 + "0,1,2\n1,nan,2\n",
+    "infinity": H2 + "0,1,Infinity\n",
+    "trailing_comma": H2 + "0,1,2,\n",
+    "short_row": H2 + "0,1,2\n1,2\n",
+    "gap": H2 + "0,1,2\n2,1,2\n",
+    "repeat": H2 + "0,1,2\n0,1,2\n",
+    "header_only": H2,
+    "header_only_no_newline": "frame,x,y",
+    "empty": "",
+    "bom": "\ufeff" + H2 + "0,1,2\n",
+    "bom_in_value": H2 + "0,\ufeff1,2\n",
+    "nbsp_padding": H2 + "\xa00\xa0,1,2\n",
+    # characters numpy's parsers read as whitespace or digits and int() does not
+    "file_separator_padding": H2 + "\x1c0,1,2\n",
+    "non_ascii_letters": H2 + "\u01fe5\u01fe,1,2\n",
+    "lone_cr_in_header": "frame,x\r,y\n0,1,2\n",
+    "lone_cr_in_row": H2 + "0,1,2\r1,2,3\n",
+}
+
+
+class TestCsvLoaderMatchesRowLoop:
+    @pytest.mark.parametrize("text", CSV_EDGE_CASES.values(), ids=CSV_EDGE_CASES.keys())
+    def test_edge_case(self, text):
+        assert_loads_like_row_loop(text)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_text(self, data):
+        dim = data.draw(st.sampled_from([2, 3]))
+        start = data.draw(st.sampled_from([0, 7, -3, 2**63 - 2]))
+        value = st.one_of(st.integers(-9, 9).map(float),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        rows = data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim), max_size=5))
+        # frames count on like an int64 counter, so 2**63 - 1 is followed by -2**63
+        text = "\n".join(["frame,x,y,z"[: 5 + 2 * dim]]
+                         + [",".join([str((start + i + 2**63) % 2**64 - 2**63), *map(repr, row)])
+                            for i, row in enumerate(rows)])
+        text += data.draw(st.sampled_from(["", "\n", "\r\n"]))
+        tokens = st.sampled_from([",", '"', "+", "_", "#", ".", "e", "-", "\r", "\n", "\t",
+                                  " ", "nan", "\ufeff", "\r\n", "0", "1", "9" * 19,
+                                  "\x1c", "\xa0", "\u01fe"])
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(text)))
+            op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+            token = "" if op == "delete" else data.draw(tokens)
+            text = text[:at] + token + text[at + (op != "insert"):]
+        assert_loads_like_row_loop(text)
+
+    def test_peak_memory_is_bounded(self):
+        # 20k rows of 3-D text (0.86 MB): a string per field would peak near 15 MB
+        traj = make_traj(np.random.default_rng(6).uniform(-1, 1, (20_000, 3)))
+        out = io.StringIO()
+        save_trajectory(traj, out, "csv")
+        data = out.getvalue().encode()
+        load_trajectory(data, "csv")   # warm-up: first-call allocations are not the load's
+        tracemalloc.start()
+        try:
+            back = load_trajectory(data, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.n_samples == 20_000
+        assert peak < 12e6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_writer_bytes_equal_per_value_writer(fmt, dim):
+    # random bit patterns: every sign and exponent, 1e-300 and 1e300 alike
+    bits = np.random.default_rng(dim).integers(0, 2**64, size=(400, dim), dtype=np.uint64)
+    pts = bits.view(np.float64)
+    pts[~np.isfinite(pts)] = -0.0
+    pts[:8, 0] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1.7976931348623157e308, 0.1]
+    traj = make_traj(pts, fps=29.97, start=17)
+    out = io.StringIO()
+    save_trajectory(traj, out, fmt)
+    assert out.getvalue() == brute_trajectory_text(traj, fmt)
+
+
 class TestAnnotations:
     def test_round_trip(self, tmp_path):
         from trajkf import Annotations, load_annotations, save_annotations
@@ -223,6 +352,15 @@ class TestGaussianSmooth:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             gaussian_smooth(make_traj(np.zeros((5, 2))), -1.0)
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e-160])
+    def test_tiny_sigma_is_identity_without_warnings(self, sigma):
+        # 1e-300 squares to 0 (a 0/0 centre tap); 1e-160 to a subnormal
+        traj = make_traj(np.random.default_rng(4).normal(size=(20, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = gaussian_smooth(traj, sigma)
+        assert np.array_equal(out.points, traj.points)
 
     @pytest.mark.parametrize("sigma", [1e5, 1e300])
     def test_huge_sigma_averages_the_clip(self, sigma):
