@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .selection import (
     keyframes_from_json,
     keyframes_to_json,
 )
-from .synthetic import CurveSpec, generate
+from .synthetic import CURVE_KINDS, PHASE_KINDS, CurveSpec, generate
 from .trajectory import (
     MAX_N_FRAMES,
     Annotations,
@@ -116,13 +117,14 @@ def cmd_extract(args) -> int:
                 if start < 0 or end >= traj.n_samples:
                     raise ValueError(
                         f"{args.annotations}: interval [{itv.start}, {itv.end}] outside "
-                        f"the trajectory's frame range"
+                        f"the frame range of {args.input}"
                     )
                 intervals.append(SigningInterval(start, end))
 
     if args.r_c is not None:
         if annotations is None or not annotations.keyframes:
-            raise ValueError("--r-c needs --annotations with ground-truth keyframes")
+            raise ValueError(f"--r-c needs --annotations with ground-truth keyframes, "
+                             f"got {args.annotations}")
         total = len(annotations.keyframes)
         count = max(1, budget_for_ratio(_check_ratio(args.r_c, total), total))
     else:
@@ -178,9 +180,15 @@ def cmd_evaluate(args) -> int:
         if n_frames > MAX_N_FRAMES:
             raise ValueError(f"video length {n_frames} inferred from the last keyframe and "
                              f"--delta exceeds 2**62; pass a smaller --delta or --n-frames")
+    for path, frames in ((args.pred, pred.frames), (args.truth, truth.keyframes)):
+        outside = [k for k in frames if not 0 <= k < n_frames]
+        if outside:
+            raise ValueError(f"{path}: keyframe {outside[0]} outside the {n_frames}-frame video")
 
     ranked = _ranked_frames(pred)
     if args.per_gloss:
+        if not truth.intervals:
+            raise ValueError(f"{args.truth}: --per-gloss needs annotated intervals")
         pred_fn = ranked_picker(ranked)
     else:
         def pred_fn(count):
@@ -202,23 +210,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    segment_kinds = tuple(args.segment_kinds.split(",")) if args.segment_kinds else None
-    spec = CurveSpec(
-        kind=args.kind,
-        radius=args.a,
-        pitch=args.b,
-        phase=args.phase,
-        rate=args.omega,
-        n_bursts=args.n_bursts,
-        duration=args.dur,
-        fps=args.fps,
-        noise_sigma=args.noise,
-        embed=args.embed,
-        n_segments=args.segments,
-        rest_duration=args.rest_dur,
-        segment_kinds=segment_kinds,
-    )
-    result = generate(spec, seed=args.seed)
+    _check("--seed", args.seed)
+    try:
+        # the flags given, each under the CurveSpec field it sets; CurveSpec fills in the rest
+        spec = CurveSpec(**{field: v for field, v in vars(args).items() if field in args.flags})
+        result = generate(spec, seed=args.seed)
+    except ValueError as exc:   # the message names fields: put each one's flag in its place
+        raise ValueError(re.sub(r"\w+", lambda m: args.flags.get(m[0], m[0]), str(exc))) from None
     traj = result.trajectory
 
     out = Path(args.out)
@@ -227,7 +225,7 @@ def cmd_synth(args) -> int:
     save_trajectory(traj, traj_path, args.format)
 
     extra: dict = {"fps": float9(spec.fps)}
-    if args.kind in ("circle", "helix", "line"):
+    if spec.kind in ("circle", "helix", "line"):
         extra["analytic"] = {
             "kappa": float9(result.curvature_s.values[result.curvature_s.valid_mask][0])
             if result.curvature_s.valid_mask.any() else 0.0,
@@ -276,27 +274,31 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--output", "-o", default=None)
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_syn = sub.add_parser("synth", help="generate a synthetic trajectory + annotation")
-    p_syn.add_argument("--kind", required=True,
-                       choices=["circle", "helix", "line", "planar_polynomial",
-                                "piecewise_signing"])
-    p_syn.add_argument("--a", type=float, default=1.0, help="radius")
-    p_syn.add_argument("--b", type=float, default=0.0, help="helix pitch")
-    p_syn.add_argument("--phase", choices=["linear", "quadratic", "burst"], default="linear")
-    p_syn.add_argument("--omega", type=float, default=1.0, help="phase rate")
-    p_syn.add_argument("--n-bursts", type=int, default=1)
-    p_syn.add_argument("--dur", type=float, default=5.0, help="duration in seconds")
-    p_syn.add_argument("--fps", type=float, default=60.0)
-    p_syn.add_argument("--noise", type=float, default=0.0)
+    # a CurveSpec flag left out sets no attribute, so the field keeps CurveSpec's default
+    p_syn = sub.add_parser("synth", help="generate a synthetic trajectory + annotation",
+                           argument_default=argparse.SUPPRESS)
+    spec_flags = [
+        p_syn.add_argument("--kind", required=True, choices=CURVE_KINDS),
+        p_syn.add_argument("--a", dest="radius", type=float, help="radius"),
+        p_syn.add_argument("--b", dest="pitch", type=float, help="helix pitch"),
+        p_syn.add_argument("--phase", choices=PHASE_KINDS),
+        p_syn.add_argument("--omega", dest="rate", type=float, help="phase rate"),
+        p_syn.add_argument("--n-bursts", type=int),
+        p_syn.add_argument("--dur", dest="duration", type=float, help="duration in seconds"),
+        p_syn.add_argument("--fps", type=float),
+        p_syn.add_argument("--noise", dest="noise_sigma", type=float),
+        p_syn.add_argument("--embed", type=int, choices=[2, 3]),
+        p_syn.add_argument("--segments", dest="n_segments", type=int),
+        p_syn.add_argument("--rest-dur", dest="rest_duration", type=float),
+        p_syn.add_argument("--segment-kinds",
+                           type=lambda text: tuple(text.split(",")) if text else None,
+                           help="comma-separated arc/helix kinds for piecewise_signing"),
+    ]
     p_syn.add_argument("--seed", type=int, default=0)
-    p_syn.add_argument("--embed", type=int, choices=[2, 3], default=3)
-    p_syn.add_argument("--segments", type=int, default=3)
-    p_syn.add_argument("--rest-dur", type=float, default=0.5)
-    p_syn.add_argument("--segment-kinds", default=None,
-                       help="comma-separated arc/helix kinds for piecewise_signing")
     p_syn.add_argument("--format", choices=["csv", "json"], default="csv")
     p_syn.add_argument("--out", required=True, help="output path prefix")
-    p_syn.set_defaults(func=cmd_synth)
+    p_syn.set_defaults(func=cmd_synth,
+                       flags={action.dest: action.option_strings[0] for action in spec_flags})
     return parser
 
 

@@ -18,6 +18,7 @@ through, which is what makes the analytic merit maxima well defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +29,7 @@ from .trajectory import SigningInterval, TimedTrajectory
 
 CURVE_KINDS = ("circle", "helix", "line", "planar_polynomial", "piecewise_signing")
 PHASE_KINDS = ("linear", "quadratic", "burst")
+_SEGMENT_KINDS = ("arc", "helix")
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,10 @@ class CurveSpec:
     length of each motion segment and ``rest_duration`` / ``n_segments`` /
     ``segment_kinds`` shape the rest-to-rest structure.  ``embed=2`` emits a
     planar, untilted curve as a genuinely 2-D trajectory.
+
+    Every number must be finite.  ``radius``, ``n_bursts``, ``duration``,
+    ``fps``, ``n_segments`` and ``rest_duration`` must be positive and
+    ``noise_sigma`` non-negative; ``n_bursts`` is at most ``duration * fps``.
     """
 
     kind: str
@@ -59,27 +65,39 @@ class CurveSpec:
     segment_kinds: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        # messages name the fields they are about (the CLI puts each field's flag there)
         if self.kind not in CURVE_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}")
         if self.phase not in PHASE_KINDS:
             raise ValueError(f"unknown phase kind {self.phase!r}")
-        if self.fps <= 0 or self.duration <= 0:
-            raise ValueError("fps and duration must be positive")
-        if self.kind in ("circle", "helix") and self.radius <= 0:
-            raise ValueError("radius must be positive")
+        for name in ("radius", "pitch", "rate", "n_bursts", "duration", "fps", "noise_sigma",
+                     "n_segments", "rest_duration", "orientation", "poly_coeffs"):
+            value = getattr(self, name)
+            if not _finite(*np.atleast_1d(value).tolist()):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("radius", "n_bursts", "duration", "fps", "n_segments", "rest_duration"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not _finite(self.duration * self.fps, self.rest_duration * self.fps):
+            raise ValueError("duration * fps and rest_duration * fps must be finite")
+        min_samples = 9 if self.kind == "piecewise_signing" else 2
+        if round(self.duration * self.fps) < min_samples:
+            raise ValueError(f"duration * fps must give at least {min_samples} samples")
+        if self.n_bursts > self.duration * self.fps:
+            raise ValueError("n_bursts must be at most duration * fps")
         if self.embed not in (2, 3):
             raise ValueError("embed must be 2 or 3")
         if self.embed == 2 and (
             self.kind in ("helix", "piecewise_signing") or any(self.orientation)
         ):
-            raise ValueError("2-D output requires an untilted planar curve")
-        if self.kind == "piecewise_signing":
-            if self.n_segments < 1 or self.rest_duration <= 0:
-                raise ValueError("piecewise_signing needs n_segments >= 1 and rest_duration > 0")
-            if self.segment_kinds is not None and len(self.segment_kinds) != self.n_segments:
+            raise ValueError("embed 2 requires an untilted planar curve")
+        if self.segment_kinds is not None:
+            if len(self.segment_kinds) != self.n_segments:
                 raise ValueError("segment_kinds length must equal n_segments")
+            if not set(self.segment_kinds) <= set(_SEGMENT_KINDS):
+                raise ValueError("segment_kinds must each be arc or helix")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +114,11 @@ class SyntheticResult:
     position_fn: Callable[[np.ndarray], np.ndarray]
 
 
+def _finite(*values) -> bool:
+    # compared, not converted: an int may be too large for a float
+    return all(-math.inf < v < math.inf for v in values)
+
+
 def _rotation(angles: tuple[float, float, float]) -> np.ndarray:
     ax, ay, az = angles
     cx, sx = np.cos(ax), np.sin(ax)
@@ -107,6 +130,11 @@ def _rotation(angles: tuple[float, float, float]) -> np.ndarray:
     return rz @ ry @ rx
 
 
+def _burst(rate: float, w: float):
+    """(theta, dtheta) of a burst phase of angular frequency ``w``."""
+    return (lambda t: rate * (t - np.sin(w * t) / w)), (lambda t: rate * (1 - np.cos(w * t)))
+
+
 def _phase_fns(spec: CurveSpec):
     """(theta, dtheta) closures over absolute time."""
     rate = spec.rate
@@ -114,22 +142,27 @@ def _phase_fns(spec: CurveSpec):
         return (lambda t: rate * t), (lambda t: rate * np.ones_like(t))
     if spec.phase == "quadratic":
         return (lambda t: rate * t**2), (lambda t: 2 * rate * t)
-    w = 2 * np.pi * spec.n_bursts / spec.duration
-    return (
-        lambda t: rate * (t - np.sin(w * t) / w),
-        lambda t: rate * (1 - np.cos(w * t)),
-    )
+    return _burst(rate, 2 * np.pi * spec.n_bursts / spec.duration)
+
+
+def _arc(a: float, b: float | None):
+    """Points at turn angles theta of a helix of radius a and pitch b (b None: a circle)."""
+    def shape(theta):
+        z = np.zeros(np.shape(theta)) if b is None else b * theta
+        return np.column_stack([a * np.cos(theta), a * np.sin(theta), z])
+    return shape
+
+
+def _graph(coeffs: np.ndarray):
+    """Points (x, y(x), 0) of the graph of the polynomial y with ``coeffs``, lowest first."""
+    polyval = np.polynomial.polynomial.polyval   # numpy imports it on first use
+    return lambda x: np.column_stack([x, polyval(x, coeffs), np.zeros(x.shape)])
 
 
 def _burst_maxima(spec: CurveSpec) -> tuple[int, ...]:
     n = round(spec.duration * spec.fps)
-    frames = []
-    for k in range(spec.n_bursts):
-        t_star = (k + 0.5) * spec.duration / spec.n_bursts
-        frame = round(t_star * spec.fps)
-        if 0 < frame < n - 1:
-            frames.append(frame)
-    return tuple(frames)
+    t_star = (np.arange(spec.n_bursts) + 0.5) * spec.duration / spec.n_bursts
+    return tuple(int(f) for f in np.round(t_star * spec.fps) if 0 < f < n - 1)
 
 
 def generate(spec: CurveSpec, seed: int = 0) -> SyntheticResult:
@@ -145,98 +178,74 @@ def generate(spec: CurveSpec, seed: int = 0) -> SyntheticResult:
         return _generate_signing(spec, rng)
 
     n = round(spec.duration * spec.fps)
-    if n < 2:
-        raise ValueError("duration * fps must give at least 2 samples")
     t = np.arange(n) / spec.fps
     rot = _rotation(spec.orientation)
-
+    k_vals = None
+    keyframes: tuple[int, ...] = ()
     if spec.kind == "planar_polynomial":
         coeffs = np.array(spec.poly_coeffs, dtype=float)
-        d1c = np.polynomial.polynomial.polyder(coeffs)
-        d2c = np.polynomial.polynomial.polyder(coeffs, 2)
-        y1 = np.polynomial.polynomial.polyval(t, d1c)
-        y2 = np.polynomial.polynomial.polyval(t, d2c)
-        base = np.column_stack([t, np.polynomial.polynomial.polyval(t, coeffs), np.zeros(n)])
+        shape = _graph(coeffs)
+        theta = np.asarray   # the identity phase: the curve's x is the time
+        poly = np.polynomial.polynomial
+        y1 = poly.polyval(t, poly.polyder(coeffs))
+        y2 = poly.polyval(t, poly.polyder(coeffs, 2))
         v = np.sqrt(1 + y1**2)
-        kappa_vals = np.abs(y2) / v**3
+        kappa = np.abs(y2) / v**3
         k_vals = np.abs(y2) / v**2
-        tau_vals = np.zeros(n)
-        tau_defined = kappa_vals > 0
-
-        def position_fn(tt, _rot=rot, _c=coeffs):
-            tt = np.atleast_1d(np.asarray(tt, dtype=float))
-            pts = np.column_stack(
-                [tt, np.polynomial.polynomial.polyval(tt, _c), np.zeros(tt.shape)]
-            )
-            return pts @ _rot.T
-
-        keyframes: tuple[int, ...] = ()
+        tau = np.zeros(n)
     else:
-        theta, dtheta = _phase_fns(spec)
-        th = theta(t)
-        dth = np.abs(dtheta(t))
         a, b = spec.radius, spec.pitch
         if spec.kind == "circle":
-            shape_speed, kappa_c, tau_c = a, 1.0 / a, 0.0
-
-            def shape_fn(theta_vals, _a=a):
-                return np.column_stack(
-                    [_a * np.cos(theta_vals), _a * np.sin(theta_vals),
-                     np.zeros(np.shape(theta_vals))]
-                )
-
+            shape, shape_speed, kappa_c, tau_c = _arc(a, None), a, 1.0 / a, 0.0
         elif spec.kind == "helix":
             c2 = a * a + b * b
-            shape_speed, kappa_c, tau_c = np.sqrt(c2), a / c2, abs(b) / c2
+            shape, shape_speed, kappa_c, tau_c = _arc(a, b), np.sqrt(c2), a / c2, abs(b) / c2
+        else:
+            shape, shape_speed, kappa_c, tau_c = _graph(np.zeros(1)), 1.0, 0.0, 0.0
+        theta, dtheta = _phase_fns(spec)
+        v = np.abs(dtheta(t)) * shape_speed
+        kappa = np.full(n, kappa_c)
+        tau = np.full(n, tau_c)
+        if spec.phase == "burst":
+            keyframes = _burst_maxima(spec)
 
-            def shape_fn(theta_vals, _a=a, _b=b):
-                return np.column_stack(
-                    [_a * np.cos(theta_vals), _a * np.sin(theta_vals), _b * theta_vals]
-                )
+    def position_fn(tt):
+        tt = np.atleast_1d(np.asarray(tt, dtype=float))
+        return shape(theta(tt)) @ rot.T
 
-        else:  # line
-            shape_speed, kappa_c, tau_c = 1.0, 0.0, 0.0
-
-            def shape_fn(theta_vals):
-                theta_vals = np.asarray(theta_vals, dtype=float)
-                return np.column_stack(
-                    [theta_vals, np.zeros(theta_vals.shape), np.zeros(theta_vals.shape)]
-                )
-
-        base = shape_fn(th)
-        v = dth * shape_speed
-        kappa_vals = np.full(n, kappa_c)
-        tau_vals = np.full(n, tau_c)
-        k_vals = kappa_c * v
-        tau_defined = np.full(n, kappa_c > 0)
-
-        def position_fn(tt, _rot=rot, _theta=theta, _shape=shape_fn):
-            tt = np.atleast_1d(np.asarray(tt, dtype=float))
-            return _shape(_theta(tt)) @ _rot.T
-
-        keyframes = _burst_maxima(spec) if spec.phase == "burst" else ()
-
-    moving = v >= SPEED_EPS if spec.kind != "planar_polynomial" else np.full(n, True)
-    tau_mask = moving & tau_defined
-
-    points = base @ rot.T
+    points = position_fn(t)
     if spec.embed == 2:
         points = points[:, :2]
+    return _result(spec, rng, points, v, kappa, tau, keyframes,
+                   (SigningInterval(0, n - 1),), position_fn, k_vals)
+
+
+def _result(spec, rng, points, v, kappa, tau, keyframes, intervals, position_fn,
+            k_vals=None) -> SyntheticResult:
+    """Add the noise last, and pair the points with their exact descriptor curves.
+
+    A descriptor is defined where the speed is at least SPEED_EPS, torsion
+    also only where the curvature is positive.  The turn and twist rates are
+    curvature and torsion times speed, unless ``k_vals`` gives the turn rate.
+    """
     if spec.noise_sigma > 0:
         points = points + rng.normal(0.0, spec.noise_sigma, points.shape)
-
-    traj = TimedTrajectory(points, spec.fps, 0)
+    if not np.isfinite(points).all():
+        raise ValueError("radius, pitch, rate, duration, poly_coeffs or noise_sigma too large: "
+                         "the curve leaves the float range")
+    moving = v >= SPEED_EPS
+    tau_mask = moving & (kappa > 0)
     three_d = spec.embed == 3
-    kappa_kind = CurveKind.KAPPA_S_3D if three_d else CurveKind.KAPPA_S_2D
-    k_kind = CurveKind.K_T_3D if three_d else CurveKind.K_T_2D
     return SyntheticResult(
-        trajectory=traj,
-        curvature_s=DescriptorCurve(kappa_vals, kappa_kind, moving),
-        torsion_s=DescriptorCurve(tau_vals, CurveKind.TAU_S, tau_mask) if three_d else None,
-        curvature_t=DescriptorCurve(k_vals, k_kind, moving),
-        torsion_t=DescriptorCurve(tau_vals * v, CurveKind.T_T, tau_mask) if three_d else None,
-        keyframes=keyframes,
-        intervals=(SigningInterval(0, n - 1),),
+        trajectory=TimedTrajectory(points, spec.fps, 0),
+        curvature_s=DescriptorCurve(
+            kappa, CurveKind.KAPPA_S_3D if three_d else CurveKind.KAPPA_S_2D, moving),
+        torsion_s=DescriptorCurve(tau, CurveKind.TAU_S, tau_mask) if three_d else None,
+        curvature_t=DescriptorCurve(kappa * v if k_vals is None else k_vals,
+                                    CurveKind.K_T_3D if three_d else CurveKind.K_T_2D, moving),
+        torsion_t=DescriptorCurve(tau * v, CurveKind.T_T, tau_mask) if three_d else None,
+        keyframes=tuple(keyframes),
+        intervals=tuple(intervals),
         position_fn=position_fn,
     )
 
@@ -249,128 +258,76 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def _segment(shape, theta, rot: np.ndarray, a: float, origin: np.ndarray):
+    """A motion segment's position at local times: its arc moved to start at ``origin``."""
+    return lambda tt: (shape(theta(tt)) - np.array([a, 0.0, 0.0])) @ rot.T + origin
+
+
 def _generate_signing(spec: CurveSpec, rng: np.random.Generator) -> SyntheticResult:
     """Rest / motion / rest ... sequence with one merit maximum per motion.
 
     Each motion segment is a tilted circular arc (planar) or a balanced-pitch
     helix stretch (robustly non-planar), traversed with a single burst so the
     speed vanishes at the segment ends; segments chain continuously through
-    stationary rests.
+    stationary rests.  The clip is one rest of n_rest samples, then per
+    segment n_mot motion samples and n_rest rest samples.
     """
     fps = spec.fps
     n_rest = max(2, round(spec.rest_duration * fps))
     n_mot = round(spec.duration * fps)
-    if n_mot < 9:
-        raise ValueError("motion segments need at least 9 samples")
     t_local = np.arange(n_mot) / fps
     dur_mot = n_mot / fps   # segment length snapped to the sample grid
     w = 2 * np.pi / dur_mot
 
     kinds = spec.segment_kinds or tuple(
-        str(rng.choice(["arc", "helix"])) for _ in range(spec.n_segments)
+        str(rng.choice(_SEGMENT_KINDS)) for _ in range(spec.n_segments)
     )
+    stride = n_mot + n_rest
+    n = n_rest + len(kinds) * stride
+    starts = range(n_rest, n, stride)   # first sample of each motion segment
+    points = np.zeros((n, 3))
+    v, kappa, tau = np.zeros(n), np.zeros(n), np.zeros(n)
 
-    blocks: list[np.ndarray] = []
-    pieces: list[tuple[float, float, Callable]] = []   # (t_start, t_end, local fn)
-    intervals: list[SigningInterval] = []
-    keyframes: list[int] = []
-    kappa_parts: list[np.ndarray] = []
-    tau_parts: list[np.ndarray] = []
-    v_parts: list[np.ndarray] = []
-    tau_def_parts: list[np.ndarray] = []
-
-    def add_rest(point: np.ndarray, t0: float) -> None:
-        blocks.append(np.tile(point, (n_rest, 1)))
-        pieces.append((t0, t0 + n_rest / fps, lambda tt, _p=point: np.tile(_p, (len(tt), 1))))
-        kappa_parts.append(np.zeros(n_rest))
-        tau_parts.append(np.zeros(n_rest))
-        v_parts.append(np.zeros(n_rest))
-        tau_def_parts.append(np.zeros(n_rest, dtype=bool))
-
-    pos = np.zeros(3)
-    idx = 0
-    t_cursor = 0.0
-    add_rest(pos, t_cursor)
-    idx += n_rest
-    t_cursor += n_rest / fps
-
-    for seg_kind in kinds:
+    motions = []   # each motion segment's position at local times
+    for i, seg_kind in zip(starts, kinds):
         a = spec.radius * rng.uniform(0.7, 1.3)
         if seg_kind == "helix":
             total_turn = rng.uniform(4 * np.pi, 6 * np.pi)
             b = a * np.sqrt(6.0) / total_turn   # z spread balances the radial spread
-        elif seg_kind == "arc":
+        else:
             total_turn = rng.uniform(0.6 * np.pi, 1.4 * np.pi)
             b = 0.0
-        else:
-            raise ValueError(f"unknown segment kind {seg_kind!r}")
         rate = total_turn / dur_mot
         rot = _random_rotation(rng)
         c2 = a * a + b * b
+        theta, dtheta = _burst(rate, w)
+        origin = points[i - 1].copy()   # the point the rest before the segment holds
+        motions.append(_segment(_arc(a, b), theta, rot, a, origin))
+        raw_end = _arc(a, b)(rate * dur_mot)[0]
 
-        def local_fn(tt, _a=a, _b=b, _rate=rate, _rot=rot, _w=w, _p=pos.copy()):
-            tt = np.atleast_1d(np.asarray(tt, dtype=float))
-            th = _rate * (tt - np.sin(_w * tt) / _w)
-            raw = np.column_stack([_a * np.cos(th), _a * np.sin(th), _b * th])
-            return (raw - np.array([_a, 0.0, 0.0])) @ _rot.T + _p
+        points[i : i + n_mot] = motions[-1](t_local)
+        points[i + n_mot : i + stride] = rot @ (raw_end - np.array([a, 0.0, 0.0])) + origin
+        v[i : i + n_mot] = dtheta(t_local) * np.sqrt(c2)
+        kappa[i : i + n_mot] = a / c2
+        tau[i : i + n_mot] = abs(b) / c2
 
-        seg_pts = local_fn(t_local)
-        theta_end = rate * dur_mot
-        raw_end = np.array([a * np.cos(theta_end), a * np.sin(theta_end), b * theta_end])
-        raw_start = np.array([a, 0.0, 0.0])
-        end_pos = rot @ (raw_end - raw_start) + pos
+    rests = points[n_rest - 1 :: stride].copy()   # the point each rest holds
+    # start time of each rest and motion, summed one piece after another in clip order
+    t0 = np.cumsum([0.0, n_rest / fps, *[dur_mot, n_rest / fps] * len(kinds)])[:-1]
 
-        blocks.append(seg_pts)
-        pieces.append((t_cursor, t_cursor + dur_mot, local_fn))
-        intervals.append(SigningInterval(idx, idx + n_mot - 1))
-        keyframes.append(idx + round(n_mot / 2))
-
-        dth = rate * (1 - np.cos(w * t_local))
-        v_parts.append(dth * np.sqrt(c2))
-        kappa_parts.append(np.full(n_mot, a / c2))
-        tau_parts.append(np.full(n_mot, abs(b) / c2))
-        tau_def_parts.append(np.full(n_mot, True))
-
-        pos = end_pos
-        idx += n_mot
-        t_cursor += dur_mot
-        add_rest(pos, t_cursor)
-        idx += n_rest
-        t_cursor += n_rest / fps
-
-    points = np.vstack(blocks)
-    n = points.shape[0]
-    v = np.concatenate(v_parts)
-    kappa_vals = np.concatenate(kappa_parts)
-    tau_vals = np.concatenate(tau_parts)
-    moving = v >= SPEED_EPS
-    tau_mask = moving & np.concatenate(tau_def_parts)
-
-    def position_fn(tt, _pieces=tuple(pieces)):
+    def position_fn(tt):
         tt = np.atleast_1d(np.asarray(tt, dtype=float))
-        out = np.empty((len(tt), 3))
-        for t0, t1, fn in _pieces:
-            sel = (tt >= t0 - 1e-12) & (tt < t1 - 1e-12)
-            if np.any(sel):
-                out[sel] = fn(tt[sel] - t0)
-        tail = tt >= _pieces[-1][1] - 1e-12
-        if np.any(tail):
-            out[tail] = fn(np.full(np.sum(tail), 0.0))
+        # even pieces are rests and odd ones motions; times before the clip take the first rest
+        piece = np.maximum(np.searchsorted(t0 - 1e-12, tt, side="right") - 1, 0)
+        out = rests[piece // 2]
+        for j in np.unique(piece[piece % 2 == 1]):
+            sel = piece == j
+            out[sel] = motions[j // 2](tt[sel] - t0[j])
         return out
 
-    if spec.noise_sigma > 0:
-        points = points + rng.normal(0.0, spec.noise_sigma, points.shape)
-
-    return SyntheticResult(
-        trajectory=TimedTrajectory(points, fps, 0),
-        curvature_s=DescriptorCurve(kappa_vals, CurveKind.KAPPA_S_3D, moving),
-        torsion_s=DescriptorCurve(tau_vals, CurveKind.TAU_S, tau_mask),
-        curvature_t=DescriptorCurve(kappa_vals * v, CurveKind.K_T_3D, moving),
-        torsion_t=DescriptorCurve(tau_vals * v, CurveKind.T_T, tau_mask),
-        keyframes=tuple(keyframes),
-        intervals=tuple(intervals),
-        position_fn=position_fn,
-    )
+    return _result(spec, rng, points, v, kappa, tau,
+                   [i + round(n_mot / 2) for i in starts],
+                   [SigningInterval(i, i + n_mot - 1) for i in starts], position_fn)
 
 
 def warp_time(

@@ -243,15 +243,21 @@ def speed(d: DerivativeStack) -> np.ndarray:
 
 
 def read_text(source) -> str:
-    """Text of a path, bytes or stream, UTF-8 byte order mark removed."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return text.lstrip("﻿")
+    """UTF-8 text of a path, bytes or stream, byte order mark removed.
+
+    All three read alike, with universal newlines as a path's text already
+    has them: CR LF and a lone CR each read as LF.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
+        else:
+            data = source if isinstance(source, bytes) else source.read()
+            text = data.decode("utf-8") if isinstance(data, bytes) else data
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return text.lstrip("\ufeff")
 
 
 def write_text(dest, text: str) -> None:
@@ -326,10 +332,9 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
     """
     end = text.find("\n")
     head = text[:end]
-    # csv ends a record at a lone \r; loadtxt's skiprows would skip the whole line
     if (_LOADTXT_EXACT_INTS and end >= 0
             and [c.strip().lower() for c in head.split(",")] in _CSV_HEADERS
-            and "\r" not in head[:-1] and text.isascii()
+            and text.isascii()
             and not any(c in text for c in _NUMPY_ONLY_SPACE)
             and _NOT_SPACE.search(text, end)):   # no rows: loadtxt would warn
         dtype = np.dtype([("frame", np.int64), ("xyz", np.float64, (head.count(","),))])
@@ -348,7 +353,11 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
 
 
 def _load_csv_rows(text: str, frame_rate: float) -> TimedTrajectory:
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:   # such as a field over csv.field_size_limit()
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
     rows = [(i + 1, r) for i, r in enumerate(rows) if r]
     if not rows:
         raise ParseError("empty trajectory file")

@@ -470,6 +470,12 @@ def test_output_files_get_mode_from_umask(tmp_path, small_clip, umask):
         ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "-1"), ("--r-c", "1,0"),
         ("--r-c", "1e308"), ("--n-frames", "0"), ("--n-frames", "-5"),
         ("--n-frames", "10000000000000000000")]],
+    *[("synth", flag, value) for flag, value in [
+        ("--dur", "inf"), ("--dur", "1e308"), ("--dur", "0"), ("--rest-dur", "inf"),
+        ("--fps", "nan"), ("--fps", "1e308"), ("--a", "nan"), ("--a", "0"), ("--b", "nan"),
+        ("--omega", "inf"), ("--omega", "1e308"), ("--n-bursts", "0"),
+        ("--n-bursts", "1" + "0" * 400), ("--noise", "nan"), ("--noise", "-1"),
+        ("--noise", "1e308"), ("--segments", "0"), ("--seed", "-1")]],
 ])
 def test_bad_number_exits_2_naming_flag(small_clip, tmp_path, capsys, command, flag, value):
     traj, truth = small_clip
@@ -478,10 +484,23 @@ def test_bad_number_exits_2_naming_flag(small_clip, tmp_path, capsys, command, f
     if command == "extract":
         budget = ["--annotations", str(truth)] if flag == "--r-c" else ["--count", "2"]
         argv = ["extract", str(traj), *budget]
-    else:
+    elif command == "evaluate":
         argv = ["evaluate", "--pred", str(kf), "--truth", str(truth)]
-    assert run(*argv, flag, value) == 2
+    else:
+        argv = ["synth", "--kind", "helix", "--phase", "burst", "--out", str(tmp_path / "s")]
+    with np.errstate(all="ignore"):   # a curve that overflows warns before it is refused
+        assert run(*argv, flag, value) == 2
     assert flag in capsys.readouterr().err
+    assert not list(tmp_path.glob("s.*"))
+
+
+def test_over_long_csv_field_names_file_and_row(tmp_path, capsys):
+    # beyond csv.field_size_limit() (131072 characters by default)
+    path = tmp_path / "long.csv"
+    path.write_text("frame,x,y\n0,1,2\n1," + "1" * 200_000 + ",2\n")
+    assert run("extract", str(path), "--count", "1") == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "row 3" in err
 
 
 def test_underflowing_sigma_smooths_like_sigma_zero(small_clip, tmp_path, recwarn):

@@ -1,0 +1,176 @@
+"""Every file format read back as written, and the CLI on mutated files.
+
+The round-trip tests check that each writer's output, read back by its
+loader, gives the same data (coordinates and scores at the 9 significant
+digits the writers emit).  The mutation fuzz runs ``cli.main`` in-process
+on byte-level mutations of small valid files: each run must succeed, or
+exit 2 with a message that names the mutated file.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from trajkf import (
+    Annotations,
+    CurveSpec,
+    KeyframeSet,
+    MeritMethod,
+    SigningInterval,
+    TimedTrajectory,
+    generate,
+    load_annotations,
+    load_trajectory,
+    save_annotations,
+    save_trajectory,
+)
+from trajkf.cli import main
+from trajkf.selection import keyframes_from_json, keyframes_to_json
+from trajkf.trajectory import MAX_N_FRAMES, float9
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def written(save, *args) -> bytes:
+    out = io.StringIO()
+    save(*args, out)
+    return out.getvalue().encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fmt=st.sampled_from(["csv", "json"]), dim=st.sampled_from([2, 3]),
+       start=st.one_of(st.sampled_from([0, 2**31, 2**63 - 3]), st.integers(0, 2**64)),
+       fps=st.floats(1e-3, 1e6), data=st.data())
+def test_trajectory_round_trip(fmt, dim, start, fps, data):
+    rows = data.draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                              min_size=1, max_size=8))
+    traj = TimedTrajectory(np.array(rows), fps, start)
+    back = load_trajectory(written(lambda out: save_trajectory(traj, out, fmt)), fmt, fps)
+    assert back.start_frame == start
+    assert back.frame_rate == (fps if fmt == "csv" else float9(fps))
+    assert back.points.tolist() == [[float9(x) for x in row] for row in rows]
+
+
+frame = st.integers(0, 2**62)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(intervals=st.lists(st.tuples(frame, frame).map(sorted), max_size=5),
+       keyframes=st.lists(frame, max_size=8),
+       n_frames=st.one_of(st.none(), st.integers(1, MAX_N_FRAMES)))
+def test_annotations_round_trip(intervals, keyframes, n_frames):
+    ann = Annotations(tuple(SigningInterval(*itv) for itv in intervals), tuple(keyframes),
+                      n_frames)
+    assert load_annotations(written(lambda out: save_annotations(ann, out))) == ann
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(frames=st.lists(frame, max_size=8), data=st.data(),
+       method=st.one_of(st.none(), st.sampled_from(MeritMethod)), shortfall=st.booleans(),
+       n_frames=st.one_of(st.none(), st.integers(1, MAX_N_FRAMES)))
+def test_keyframes_round_trip(frames, data, method, shortfall, n_frames):
+    scores = data.draw(st.lists(finite, min_size=len(frames), max_size=len(frames)))
+    ks = KeyframeSet(tuple(frames), tuple(scores), method, shortfall)
+    back, back_n = keyframes_from_json(keyframes_to_json(ks, 0, n_frames).encode())
+    assert back == KeyframeSet(tuple(frames), tuple(map(float9, scores)), method, shortfall)
+    assert back_n == n_frames
+
+
+# --- mutation fuzz ---------------------------------------------------------
+
+ROLES = ["csv", "json", "annotations", "keyframes"]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A 30-sample one-sign clip in both trajectory formats, its truth and its keyframes."""
+    work = tmp_path_factory.mktemp("valid")
+    clip = generate(CurveSpec(kind="piecewise_signing", radius=0.25, duration=0.3,
+                              rest_duration=0.1, n_segments=1, noise_sigma=0.001), seed=1)
+    traj = clip.trajectory
+    files = {"csv": work / "clip.csv", "json": work / "clip.json",
+             "annotations": work / "truth.json", "keyframes": work / "keys.json"}
+    save_trajectory(traj, files["csv"], "csv")
+    save_trajectory(traj, files["json"], "json")
+    save_annotations(Annotations(clip.intervals, clip.keyframes, traj.n_samples),
+                     files["annotations"])
+    assert main(["extract", str(files["csv"]), "--count", "2",
+                 "-o", str(files["keyframes"])]) == 0
+    return work, files
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def commands(role, mutated, files, out):
+    """The extract and evaluate runs that read the mutated file."""
+    if role in ("csv", "json"):
+        return [["extract", mutated, "--format", role, "--count", "2", "-o", out],
+                ["extract", mutated, "--format", role, "--r-c", "1",
+                 "--annotations", files["annotations"], "-o", out]]
+    if role == "annotations":
+        return [["extract", files["csv"], "--r-c", "1", "--annotations", mutated, "-o", out],
+                ["evaluate", "--pred", files["keyframes"], "--truth", mutated, "-o", out],
+                ["evaluate", "--pred", files["keyframes"], "--truth", mutated,
+                 "--per-gloss", "-o", out]]
+    return [["evaluate", "--pred", mutated, "--truth", files["annotations"], "-o", out],
+            ["evaluate", "--pred", mutated, "--truth", files["annotations"],
+             "--per-gloss", "--r-c", "0.5,2", "--delta", "0,3", "-o", out]]
+
+
+TOKENS = [b",", b"\n", b"\r", b"\r\n", b'"', b"-", b".", b"e", b"0", b"9" * 20, b"nan",
+          b"1e999", b"[", b"]", b"{", b"}", b":", b"true", b"null", b"\xef\xbb\xbf",
+          b"\x00", b"\xff", b"\xc3", b" "]
+
+
+def mutate(data, text: bytes) -> bytes:
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(text)))
+        op = data.draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+        if op == "truncate":
+            text = text[:at]
+            continue
+        token = data.draw(st.one_of(st.sampled_from(TOKENS), st.binary(min_size=1, max_size=2)))
+        cut = data.draw(st.integers(1, 8)) if op == "delete" else int(op == "replace")
+        text = text[:at] + (b"" if op == "delete" else token) + text[at + cut:]
+    return text
+
+
+def check_runs(role, text, valid_files):
+    work, files = valid_files
+    mutated = work / f"mutated-{role}{files[role].suffix}"
+    mutated.write_bytes(text)
+    for argv in commands(role, mutated, files, work / "out.json"):
+        code, err = run_quietly(argv)
+        assert code == 0 or (code == 2 and str(mutated) in err), (argv, code, err)
+
+
+@pytest.mark.parametrize("role", ROLES)
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_file_exits_0_or_2_naming_it(valid_files, role, data):
+    _, files = valid_files
+    check_runs(role, mutate(data, files[role].read_bytes()), valid_files)
+
+
+@pytest.mark.parametrize("role,text", [
+    pytest.param("csv", b"\x80frame,x,y\n0,1,2\n", id="not_utf8"),
+    # the truth's interval [6, 23] lies past the one-sample clip
+    pytest.param("csv", b"frame,x,y,z\n0,-0.000736454087,-0.000162909948,-0", id="one_sample"),
+    pytest.param("annotations", b'{"keyframes": [15], "n_frames": 30}', id="no_intervals"),
+    pytest.param("annotations", b'{"intervals": [{"start": 6, "end": 23}], "n_frames": 30}',
+                 id="no_keyframes"),
+    pytest.param("annotations", b'{"intervals": [{"start": 6, "end": 23}], "keyframes": [115], '
+                                b'"n_frames": 30}', id="keyframe_past_the_end"),
+])
+def test_found_mutation_exits_0_or_2_naming_it(valid_files, role, text):
+    check_runs(role, text, valid_files)

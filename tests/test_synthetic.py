@@ -80,17 +80,35 @@ class TestGenerate:
         with pytest.raises(ValueError):
             CurveSpec(kind="helix", radius=1.0, pitch=1.0, embed=2)
 
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            CurveSpec(kind="blob")
-        with pytest.raises(ValueError):
-            CurveSpec(kind="circle", radius=-1.0)
-        with pytest.raises(ValueError):
-            CurveSpec(kind="circle", fps=0.0)
-        with pytest.raises(ValueError):
-            CurveSpec(kind="circle", noise_sigma=-0.1)
-        with pytest.raises(ValueError):
-            CurveSpec(kind="circle", phase="cubic")
+    @pytest.mark.parametrize("fields,match", [
+        ({"kind": "blob"}, "kind"),
+        ({"radius": -1.0}, "radius"),
+        ({"fps": 0.0}, "fps"),
+        ({"noise_sigma": -0.1}, "noise_sigma"),
+        ({"phase": "cubic"}, "phase"),
+        *[({name: bad}, name) for name in ("radius", "pitch", "rate", "duration", "fps",
+                                           "noise_sigma", "rest_duration")
+          for bad in (np.nan, np.inf, -np.inf)],
+        ({"orientation": (0.0, np.nan, 0.0)}, "orientation"),
+        ({"poly_coeffs": (0.0, np.inf)}, "poly_coeffs"),
+        ({"duration": 1e308}, "duration \\* fps"),
+        ({"rest_duration": 1e308}, "rest_duration \\* fps"),
+        ({"n_bursts": 0}, "n_bursts"),
+        ({"n_bursts": 10**400}, "n_bursts"),
+        ({"n_segments": 0}, "n_segments"),
+        ({"duration": 0.01}, "duration \\* fps"),
+        ({"kind": "piecewise_signing", "duration": 0.1}, "duration \\* fps"),
+        ({"segment_kinds": ("arc", "loop", "arc")}, "segment_kinds"),
+    ])
+    def test_invalid_specs_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            CurveSpec(**{"kind": "circle", **fields})
+
+    @pytest.mark.parametrize("fields", [{"rate": 1e308}, {"pitch": 1e308, "rate": 10.0},
+                                        {"noise_sigma": 1e308}])
+    def test_curve_beyond_the_float_range_rejected(self, fields):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="float range"):
+            generate(CurveSpec(kind="helix", **fields))
 
 
 class TestPiecewiseSigning:
@@ -152,6 +170,13 @@ class TestPiecewiseSigning:
         times = res.trajectory.times()
         recon = res.position_fn(times)
         assert np.allclose(recon, res.trajectory.points, atol=1e-9)
+
+    def test_position_fn_holds_the_end_rests_outside_the_clip(self):
+        res = generate(self.spec(n_segments=2), seed=6)
+        pts = res.trajectory.points
+        end = res.trajectory.times()[-1]
+        out = res.position_fn(np.array([-0.5, -1e-3, end + 1e-3, end + 0.5]))
+        assert np.array_equal(out, [pts[0], pts[0], pts[-1], pts[-1]])
 
 
 class TestWarpTime:
