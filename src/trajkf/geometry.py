@@ -52,24 +52,29 @@ class DescriptorCurve:
     ``values[n]`` is meaningful only where ``valid_mask[n]``; masked entries
     are stored as 0 so the curve can feed peak selection directly.  ``branch``
     records which merit branch produced the curve, when applicable.
+    ``offsets`` are the start indices of the curve's segments (one by default,
+    one per interval when intervals are laid end to end); peaks stay inside.
     """
 
     values: np.ndarray
     kind: CurveKind
     valid_mask: np.ndarray
     branch: str | None = None
+    offsets: np.ndarray = (0,)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         mask = np.asarray(self.valid_mask, dtype=bool)
         if vals.shape != mask.shape or vals.ndim != 1:
             raise ValueError("values and valid_mask must be 1-D arrays of equal length")
+        offsets = np.array(self.offsets, dtype=np.intp, ndmin=1)
+        if offsets[:1].tolist() != [0] or (np.diff(offsets, append=max(len(vals), 1)) <= 0).any():
+            raise ValueError("offsets must rise from 0 and start segments inside the curve")
         vals = np.where(mask, vals, 0.0)
-        vals.flags.writeable = False
         mask = mask.copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "valid_mask", mask)
+        for name, arr in (("values", vals), ("valid_mask", mask), ("offsets", offsets)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.values.shape[0]

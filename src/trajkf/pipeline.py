@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Sequence
 
 # merit_curve and differentiate stay importable here for perfbench/tracing.py
-from .merit import MeritMethod, merit_curve, merit_curves  # noqa: F401
-from .planarity import DEFAULT_F_ERROR
+from .merit import MeritMethod, merit_curve, segmented_merit  # noqa: F401
+from .planarity import DEFAULT_F_ERROR, segment_layout
 from .selection import (
     DEFAULT_MIN_GAP,
     DEFAULT_MIN_LEN,
@@ -36,9 +36,9 @@ def extract_keyframes(
 
     The trajectory is smoothed first; signing intervals are detected from the
     speed profile unless supplied (e.g. from an annotation file).  One
-    merit_curves pass over the smoothed trajectory yields every interval's
-    merit curve of ``method``; each curve is peak-picked, and peaks are
-    pooled and ranked globally by prominence.  Frames slower than the
+    segmented_merit pass lays every interval's merit curve of ``method`` end
+    to end, one find_peaks call takes the peaks of all of them, and the
+    peaks are ranked globally by prominence.  Frames slower than the
     interval-detection speed threshold never become candidates, so rest
     frames inside annotated rest-to-rest intervals stay excluded.  Frames in
     the result are sample indices into ``traj``.
@@ -49,6 +49,7 @@ def extract_keyframes(
     if intervals is None:
         intervals = detect_intervals(smoothed, threshold, min_gap, min_len) if threshold > 0 else []
 
-    curves = merit_curves(smoothed, intervals, method, f_error, speed_threshold=threshold)
-    per_interval = [(itv, find_peaks(curve)) for itv, curve in zip(intervals, curves)]
-    return select_keyframes(per_interval, count, method=method)
+    curve, _ = segmented_merit(smoothed, intervals, method, f_error, threshold)
+    peaks = find_peaks(curve)
+    frames = segment_layout(intervals)[2][[p.frame for p in peaks]]   # curve to trajectory
+    return select_keyframes(frames, [p.prominence for p in peaks], count, method=method)

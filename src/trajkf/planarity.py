@@ -27,6 +27,14 @@ class PlanarityResult:
     centroid: np.ndarray   # (3,)
 
 
+def segment_layout(intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets and lengths of the intervals laid end to end, and each slot's sample index."""
+    lengths = np.array([itv.length for itv in intervals], dtype=np.intp)
+    offsets = np.cumsum(lengths) - lengths
+    starts = np.array([itv.start for itv in intervals], dtype=np.intp)
+    return offsets, lengths, np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+
+
 def fit_planes(points, intervals, f_error: float = DEFAULT_F_ERROR) -> list[PlanarityResult]:
     """Fit a plane by PCA to each inclusive interval of a 3-D point sequence.
 
@@ -40,12 +48,10 @@ def fit_planes(points, intervals, f_error: float = DEFAULT_F_ERROR) -> list[Plan
         raise ValueError("points must be an (N, 3) array")
     if not intervals:
         return []
-    starts = np.array([itv.start for itv in intervals])
-    lengths = np.array([itv.length for itv in intervals])
-    if (starts + lengths).max() > pts.shape[0]:
+    offsets, lengths, rows = segment_layout(intervals)
+    if rows.max() >= pts.shape[0]:
         raise ValueError(f"interval outside the {pts.shape[0]} points")
-    offsets = np.cumsum(lengths) - lengths
-    seg = pts[np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)]
+    seg = pts[rows]
     centroids = np.add.reduceat(seg, offsets, axis=0) / lengths[:, None]
     seg -= np.repeat(centroids, lengths, axis=0)
     cov = np.empty((len(lengths), 3, 3))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +35,11 @@ DEFAULT_MIN_LEN = 12
 DEFAULT_THRESHOLD_FRACTION = 0.05   # of the 95th-percentile speed
 
 
-@dataclass(frozen=True)
-class Peak:
-    """A strict local maximum of a merit curve.
+class Peak(NamedTuple):
+    """A strict local maximum of a merit curve (a named tuple: cheap to make in bulk).
 
-    ``frame`` is the index within the curve the peak was found on; for
-    per-interval curves the interval start is added at selection time.
+    ``frame`` is the index within the curve the peak was found on, counted
+    over all of its segments.
     """
 
     frame: int
@@ -96,39 +96,52 @@ def detect_intervals(
 
 
 def find_peaks(curve: DescriptorCurve | np.ndarray) -> list[Peak]:
-    """Strict local maxima with topographic prominences, in O(n).
+    """Strict local maxima with topographic prominences, in O(N + P).
 
-    A sample is a peak iff it is strictly above both neighbours; for a
-    plateau, the leftmost sample of a maximal run strictly above both flanks
-    counts.  Endpoints are never peaks.  Prominence is the peak value minus
-    the larger of the two bracketing minima, each taken over the gap to the
-    nearest strictly higher ground on that side (or the curve boundary).
-    Higher ground always holds a higher peak, so one stack pass per side over
-    the peaks, not the samples, finds those minima.  Values must be NaN-free.
+    Each segment of a DescriptorCurve (see ``offsets``; a bare array is one
+    segment) is a curve of its own.  A sample is a peak iff it is strictly
+    above both neighbours; for a plateau, the leftmost sample of a maximal
+    run strictly above both flanks counts.  Runs touching a segment's ends
+    are never peaks.  Prominence is the peak value minus the larger of the
+    two bracketing minima, each taken over the gap to the nearest strictly
+    higher ground on that side (or the segment's end).  Higher ground always
+    holds a higher peak, so one stack pass per side over the P peaks, not the
+    N samples, restarted at each segment, finds those minima.  Frames index
+    the whole curve.  Values must be NaN-free.
     """
-    values = curve.values if isinstance(curve, DescriptorCurve) else np.asarray(curve, dtype=float)
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    s, after = starts[1:-1], starts[2:]   # equal-valued runs touching neither end; next runs
+    segmented = isinstance(curve, DescriptorCurve)
+    values = curve.values if segmented else np.asarray(curve, dtype=float)
+    n = values.size
+    edge = np.zeros(n + 1, dtype=bool)   # segment starts, and the curve end
+    edge[curve.offsets if segmented else 0] = edge[n] = True
+    starts = np.flatnonzero(edge[:n] | np.append(True, values[1:] != values[:-1])[:n])
+    after = np.append(starts, n)[1:]     # start of the next equal-valued run
+    inner = ~edge[starts] & ~edge[after]
+    s, after = starts[inner], after[inner]
     idx = s[(values[s - 1] < values[s]) & (values[s] > values[after])]
     if idx.size == 0:
         return []
-    # seg[k]: min from peak k-1 (or sample 0) up to peak k; seg[-1]: last peak to the end
-    seg = np.minimum.reduceat(values, np.concatenate(([0], idx))).tolist()
+    cut = edge[:n].copy()   # cut at every segment start and peak
+    cut[idx] = True
+    low = np.minimum.reduceat(values, np.flatnonzero(cut))   # from each cut to the next
+    at, segment = np.cumsum(cut)[idx] - 1, np.cumsum(edge[:n])[idx].tolist()
     peak_values = values[idx].tolist()
-    left = _stack_bases(peak_values, seg)
-    right = _stack_bases(peak_values[::-1], seg[::-1])[::-1]
-    return [Peak(p, v, v - max(lo, hi))
-            for p, v, lo, hi in zip(idx.tolist(), peak_values, left, right)]
+    left = _stack_bases(peak_values, low[at - 1].tolist(), segment)
+    right = _stack_bases(peak_values[::-1], low[at][::-1].tolist(), segment[::-1])[::-1]
+    prominences = (values[idx] - np.maximum(left, right)).tolist()
+    return list(map(Peak._make, zip(idx.tolist(), peak_values, prominences)))
 
 
-def _stack_bases(peak_values: list[float], seg: list[float]) -> list[float]:
-    """Per peak, the minimum of ``seg`` back to the nearest strictly higher peak.
+def _stack_bases(peak_values: list[float], lows: list[float], segment: list[int]) -> list[float]:
+    """Per peak, the minimum of ``lows`` back to the nearest strictly higher
+    peak of its segment, or to the segment's start.
 
     Each stack entry holds a peak value and the minimum since the entry below.
     """
-    stack: list[tuple[float, float]] = []
-    bases = []
-    for v, low in zip(peak_values, seg):
+    stack, bases, current = [], [], None
+    for v, low, seg in zip(peak_values, lows, segment):
+        if seg != current:
+            stack, current = [], seg
         while stack and stack[-1][0] <= v:
             low = min(low, stack.pop()[1])
         bases.append(low)
@@ -136,32 +149,21 @@ def _stack_bases(peak_values: list[float], seg: list[float]) -> list[float]:
     return bases
 
 
-def select_keyframes(
-    peaks_per_interval: list[tuple[SigningInterval, list[Peak]]],
-    count: int,
-    method: MeritMethod | None = None,
-) -> KeyframeSet:
-    """Pool peaks across intervals and keep the ``count`` most prominent.
+def select_keyframes(frames, prominences, count: int,
+                     method: MeritMethod | None = None) -> KeyframeSet:
+    """Keep the ``count`` most prominent of the candidates ``frames``.
 
-    Peak frames are interpreted relative to their interval's start.  Ties in
-    prominence break toward the earlier frame; the result is sorted by frame
-    and flags a shortfall when fewer peaks than requested exist.
+    ``prominences`` runs parallel to ``frames``.  Ties in prominence break
+    toward the earlier frame; the result is sorted by frame and flags a
+    shortfall when fewer candidates than requested exist.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    pooled = [
-        (interval.start + pk.frame, pk.prominence)
-        for interval, pks in peaks_per_interval
-        for pk in pks
-    ]
-    pooled.sort(key=lambda fp: (-fp[1], fp[0]))
-    chosen = sorted(pooled[:count])
-    return KeyframeSet(
-        frames=tuple(f for f, _ in chosen),
-        scores=tuple(s for _, s in chosen),
-        method=method,
-        shortfall=len(pooled) < count,
-    )
+    frames, prominences = np.asarray(frames, dtype=np.int64), np.asarray(prominences, dtype=float)
+    top = np.lexsort((frames, -prominences))[:count]
+    top = top[np.lexsort((prominences[top], frames[top]))]
+    return KeyframeSet(tuple(frames[top].tolist()), tuple(prominences[top].tolist()), method,
+                       shortfall=len(frames) < count)
 
 
 # ---------------------------------------------------------------------------

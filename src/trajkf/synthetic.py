@@ -160,9 +160,11 @@ def _graph(coeffs: np.ndarray):
 
 
 def _burst_maxima(spec: CurveSpec) -> tuple[int, ...]:
+    """Sorted distinct interior frames nearest the burst peaks; bursts about
+    one frame apart round to one frame, which is listed once."""
     n = round(spec.duration * spec.fps)
     t_star = (np.arange(spec.n_bursts) + 0.5) * spec.duration / spec.n_bursts
-    return tuple(int(f) for f in np.round(t_star * spec.fps) if 0 < f < n - 1)
+    return tuple(int(f) for f in np.unique(np.round(t_star * spec.fps)) if 0 < f < n - 1)
 
 
 def generate(spec: CurveSpec, seed: int = 0) -> SyntheticResult:

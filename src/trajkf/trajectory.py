@@ -322,6 +322,16 @@ def _loadtxt_refuses_float_ints() -> bool:
 _LOADTXT_EXACT_INTS = _loadtxt_refuses_float_ints()
 
 
+def _lines_within(text: str, limit: int) -> bool:
+    """No line longer than ``limit`` characters; may also say no to a shorter one.
+
+    A longer line covers an aligned block of limit // 2 characters with no
+    line break in it, so one ``find`` per block is all the search costs.
+    """
+    step = max(limit // 2, 1)
+    return all(text.find("\n", i, i + step) >= 0 for i in range(0, len(text) - step + 1, step))
+
+
 def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
     """One ``np.loadtxt`` pass over the rows after a plain header line.
 
@@ -329,6 +339,8 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
     frame gap or repeat, a non-finite value, no rows) goes to the row loop,
     which accepts exactly what it always has and otherwise names the row.
     Non-ASCII text goes there too: numpy reads some non-ASCII letters as digits.
+    So does a line that may hold a field over ``csv.field_size_limit()``,
+    which the row loop refuses whether or not it is quoted.
     """
     end = text.find("\n")
     head = text[:end]
@@ -336,7 +348,8 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
             and [c.strip().lower() for c in head.split(",")] in _CSV_HEADERS
             and text.isascii()
             and not any(c in text for c in _NUMPY_ONLY_SPACE)
-            and _NOT_SPACE.search(text, end)):   # no rows: loadtxt would warn
+            and _NOT_SPACE.search(text, end)   # no rows: loadtxt would warn
+            and _lines_within(text, csv.field_size_limit())):
         dtype = np.dtype([("frame", np.int64), ("xyz", np.float64, (head.count(","),))])
         try:
             table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None,
@@ -438,12 +451,13 @@ def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:
         lines = [row % (n, *p) for n, p in enumerate(traj.points.tolist(), traj.start_frame)]
         text = "\n".join(["frame," + ",".join("xyz"[: traj.dim]), *lines]) + "\n"
     elif format == "json":
-        obj = {
-            "fps": float9(traj.frame_rate),
-            "start_frame": traj.start_frame,
-            "points": [list(map(float9, p)) for p in traj.points.tolist()],
-        }
-        text = json.dumps(obj, indent=2) + "\n"
+        # the bytes of json.dumps(..., indent=2), whose pure-Python encoder is slow:
+        # the C encoder spells each value, one % pass lays them out one per line
+        head = {"fps": float9(traj.frame_rate), "start_frame": traj.start_frame}
+        values = json.dumps(list(map(float9, traj.points.ravel().tolist())))[1:-1].split(", ")
+        row = "    [\n" + ",\n".join(["      %s"] * traj.dim) + "\n    ]"
+        points = ",\n".join([row] * traj.n_samples) % tuple(values)
+        text = json.dumps(head, indent=2)[:-2] + ',\n  "points": [\n' + points + "\n  ]\n}\n"
     else:
         raise ValueError(f"unknown trajectory format {format!r}")
     write_text(dest, text)

@@ -255,7 +255,11 @@ def brute_load_csv(text: str) -> tuple[np.ndarray, int]:
     Raises the ParseError, naming the row, that the library's loader must
     raise for the same text.
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:   # a field over csv.field_size_limit(), quoted or not
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
     rows = [(i + 1, r) for i, r in enumerate(rows) if r]
     if not rows:
         raise ParseError("empty trajectory file")

@@ -1,5 +1,6 @@
-"""Module layout: no trajkf module uses another module's private names, and
-the package needs nothing at run time but the standard library and numpy.
+"""Module layout: no trajkf module uses another module's private names, the
+package needs nothing at run time but the standard library and numpy, and
+the names the benchmark wraps and patches keep working.
 
 A name that starts with one underscore belongs to its own module.  Code that
 another module needs gets a public name in the module that owns it (it may
@@ -7,10 +8,12 @@ still stay out of ``trajkf.__all__``).
 """
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trajkf
@@ -104,3 +107,46 @@ def test_import_checker_sees_nested_and_relative_imports(tmp_path):
                    "def f():\n"
                    "    from scipy.interpolate import CubicSpline\n")
     assert imported_packages(src) == {"os", "scipy"}
+
+
+# The benchmark (perfbench/) wraps and patches these names; a refactor of
+# src/ must keep them working or the benchmark's runs fail.
+TRACING = SRC.parents[1] / "perfbench" / "tracing.py"
+
+
+def test_benchmark_spans_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _, _ in tracing.CHILD_SPANS
+               if not hasattr(mod, attr)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("n_intervals", [1, 3])
+def test_pipeline_calls_patched_find_peaks_once(monkeypatch, n_intervals):
+    # as the benchmark's reference run records it: one positional argument
+    from oracles import brute_peaks
+
+    import trajkf.pipeline
+
+    calls = []
+    find_peaks = trajkf.pipeline.find_peaks
+
+    def recording(curve):
+        peaks = find_peaks(curve)
+        calls.append((curve.selection_values(), peaks, len(curve.offsets)))
+        return peaks
+
+    monkeypatch.setattr(trajkf.pipeline, "find_peaks", recording)
+    t = np.arange(600) / 60.0
+    zigzag = np.column_stack([t, (1 + t) * np.abs((t * 6) % 2 - 1)])
+    bounds = np.linspace(0, 599, n_intervals + 1).astype(int)
+    intervals = [trajkf.SigningInterval(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+    trajkf.extract_keyframes(trajkf.TimedTrajectory(zigzag, 60.0), method=trajkf.MeritMethod.MT,
+                             count=5, intervals=intervals if n_intervals > 1 else None)
+    assert len(calls) == 1
+    values, peaks, segments = calls[0]
+    assert segments == n_intervals and len(peaks) > 10
+    if n_intervals == 1:
+        assert [(p.frame, p.value, p.prominence) for p in peaks] == brute_peaks(values)

@@ -20,7 +20,7 @@ from trajkf import (
     harmonic_mean_curve,
     merit_curves,
 )
-from trajkf.merit import merit_curve
+from trajkf.merit import merit_curve, segment_percentile
 
 
 def curve(values, mask=None, kind=CurveKind.K_T_3D):
@@ -267,3 +267,60 @@ class TestSinglePassEngine:
         traj = TimedTrajectory(np.random.default_rng(0).normal(size=(20, 3)), 60.0)
         with pytest.raises(ValueError, match="outside trajectory"):
             merit_curves(traj, [SigningInterval(5, 20)], MeritMethod.MT)
+
+
+class TestSuppliedIntervals:
+    """Annotation intervals may overlap, repeat and come in any order."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=walk_and_intervals(), f_error=st.sampled_from([0.005, 0.05]))
+    def test_overlapping_unsorted_and_repeated_intervals(self, case, f_error):
+        traj, intervals = case
+        first = intervals[0]
+        # a repeat, an interval overlapping the first, and the list reversed
+        intervals = [first, *intervals,
+                     SigningInterval(max(0, first.start - 2), first.end)][::-1]
+        for method in (MeritMethod.MT, MeritMethod.K2DT):
+            curves = merit_curves(traj, intervals, method, f_error)
+            assert len(curves) == len(intervals)
+            for itv, curve in zip(intervals, curves):
+                assert_matches_reference(curve, padded_window_merit(traj, itv, method, f_error))
+
+
+EXTREME = [0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308,
+           -1.7976931348623157e308, -1.0, np.inf, -np.inf]
+
+
+class TestSegmentPercentile:
+    """segment_percentile against np.percentile on each segment alone, bit for bit."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(segments=st.lists(st.one_of(
+        st.lists(st.integers(0, 3).map(float), min_size=1, max_size=40),   # ties
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+        st.lists(st.sampled_from(EXTREME), min_size=1, max_size=40),
+    ), min_size=1, max_size=6), q=st.sampled_from([95, 0, 37.5, 50, 100]))
+    def test_matches_numpy_percentile(self, segments, q):
+        # +0.0: -0.0 and 0.0 tie, and either may come first in a sort
+        segments = [[v + 0.0 for v in seg] for seg in segments]
+        values = np.array([v for seg in segments for v in seg])
+        with np.errstate(invalid="ignore", over="ignore"):   # inf - inf and overflow
+            got = segment_percentile(values, np.array([len(seg) for seg in segments]), q)
+            want = np.array([np.percentile(seg, q) for seg in segments])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_every_length_matches_with_repeats(self, n):
+        rng = np.random.default_rng(n)
+        segments = [rng.integers(0, 4, n).astype(float), rng.exponential(size=n)]
+        values = np.concatenate(segments)
+        got = segment_percentile(values, np.array([n, n]), 95)
+        assert got.tobytes() == np.array([np.percentile(seg, 95) for seg in segments]).tobytes()
+
+    @pytest.mark.parametrize("q", [0, 95, 100])
+    def test_negative_zero_keeps_its_sign(self, q):
+        # a lone sample goes through numpy's t >= 0.5 form, which keeps -0.0
+        segments = [[-0.0], [-0.0, -0.0], [-1.0, -0.0], [-0.0, 1.0], [-0.0] * 5]
+        values = np.array([v for seg in segments for v in seg])
+        got = segment_percentile(values, np.array([len(seg) for seg in segments]), q)
+        assert got.tobytes() == np.array([np.percentile(seg, q) for seg in segments]).tobytes()

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajkf import (
+    CurveKind,
+    DescriptorCurve,
     MeritMethod,
     Peak,
     SigningInterval,
@@ -164,29 +166,74 @@ class TestFindPeaks:
             assert b.prominence == pytest.approx(2.5 * a.prominence, rel=1e-12)
 
 
+def segmented(segments):
+    """One curve holding the given value lists as its segments."""
+    lengths = [len(seg) for seg in segments]
+    values = np.array([v for seg in segments for v in seg], dtype=float)
+    return DescriptorCurve(values, CurveKind.M_T, np.ones(values.size, dtype=bool),
+                           offsets=np.cumsum([0, *lengths[:-1]]))
+
+
+def per_segment_peaks(segments):
+    """brute_peaks of each segment alone, its frames shifted to the whole curve."""
+    out, offset = [], 0
+    for seg in segments:
+        out += [(offset + f, v, p) for f, v, p in brute_peaks(seg)]
+        offset += len(seg)
+    return out
+
+
+class TestSegmentedPeaks:
+    """find_peaks on a segmented curve against brute_peaks on each segment alone."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(segments=st.lists(st.one_of(
+        st.lists(st.integers(0, 3).map(float), min_size=1, max_size=12),  # plateaus and ties
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
+        st.lists(st.just(1.0), min_size=1, max_size=3),   # equal values across boundaries
+    ), min_size=1, max_size=8))
+    @example(segments=[[1.0], [2.0], [1.0]])                      # length 1
+    @example(segments=[[0.0, 1.0], [1.0, 0.0], [5.0, 0.0]])        # length 2
+    @example(segments=[[0.0, 2.0, 2.0], [2.0, 2.0, 0.0]])          # plateaus at a boundary
+    @example(segments=[[0.0, 1.0, 3.0], [3.0, 1.0, 0.0]])          # a peak only if joined
+    @example(segments=[[0.0, 5.0, 0.0, 9.0], [0.0, 1.0, 0.0]])     # higher peak next door
+    @example(segments=[[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [4.0] * 5])  # no peaks at all
+    def test_matches_brute_force_per_segment(self, segments):
+        got = [(p.frame, p.value, p.prominence) for p in find_peaks(segmented(segments))]
+        assert repr(got) == repr(per_segment_peaks(segments))
+
+    def test_one_segment_is_a_bare_array(self):
+        values = np.random.default_rng(3).integers(0, 5, size=200).astype(float)
+        assert find_peaks(segmented([values.tolist()])) == find_peaks(values)
+
+    @pytest.mark.parametrize("offsets", [[1], [0, 0], [0, 5, 3], [0, 10], [[0]]])
+    def test_bad_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            DescriptorCurve(np.zeros(10), CurveKind.M_T, np.ones(10, dtype=bool), offsets=offsets)
+
+
 class TestSelectKeyframes:
     def _peaks(self, *pairs):
-        itv = SigningInterval(0, 100)
-        return [(itv, [Peak(f, v, v) for f, v in pairs])]
+        """Candidate frames and prominences."""
+        return [f for f, _ in pairs], [v for _, v in pairs]
 
     def test_strongest_first(self):
-        ks = select_keyframes(self._peaks((10, 4.0), (30, 2.0)), count=1)
+        ks = select_keyframes(*self._peaks((10, 4.0), (30, 2.0)), count=1)
         assert ks.frames == (10,)
         assert not ks.shortfall
 
     def test_shortfall_flag(self):
-        ks = select_keyframes(self._peaks((10, 4.0), (30, 2.0)), count=5)
+        ks = select_keyframes(*self._peaks((10, 4.0), (30, 2.0)), count=5)
         assert ks.frames == (10, 30)
         assert ks.shortfall
 
     def test_tie_breaks_to_earlier_frame(self):
-        ks = select_keyframes(self._peaks((20, 3.0), (8, 3.0)), count=1)
+        ks = select_keyframes(*self._peaks((20, 3.0), (8, 3.0)), count=1)
         assert ks.frames == (8,)
 
-    def test_interval_offset_applied(self):
-        itv = SigningInterval(50, 90)
-        ks = select_keyframes([(itv, [Peak(4, 1.0, 1.0)])], count=1)
-        assert ks.frames == (54,)
+    def test_no_candidates_is_a_shortfall(self):
+        ks = select_keyframes([], [], count=2, method=MeritMethod.MT)
+        assert ks.frames == () and ks.scores == () and ks.shortfall
 
     def test_monotone_in_count(self):
         rng = np.random.default_rng(15)
@@ -194,23 +241,23 @@ class TestSelectKeyframes:
                  zip(rng.choice(100, size=12, replace=False), rng.uniform(0, 5, 12))]
         previous: set[int] = set()
         for count in range(1, 14):
-            frames = set(select_keyframes(self._peaks(*pairs), count).frames)
+            frames = set(select_keyframes(*self._peaks(*pairs), count).frames)
             assert previous <= frames
             previous = frames
 
     def test_scores_follow_sorted_frames(self):
-        ks = select_keyframes(self._peaks((30, 2.0), (10, 4.0)), count=2)
+        ks = select_keyframes(*self._peaks((30, 2.0), (10, 4.0)), count=2)
         assert ks.frames == (10, 30)
         assert ks.scores == (4.0, 2.0)
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
-            select_keyframes(self._peaks((1, 1.0)), count=0)
+            select_keyframes(*self._peaks((1, 1.0)), count=0)
 
     def test_deterministic(self):
         peaks = self._peaks((10, 4.0), (30, 2.0), (44, 2.0))
-        a = select_keyframes(peaks, 2, method=MeritMethod.MT)
-        b = select_keyframes(peaks, 2, method=MeritMethod.MT)
+        a = select_keyframes(*peaks, 2, method=MeritMethod.MT)
+        b = select_keyframes(*peaks, 2, method=MeritMethod.MT)
         assert a == b
 
 
@@ -240,3 +287,33 @@ class TestPipelineInvariants:
             k = frame - home[0].start
             assert curve.values[k] > curve.values[k - 1]
             assert curve.values[k] > curve.values[k + 1]
+
+    @pytest.mark.parametrize("count", [1, 5, 10**6])
+    def test_peaks_map_to_frames_through_supplied_intervals(self, count):
+        from trajkf import (
+            CurveSpec,
+            default_speed_threshold,
+            extract_keyframes,
+            gaussian_smooth,
+            generate,
+            merit_curves,
+        )
+
+        traj = generate(CurveSpec(kind="piecewise_signing", radius=0.25, duration=1.0,
+                                  rest_duration=0.5, n_segments=3, noise_sigma=0.001,
+                                  fps=60.0), seed=4).trajectory
+        last = traj.n_samples - 1
+        # overlapping, unsorted and repeated, as annotation intervals may be
+        intervals = [SigningInterval(60, 140), SigningInterval(10, 90),
+                     SigningInterval(60, 140), SigningInterval(100, last)]
+        got = extract_keyframes(traj, count=count, intervals=intervals)
+
+        smoothed = gaussian_smooth(traj, 2.0)
+        curves = merit_curves(smoothed, intervals, MeritMethod.MT,
+                              speed_threshold=default_speed_threshold(smoothed))
+        pooled = [(itv.start + p.frame, p.prominence)
+                  for itv, curve in zip(intervals, curves) for p in find_peaks(curve)]
+        pooled.sort(key=lambda fp: (-fp[1], fp[0]))
+        assert len(pooled) > 5
+        assert list(zip(got.frames, got.scores)) == sorted(pooled[:count])
+        assert got.shortfall == (len(pooled) < count)

@@ -64,6 +64,12 @@ class TestGenerate:
                                  n_bursts=2, duration=4.0, fps=60.0), seed=0)
         assert res.keyframes == (60, 180)
 
+    def test_burst_keyframes_are_distinct_when_bursts_crowd_the_frames(self):
+        spec = CurveSpec(kind="circle", phase="burst", n_bursts=300, duration=5, fps=60)
+        frames = generate(spec).keyframes
+        assert list(frames) == sorted(set(frames))
+        assert len(frames) == 154 and frames[:3] == (2, 4, 6)
+
     def test_orientation_preserves_descriptors(self):
         flat = generate(CurveSpec(kind="circle", radius=2.0, duration=3.0, fps=60.0), seed=0)
         tilted = generate(CurveSpec(kind="circle", radius=2.0, duration=3.0, fps=60.0,

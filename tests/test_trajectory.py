@@ -193,6 +193,10 @@ CSV_EDGE_CASES = {
     "non_ascii_letters": H2 + "\u01fe5\u01fe,1,2\n",
     "lone_cr_in_header": "frame,x\r,y\n0,1,2\n",
     "lone_cr_in_row": H2 + "0,1,2\r1,2,3\n",
+    # a field over csv.field_size_limit() (131072 characters), bare and quoted
+    "over_long_field": H2 + "0,0." + "0" * 200_000 + "1,2\n1,1,2\n",
+    "over_long_quoted_field": H2 + '0,"0.' + "0" * 200_000 + '1",2\n1,1,2\n',
+    "long_field_within_limit": H2 + "0,0." + "0" * 131_000 + "1,2\n1,1,2\n",
 }
 
 
