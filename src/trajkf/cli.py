@@ -173,17 +173,22 @@ def cmd_evaluate(args) -> int:
                          f"got {args.n_frames}")
     n_frames = args.n_frames or pred_n or truth.n_frames
     if n_frames is None:
-        indices = list(pred.frames) + list(truth.keyframes)
+        indices = [*pred.frames, *truth.keyframes, *(itv.end for itv in truth.intervals)]
         if not indices:
             raise ValueError("cannot infer video length from empty files; pass --n-frames")
         n_frames = max(indices) + max(deltas) + 1
         if n_frames > MAX_N_FRAMES:
-            raise ValueError(f"video length {n_frames} inferred from the last keyframe and "
-                             f"--delta exceeds 2**62; pass a smaller --delta or --n-frames")
+            raise ValueError(f"video length {n_frames} inferred from the last keyframe or "
+                             f"interval and --delta exceeds 2**62; pass a smaller --delta "
+                             f"or --n-frames")
     for path, frames in ((args.pred, pred.frames), (args.truth, truth.keyframes)):
         outside = [k for k in frames if not 0 <= k < n_frames]
         if outside:
             raise ValueError(f"{path}: keyframe {outside[0]} outside the {n_frames}-frame video")
+    for itv in truth.intervals:   # starts are >= 0 and <= end
+        if itv.end >= n_frames:
+            raise ValueError(f"{args.truth}: interval [{itv.start}, {itv.end}] outside "
+                             f"the {n_frames}-frame video")
 
     ranked = _ranked_frames(pred)
     if args.per_gloss:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -182,10 +183,40 @@ def sweep(
     return reports
 
 
+_SIGN_KEYS = ("start", "end", "l_x", "l_s")
+# one per_sign row as json.dumps(reports, indent=2) lays it out
+_SIGN_ROW = "      {\n" + ",\n".join(f'        "{k}": %s' for k in _SIGN_KEYS) + "\n      }"
+
+
+def _per_sign_json(rows: Sequence[dict]) -> str:
+    """A report's per_sign list, spelled by the C encoder and laid out by one % pass."""
+    if not rows:
+        return "[]"
+    if set(map(tuple, rows)) != {_SIGN_KEYS}:
+        raise ValueError(f"per_sign rows must hold exactly the keys {', '.join(_SIGN_KEYS)}")
+    values = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values))):
+        raise ValueError("per_sign values must be JSON scalars")
+    # no spelled scalar holds a newline (strings escape it), so it splits them apart
+    spelled = json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+    return "[\n" + ",\n".join([_SIGN_ROW] * len(rows)) % tuple(spelled) + "\n    ]"
+
+
 def reports_to_json(reports: Sequence[EvaluationReport]) -> str:
-    rows = []
+    """The reports as JSON, byte for byte ``json.dumps(rows, indent=2) + "\\n"``.
+
+    Each row holds r_c, delta, recall, precision, f2, c_s (floats at 9
+    significant digits, null when unset) and degenerate, then per_sign when
+    the report has one.  ``indent`` would run the pure-Python encoder over
+    every per_sign row, so the C encoder spells the values and a fixed
+    template lays them out: each per_sign row must hold exactly the keys
+    start, end, l_x and l_s, in that order, with scalar values, as ``sweep``
+    builds them; otherwise ValueError.
+    """
+    items = []
+    blocks: dict[int, str] = {}   # sweep shares one per_sign tuple across a ratio's deltas
     for r in reports:
-        row: dict = {
+        head = {
             "r_c": float9(r.r_c) if r.r_c is not None else None,
             "delta": r.delta,
             "recall": float9(r.recall),
@@ -194,10 +225,13 @@ def reports_to_json(reports: Sequence[EvaluationReport]) -> str:
             "c_s": float9(r.c_s) if r.c_s is not None else None,
             "degenerate": r.degenerate,
         }
+        item = "  " + json.dumps(head, indent=2).replace("\n", "\n  ")
         if r.per_sign is not None:
-            row["per_sign"] = list(r.per_sign)
-        rows.append(row)
-    return json.dumps(rows, indent=2) + "\n"
+            if id(r.per_sign) not in blocks:
+                blocks[id(r.per_sign)] = _per_sign_json(r.per_sign)
+            item = item[:-4] + ',\n    "per_sign": ' + blocks[id(r.per_sign)] + "\n  }"
+        items.append(item)
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def reports_to_csv(reports: Sequence[EvaluationReport]) -> str:

@@ -201,6 +201,9 @@ def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
     for i, sc in enumerate(scores):
         if not json_finite_number(sc):
             raise ParseError(f"scores[{i}]: must be a finite number")
+    shortfall = obj.get("shortfall", False)
+    if type(shortfall) is not bool:
+        raise ParseError('"shortfall" must be true or false')
     try:
         method = MeritMethod(obj["method"]) if obj.get("method") else None
     except ValueError:
@@ -209,6 +212,6 @@ def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
         frames=tuple(frames),
         scores=tuple(float(s) for s in scores),
         method=method,
-        shortfall=bool(obj.get("shortfall", False)),
+        shortfall=shortfall,
     )
     return ks, json_n_frames(obj)

@@ -8,7 +8,8 @@ per-frame Python loop, merit curves by the per-interval route
 (re-differentiating a padded window of each interval), and per-sign counts by
 testing every frame against every interval.  Trajectory CSV is read by the
 row-at-a-time ``csv.reader`` loop (``int``/``float`` per field), and
-trajectory files are written one value at a time.
+trajectory files are written one value at a time.  Report JSON goes through
+``json.dumps(..., indent=2)`` over the whole list.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from trajkf import (
     speed,
     torsion_t,
 )
+from trajkf.trajectory import float9
 
 
 def arclength_of(points: np.ndarray) -> np.ndarray:
@@ -194,6 +196,26 @@ def brute_sweep(pred_fn, truth_keyframes, n_frames, r_c_values, delta_values,
                 c_s=c_s, per_sign=per_sign, degenerate=base.degenerate,
             ))
     return reports
+
+
+def brute_reports_json(reports) -> str:
+    """The report JSON ``reports_to_json`` must write: the whole list through
+    ``json.dumps(rows, indent=2)``, whose pure-Python encoder spells every row."""
+    rows = []
+    for r in reports:
+        row: dict = {
+            "r_c": float9(r.r_c) if r.r_c is not None else None,
+            "delta": r.delta,
+            "recall": float9(r.recall),
+            "precision": float9(r.precision),
+            "f2": float9(r.f2),
+            "c_s": float9(r.c_s) if r.c_s is not None else None,
+            "degenerate": r.degenerate,
+        }
+        if r.per_sign is not None:
+            row["per_sign"] = list(r.per_sign)
+        rows.append(row)
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def random_rotation(rng) -> np.ndarray:

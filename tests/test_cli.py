@@ -287,6 +287,10 @@ class TestEvaluate:
         ({"frames": [3, 4], "scores": 2.0}, '"scores"'),
         ({"frames": [3], "n_frames": "200"}, '"n_frames"'),
         ({"frames": [3], "method": "fast"}, '"method"'),
+        ({"frames": [3], "shortfall": "nope"}, '"shortfall"'),
+        ({"frames": [3], "shortfall": 0}, '"shortfall"'),
+        ({"frames": [3], "shortfall": []}, '"shortfall"'),
+        ({"frames": [3], "shortfall": None}, '"shortfall"'),
     ])
     def test_malformed_prediction_names_file_and_field(self, files, tmp_path, capsys,
                                                        payload, where):
@@ -316,6 +320,35 @@ class TestEvaluate:
         assert run("evaluate", "--pred", str(pred), "--truth", str(truth)) == 2
         err = capsys.readouterr().err
         assert str(truth) in err and "intervals[0]" in err
+
+    def test_interval_past_the_video_names_file_and_interval(self, files, tmp_path, capsys):
+        pred, _ = files
+        truth = tmp_path / "long_interval.json"
+        truth.write_text(json.dumps({"intervals": [{"start": 20, "end": 100},
+                                                   {"start": 150, "end": 250}],
+                                     "keyframes": [30, 90, 150], "n_frames": 200}))
+        assert run("evaluate", "--pred", str(pred), "--truth", str(truth)) == 2
+        err = capsys.readouterr().err
+        assert str(truth) in err and "[150, 250]" in err and "200-frame" in err
+
+    def test_inferred_length_covers_intervals(self, tmp_path, capsys):
+        # the last interval ends past every keyframe: the inferred video holds it,
+        # and the scores are those of any longer video
+        pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
+        pred.write_text(json.dumps({"frames": [30, 90, 150], "scores": [3.0, 2.0, 1.0]}))
+        truth.write_text(json.dumps({
+            "intervals": [{"start": 20, "end": 100}, {"start": 120, "end": 400}],
+            "keyframes": [30, 90, 150]}))
+        outs = []
+        for extra in ([], ["--n-frames", "406"], ["--n-frames", "100000"]):
+            assert run("evaluate", "--pred", str(pred), "--truth", str(truth),
+                       "--r-c", "0.5,1", "--delta", "0,5", *extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])[0]["per_sign"][1]["end"] == 400
+        assert run("evaluate", "--pred", str(pred), "--truth", str(truth),
+                   "--r-c", "1", "--delta", "0,5", "--n-frames", "400") == 2
+        assert "[120, 400]" in capsys.readouterr().err
 
     def test_mismatched_lengths_rejected(self, files, tmp_path, capsys):
         pred, truth = files

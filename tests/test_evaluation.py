@@ -8,15 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajkf import (
+    EvaluationReport,
     KeyframeSet,
     SigningInterval,
     budget_for_ratio,
     complexity_metric,
+    reports_to_json,
     score,
     sweep,
 )
 from trajkf.evaluation import ranked_picker
-from oracles import brute_score, brute_sweep
+from oracles import brute_reports_json, brute_score, brute_sweep
 
 
 def covered_share(frames, delta, n):
@@ -284,6 +286,10 @@ class TestSweepAgainstBruteForce:
         got = sweep(*args)
         assert got == brute_sweep(*args)
         assert all(type(v) is int for r in got for row in r.per_sign for v in row.values())
+        assert reports_to_json(got) == brute_reports_json(got)
+        if not per_gloss:
+            plain = sweep(pred_fn, truth, n, r_cs, deltas)
+            assert reports_to_json(plain) == brute_reports_json(plain)
 
 
 class TestRankedPicker:
@@ -315,3 +321,79 @@ class TestRankedPicker:
             for count in (0, 1, 5, 400):
                 assert pick(count, interval) == \
                     [f for f in ranked if interval.contains(f)][:count]
+
+
+# floats that test the C encoder's spelling: signed zero, subnormals, the
+# range's ends and the values json writes as NaN / Infinity / -Infinity
+ODD_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e-300, 1e300, -1e300,
+              1.7976931348623157e308, 0.1, 1 / 3, float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def report_lists(draw):
+    """Reports whose optional fields are unset or set, some sharing one per_sign tuple."""
+    real = st.sampled_from(ODD_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+    count = st.integers(0, 2**62)
+    row = st.tuples(count, count, count, count).map(
+        lambda v: dict(zip(("start", "end", "l_x", "l_s"), v)))
+    pool = draw(st.lists(st.none() | st.just(()) | st.lists(row, max_size=6).map(tuple),
+                         min_size=1, max_size=3))
+    reports = []
+    for _ in range(draw(st.integers(0, 6))):
+        reports.append(EvaluationReport(
+            recall=draw(real), precision=draw(real), f2=draw(real),
+            delta=draw(st.integers(0, 2**62)),
+            r_c=draw(st.none() | real), c_s=draw(st.none() | real),
+            per_sign=draw(st.sampled_from(pool)), degenerate=draw(st.booleans()),
+        ))
+    return reports
+
+
+class TestReportsToJson:
+    def test_empty_report_list(self):
+        assert reports_to_json([]) == brute_reports_json([]) == "[]\n"
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(reports=report_lists())
+    @example(reports=[EvaluationReport(0.5, 0.5, 0.5, 5, per_sign=())])
+    @example(reports=[EvaluationReport(-0.0, 5e-324, float("nan"), 0, r_c=float("inf"),
+                                       c_s=float("-inf"), degenerate=True)])
+    def test_equals_indent_encoder(self, reports):
+        assert reports_to_json(reports) == brute_reports_json(reports)
+
+    def test_bool_and_string_values_spelled_as_json_does(self):
+        rows = ({"start": True, "end": False, "l_x": None, "l_s": 'a, "b"\n%s'},
+                {"start": 1.5, "end": -0.0, "l_x": 2**62, "l_s": -3})
+        reports = [EvaluationReport(1.0, 1.0, 1.0, 0, per_sign=rows)]
+        assert reports_to_json(reports) == brute_reports_json(reports)
+
+    @pytest.mark.parametrize("row", [
+        {"end": 9, "start": 0, "l_x": 1, "l_s": 1},
+        {"start": 0, "end": 9, "l_x": 1},
+        {"start": 0, "end": 9, "l_x": 1, "l_s": 1, "gloss": 1},
+        {"start": 0, "end": 9, "l_x": [1], "l_s": 1},
+        {"start": 0, "end": 9, "l_x": 1, "l_s": {"n": 1}},
+    ])
+    def test_rows_other_than_sweeps_rejected(self, row):
+        good = {"start": 0, "end": 9, "l_x": 1, "l_s": 1}
+        with pytest.raises(ValueError, match="per_sign"):
+            reports_to_json([EvaluationReport(1.0, 1.0, 1.0, 0, per_sign=(good, row))])
+
+    def test_memory_stays_within_five_times_the_output(self):
+        # 1500 signs of 90 frames, 3 ratios by 3 deltas: the signing clip's sweep
+        rng = np.random.default_rng(31)
+        starts = 30 + 90 * np.arange(1500)
+        intervals = [SigningInterval(s, s + 59) for s in starts.tolist()]
+        truth = np.sort(starts + rng.integers(0, 60, (2, 1500)), axis=None).tolist()
+        ranked = rng.permutation(135030)[:6000].tolist()
+        reports = sweep(lambda count: ranked[:count], truth, 135030,
+                        [0.5, 1.0, 2.0], [0, 5, 10], intervals=intervals)
+        text = reports_to_json(reports)   # the encoders import and build their state
+        assert text == brute_reports_json(reports)
+        tracemalloc.start()
+        try:
+            reports_to_json(reports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(text)
