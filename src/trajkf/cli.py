@@ -130,17 +130,20 @@ def cmd_extract(args) -> int:
     else:
         count = args.count
 
-    result = extract_keyframes(
-        traj,
-        method=MeritMethod(args.method),
-        count=count,
-        sigma=args.sigma,
-        f_error=args.f_error,
-        intervals=intervals,
-        speed_threshold=args.speed_threshold,
-        min_gap=args.min_gap,
-        min_len=args.min_len,
-    )
+    try:
+        result = extract_keyframes(
+            traj,
+            method=MeritMethod(args.method),
+            count=count,
+            sigma=args.sigma,
+            f_error=args.f_error,
+            intervals=intervals,
+            speed_threshold=args.speed_threshold,
+            min_gap=args.min_gap,
+            min_len=args.min_len,
+        )
+    except FloatingPointError as exc:   # the descriptor arithmetic overflowed
+        raise ValueError(f"{args.input}: coordinates too large ({exc})") from None
     n_frames = traj.start_frame + traj.n_samples
     _write_output(args.output, keyframes_to_json(result, traj.start_frame, n_frames))
     return EXIT_OK

@@ -62,9 +62,16 @@ def harmonic_mean_curve(k: DescriptorCurve, t_abs: DescriptorCurve) -> Descripto
     return DescriptorCurve(vals, CurveKind.H_T, mask)
 
 
+def merit_order(method: MeritMethod, traj: TimedTrajectory) -> int:
+    """Derivative order segmented_merit needs: 3 to plane-fit MT on 3-D input, if long enough."""
+    fit = method is MeritMethod.MT and traj.dim == 3
+    return 3 if fit and traj.n_samples >= MIN_SAMPLES[3] else 2
+
+
 def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                     method: MeritMethod, f_error: float = DEFAULT_F_ERROR,
-                    speed_threshold: float = 0.0) -> tuple[DescriptorCurve, list[str | None]]:
+                    speed_threshold: float = 0.0, d: DerivativeStack | None = None,
+                    v: np.ndarray | None = None) -> tuple[DescriptorCurve, list[str | None]]:
     """All intervals' descriptor curves under ``method``, laid end to end as
     the segments of one curve (``segment_layout``), and each one's branch.
 
@@ -78,8 +85,9 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     read the first two coordinates.  Samples slower than a positive
     ``speed_threshold`` are masked too; masked entries are stored as 0.
     One pass over the N laid-out samples, O(N log N) for the percentile sort.
-    A non-planar interval raises ValueError if the trajectory is too short
-    for third derivatives.
+    ``d`` is ``differentiate(traj, merit_order(method, traj))`` and ``v`` its
+    speed, each computed when not given.  A non-planar interval raises
+    ValueError if the trajectory is too short for third derivatives.
     """
     n = traj.n_samples
     for itv in intervals:
@@ -92,9 +100,9 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
         raise ValueError(f"method {method.value} needs a 3-D trajectory")
 
     fit = method is MeritMethod.MT and traj.dim == 3
-    d = differentiate(traj, 3 if fit and n >= MIN_SAMPLES[3] else 2)
+    d = differentiate(traj, merit_order(method, traj)) if d is None else d
     offsets, lengths, rows = segment_layout(intervals)
-    v = speed(d)[rows]
+    v = (speed(d) if v is None else v)[rows]
     branches = [BRANCH_PLANAR if method is MeritMethod.MT else None] * len(intervals)
     if not fit:   # one kernel over the whole trajectory
         shape = d
@@ -104,13 +112,14 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
         base = geometry.descriptor_kernel(shape, rate)[1]
         values, mask = base.values[rows], base.valid_mask[rows]
     else:   # one kernel over the projected planar samples, one over the rest
-        planes = fit_planes(traj.points, intervals, f_error)
-        planar = np.array([p.is_planar for p in planes])
+        errors, bases, _ = fit_planes(traj.points, intervals)
+        planar = errors < f_error
         flat = np.repeat(planar, lengths)
         values, mask = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
+        branches = np.where(planar, BRANCH_PLANAR, BRANCH_NONPLANAR).tolist()
         if planar.any():   # per-interval products: a batched product rounds differently
-            sl = [(slice(i.start, i.end + 1), p.basis.T)
-                  for i, p in zip(intervals, planes) if p.is_planar]
+            sl = [(slice(intervals[j].start, intervals[j].end + 1), bases[j].T)
+                  for j in np.flatnonzero(planar).tolist()]
             k = geometry.curvature_t(DerivativeStack(
                 *(np.concatenate([x[s] @ b for s, b in sl]) for x in (d.d1, d.d2))))
             values[flat], mask[flat] = k.values, k.valid_mask
@@ -123,7 +132,6 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
             cut = TORSION_SPEED_FRACTION * segment_percentile(v[~flat], lengths[~planar], 95)
             values[~flat] = h.values
             mask[~flat] = h.valid_mask & (v[~flat] >= np.repeat(cut, lengths[~planar]))
-            branches = [BRANCH_PLANAR if p.is_planar else BRANCH_NONPLANAR for p in planes]
     mask = mask & (v >= speed_threshold) if speed_threshold > 0 else mask
     kind = CurveKind.M_T if method is MeritMethod.MT else base.kind
     return DescriptorCurve(values, kind, mask, offsets=offsets), branches
@@ -144,19 +152,24 @@ def segment_percentile(values: np.ndarray, lengths: np.ndarray, q: float) -> np.
     """``np.percentile(segment, q)`` of each of the segments laid end to end, bit for bit.
 
     One value argsort and one integer sort of (segment, rank) keys, O(N log N),
-    then numpy's linear rule: index (n - 1) * q / 100 and its ``_lerp`` with
-    the ``t >= 0.5`` form.  Lengths must be positive, values NaN-free.
+    or for one segment a partition, O(N); then numpy's linear rule: index
+    (n - 1) * q / 100 and its ``_lerp`` with the ``t >= 0.5`` form.  Lengths
+    must be positive, values NaN-free.
     """
     offsets = np.cumsum(lengths) - lengths
-    order = np.argsort(values)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    key = np.repeat(offsets, lengths) * len(order)   # segments in order, ranks within
-    ordered = values[order[np.sort(key + rank) - key]]
     index = (lengths - 1) * (q / 100)
     t = index - np.floor(index) + (lengths == 1)   # numpy reads a lone sample at -1: t = 1
     first = offsets + np.floor(index).astype(np.intp)
-    a, b = ordered[first], ordered[np.minimum(first + 1, offsets + lengths - 1)]
+    second = np.minimum(first + 1, offsets + lengths - 1)
+    if len(lengths) == 1:   # both order statistics in place
+        ordered = np.partition(values, [first[0], second[0]])
+    else:
+        order = np.argsort(values)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        key = np.repeat(offsets, lengths) * len(order)   # segments in order, ranks within
+        ordered = values[order[np.sort(key + rank) - key]]
+    a, b = ordered[first], ordered[second]
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 

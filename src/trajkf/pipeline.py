@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-# merit_curve and differentiate stay importable here for perfbench/tracing.py
-from .merit import MeritMethod, merit_curve, segmented_merit  # noqa: F401
+import numpy as np
+
+# merit_curve stays importable here for perfbench/tracing.py
+from .merit import MeritMethod, merit_curve, merit_order, segmented_merit  # noqa: F401
 from .planarity import DEFAULT_F_ERROR, segment_layout
 from .selection import (
     DEFAULT_MIN_GAP,
@@ -16,7 +18,8 @@ from .selection import (
     find_peaks,
     select_keyframes,
 )
-from .trajectory import SigningInterval, TimedTrajectory, differentiate, gaussian_smooth  # noqa: F401
+from .trajectory import MIN_SAMPLES, SigningInterval, TimedTrajectory, differentiate, \
+    gaussian_smooth, speed
 
 DEFAULT_SIGMA = 2.0
 
@@ -34,22 +37,27 @@ def extract_keyframes(
 ) -> KeyframeSet:
     """Select the ``count`` most prominent merit maxima of a trajectory.
 
-    The trajectory is smoothed first; signing intervals are detected from the
-    speed profile unless supplied (e.g. from an annotation file).  One
-    segmented_merit pass lays every interval's merit curve of ``method`` end
-    to end, one find_peaks call takes the peaks of all of them, and the
-    peaks are ranked globally by prominence.  Frames slower than the
-    interval-detection speed threshold never become candidates, so rest
-    frames inside annotated rest-to-rest intervals stay excluded.  Frames in
-    the result are sample indices into ``traj``.
+    The trajectory is smoothed and differentiated once; that stack and its
+    speed feed the threshold, the interval detection (unless intervals are
+    supplied, e.g. from an annotation file) and one segmented_merit pass that
+    lays every interval's merit curve end to end.  One find_peaks call takes
+    the peaks of all of them, ranked globally by prominence.  Frames slower
+    than the speed threshold never become candidates, so rest frames inside
+    annotated intervals stay excluded.  Frames in the result are sample
+    indices into ``traj``.  Raises FloatingPointError if the arithmetic overflows.
     """
     smoothed = gaussian_smooth(traj, sigma)
-    threshold = speed_threshold if speed_threshold is not None \
-        else default_speed_threshold(smoothed)
-    if intervals is None:
-        intervals = detect_intervals(smoothed, threshold, min_gap, min_len) if threshold > 0 else []
-
-    curve, _ = segmented_merit(smoothed, intervals, method, f_error, threshold)
+    with np.errstate(over="raise", invalid="raise"):
+        d = v = None
+        if smoothed.n_samples >= MIN_SAMPLES[2]:   # shorter: each stage's own result or error
+            d = differentiate(smoothed, merit_order(method, smoothed))
+            v = speed(d)
+        threshold = speed_threshold if speed_threshold is not None \
+            else default_speed_threshold(smoothed, v)
+        if intervals is None:
+            intervals = detect_intervals(smoothed, threshold, min_gap, min_len, v) \
+                if threshold > 0 else []
+        curve, _ = segmented_merit(smoothed, intervals, method, f_error, threshold, d, v)
     peaks = find_peaks(curve)
     frames = segment_layout(intervals)[2][[p.frame for p in peaks]]   # curve to trajectory
     return select_keyframes(frames, [p.prominence for p in peaks], count, method=method)

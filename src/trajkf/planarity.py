@@ -35,19 +35,20 @@ def segment_layout(intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offsets, lengths, np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
 
-def fit_planes(points, intervals, f_error: float = DEFAULT_F_ERROR) -> list[PlanarityResult]:
+def fit_planes(points, intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit a plane by PCA to each inclusive interval of a 3-D point sequence.
 
-    One batch: per-interval centroids and the six distinct covariance terms
-    are summed segment-wise, then the stacked (I, 3, 3) covariances go
-    through a single SVD.  Point sets of size <= 2 (and exactly collinear
-    sets) always lie in a plane and come back with fitting_error 0.
+    Returns PlanarityResult's fields as arrays: errors (I,), bases (I, 2, 3)
+    and centroids (I, 3).  One batch: per-interval centroids and the six
+    distinct covariance terms are summed segment-wise, then the stacked
+    (I, 3, 3) covariances go through a single SVD.  Point sets of size <= 2
+    (and exactly collinear sets) always lie in a plane, with fitting error 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be an (N, 3) array")
     if not intervals:
-        return []
+        return np.zeros(0), np.zeros((0, 2, 3)), np.zeros((0, 3))
     offsets, lengths, rows = segment_layout(intervals)
     if rows.max() >= pts.shape[0]:
         raise ValueError(f"interval outside the {pts.shape[0]} points")
@@ -69,13 +70,13 @@ def fit_planes(points, intervals, f_error: float = DEFAULT_F_ERROR) -> list[Plan
     np.negative(basis, out=basis, where=lead < 0)
     basis.flags.writeable = False
     centroids.flags.writeable = False
-    return [PlanarityResult(float(e), bool(e < f_error), b, c)
-            for e, b, c in zip(errors, basis, centroids)]
+    return errors, basis, centroids
 
 
 def fit_plane(points, f_error: float = DEFAULT_F_ERROR) -> PlanarityResult:
     """Fit a plane through a 3-D point set by PCA: fit_planes on one interval."""
-    return fit_planes(points, [SigningInterval(0, len(points) - 1)], f_error)[0]
+    (error,), (basis,), (centroid,) = fit_planes(points, [SigningInterval(0, len(points) - 1)])
+    return PlanarityResult(float(error), bool(error < f_error), basis, centroid)
 
 
 def project_to_plane(traj: TimedTrajectory, result: PlanarityResult) -> TimedTrajectory:

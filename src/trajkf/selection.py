@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import DescriptorCurve
-from .merit import MeritMethod
+from .merit import MeritMethod, segment_percentile
 from .trajectory import (
     ParseError,
     SigningInterval,
@@ -57,12 +57,13 @@ class KeyframeSet:
     shortfall: bool = False
 
 
-def default_speed_threshold(traj: TimedTrajectory) -> float:
-    """Interval-detection threshold: 5% of the 95th-percentile speed."""
+def default_speed_threshold(traj: TimedTrajectory, v: np.ndarray | None = None) -> float:
+    """Interval-detection threshold: 5% of the 95th-percentile speed ``v``, computed
+    when not given; np.percentile's value without its lazy numpy.ma import."""
     if traj.n_samples < 3:
         return 0.0
-    v = speed(differentiate(traj, 1))
-    return DEFAULT_THRESHOLD_FRACTION * float(np.percentile(v, 95))
+    v = speed(differentiate(traj, 1)) if v is None else v
+    return DEFAULT_THRESHOLD_FRACTION * float(segment_percentile(v, np.array([len(v)]), 95)[0])
 
 
 def detect_intervals(
@@ -70,12 +71,14 @@ def detect_intervals(
     speed_threshold: float,
     min_gap: int = DEFAULT_MIN_GAP,
     min_len: int = DEFAULT_MIN_LEN,
+    v: np.ndarray | None = None,
 ) -> list[SigningInterval]:
     """Find rest-to-rest motion intervals from the speed profile.
 
     Maximal runs of samples with speed >= speed_threshold are taken, runs
     separated by fewer than ``min_gap`` slow samples are merged, and merged
-    runs shorter than ``min_len`` samples are discarded.
+    runs shorter than ``min_len`` samples are discarded.  ``v`` is the speed
+    profile, computed when not given.
     """
     if speed_threshold <= 0:
         raise ValueError(f"speed_threshold must be positive, got {speed_threshold}")
@@ -83,7 +86,7 @@ def detect_intervals(
         raise ValueError("min_gap and min_len must be positive")
     if traj.n_samples < 3:
         return []
-    active = speed(differentiate(traj, 1)) >= speed_threshold
+    active = (speed(differentiate(traj, 1)) if v is None else v) >= speed_threshold
     edges = np.flatnonzero(np.diff(active, prepend=False, append=False))
     runs = [[int(a), int(b) - 1] for a, b in zip(edges[::2], edges[1::2])]
     merged: list[list[int]] = []
@@ -205,7 +208,7 @@ def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
     if type(shortfall) is not bool:
         raise ParseError('"shortfall" must be true or false')
     try:
-        method = MeritMethod(obj["method"]) if obj.get("method") else None
+        method = None if obj.get("method") is None else MeritMethod(obj["method"])
     except ValueError:
         raise ParseError(f'"method": unknown method {obj["method"]!r}') from None
     ks = KeyframeSet(

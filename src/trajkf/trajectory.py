@@ -10,6 +10,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import itertools
 import json
@@ -290,12 +291,18 @@ def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> Ti
     from the columns present.  Malformed rows, non-monotone or non-consecutive
     frame indices, and mixed dimensionality raise ParseError naming the row.
     """
-    text = read_text(source)
     if format == "csv":
-        return _load_csv(text, frame_rate)
-    if format == "json":
-        return _load_json(text)
-    raise ValueError(f"unknown trajectory format {format!r}")
+        return _load_csv(read_text(source), frame_rate)
+    if format != "json":
+        raise ValueError(f"unknown trajectory format {format!r}")
+    # json.loads makes no cycles: the collector would only re-walk its lists, freed on return
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_json(read_text(source))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _CSV_HEADERS = (["frame", "x", "y"], ["frame", "x", "y", "z"])
@@ -414,6 +421,7 @@ def json_finite_number(v) -> bool:
 
 def _load_json(text: str) -> TimedTrajectory:
     obj = parse_json(text)
+    del text
     if not isinstance(obj, dict) or "fps" not in obj or "points" not in obj:
         raise ParseError('trajectory JSON must contain "fps" and "points"')
     fps = obj["fps"]
@@ -435,7 +443,8 @@ def _load_json(text: str) -> TimedTrajectory:
     points = None
     if set(map(type, itertools.chain.from_iterable(pts))) <= {int, float}:
         try:
-            points = np.array(pts, dtype=float)
+            points = np.fromiter(itertools.chain.from_iterable(pts), float,
+                                 count=len(pts) * width).reshape(-1, width)
         except OverflowError:   # an integer beyond the float range
             pass
     if points is None or not np.isfinite(points).all():

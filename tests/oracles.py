@@ -8,14 +8,16 @@ per-frame Python loop, merit curves by the per-interval route
 (re-differentiating a padded window of each interval), and per-sign counts by
 testing every frame against every interval.  Trajectory CSV is read by the
 row-at-a-time ``csv.reader`` loop (``int``/``float`` per field), and
-trajectory files are written one value at a time.  Report JSON goes through
-``json.dumps(..., indent=2)`` over the whole list.
+trajectory files are written one value at a time.  Trajectory JSON is
+converted by one ``np.array`` call over the parsed point lists.  Report JSON
+goes through ``json.dumps(..., indent=2)`` over the whole list.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
@@ -41,7 +43,7 @@ from trajkf import (
     speed,
     torsion_t,
 )
-from trajkf.trajectory import float9
+from trajkf.trajectory import float9, json_finite_number, parse_json
 
 
 def arclength_of(points: np.ndarray) -> np.ndarray:
@@ -316,6 +318,43 @@ def brute_load_csv(text: str) -> tuple[np.ndarray, int]:
     if bad.size:
         raise ParseError(f"row {rows[1 + bad[0]][0]}: non-finite coordinate")
     return points, frames[0]
+
+
+def brute_load_json(text: str) -> TimedTrajectory:
+    """Trajectory JSON text as a TimedTrajectory, its points through ``np.array``.
+
+    Raises the ParseError, naming the field or point, that the library's
+    loader must raise for the same text.
+    """
+    obj = parse_json(text)
+    if not isinstance(obj, dict) or "fps" not in obj or "points" not in obj:
+        raise ParseError('trajectory JSON must contain "fps" and "points"')
+    fps = obj["fps"]
+    if not (json_finite_number(fps) and fps > 0):
+        raise ParseError('"fps" must be a finite positive number')
+    start_frame = obj.get("start_frame", 0)
+    if type(start_frame) is not int or start_frame < 0:
+        raise ParseError('"start_frame" must be a non-negative integer')
+    pts = obj["points"]
+    if not isinstance(pts, list) or not pts:
+        raise ParseError('"points" must be a non-empty list')
+    width = len(pts[0]) if isinstance(pts[0], list) else 0
+    if width not in (2, 3):
+        raise ParseError("points[0]: must be a list of 2 or 3 numbers")
+    for i, row in enumerate(pts):
+        if not isinstance(row, list) or len(row) != width:
+            raise ParseError(f"points[{i}]: mixed dimensionality")
+    # the type set is one pass in C; the per-value scan below runs only on failure
+    points = None
+    if set(map(type, itertools.chain.from_iterable(pts))) <= {int, float}:
+        try:
+            points = np.array(pts, dtype=float)
+        except OverflowError:   # an integer beyond the float range
+            pass
+    if points is None or not np.isfinite(points).all():
+        i = next(i for i, row in enumerate(pts) if not all(map(json_finite_number, row)))
+        raise ParseError(f"points[{i}]: non-finite or non-numeric coordinate in {pts[i]!r}")
+    return TimedTrajectory(points, fps, start_frame)
 
 
 def brute_trajectory_text(traj: TimedTrajectory, fmt: str) -> str:

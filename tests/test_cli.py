@@ -287,6 +287,11 @@ class TestEvaluate:
         ({"frames": [3, 4], "scores": 2.0}, '"scores"'),
         ({"frames": [3], "n_frames": "200"}, '"n_frames"'),
         ({"frames": [3], "method": "fast"}, '"method"'),
+        ({"frames": [3], "method": 0}, '"method"'),
+        ({"frames": [3], "method": False}, '"method"'),
+        ({"frames": [3], "method": ""}, '"method"'),
+        ({"frames": [3], "method": []}, '"method"'),
+        ({"frames": [3], "method": {}}, '"method"'),
         ({"frames": [3], "shortfall": "nope"}, '"shortfall"'),
         ({"frames": [3], "shortfall": 0}, '"shortfall"'),
         ({"frames": [3], "shortfall": []}, '"shortfall"'),
@@ -569,3 +574,47 @@ def test_video_length_of_2_62_is_accepted(tmp_path):
     truth.write_text(json.dumps({"keyframes": [5], "n_frames": 2**62}))
     assert run("evaluate", "--pred", str(pred), "--truth", str(truth),
                "-o", str(tmp_path / "r.json")) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_extract_leaves_numpy_ma_unloaded(tmp_path, fmt):
+    # np.percentile imports numpy.ma on its first call; no stage of extract needs it
+    assert run("synth", "--kind", "piecewise_signing", "--segments", "2", "--dur", "1",
+               "--noise", "0.001", "--format", fmt, "--out", str(tmp_path / "clip")) == 0
+    argv = ["extract", str(tmp_path / f"clip.{fmt}"), "--count", "2",
+            "-o", str(tmp_path / "kf.json")]
+    code = f"import sys, trajkf.cli; trajkf.cli.main({argv!r}); print('numpy.ma' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(trajkf.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
+    assert json.loads((tmp_path / "kf.json").read_text())["frames"]
+
+
+def write_helix(path, scale):
+    """600 samples of x = cos 3t, y = sin 3t, z = t/10 at 60 fps, times ``scale``."""
+    t = np.arange(600) / 60.0
+    pts = np.column_stack([np.cos(3 * t), np.sin(3 * t), t / 10]) * scale
+    path.write_text("frame,x,y,z\n" + "".join(f"{i},{x!r},{y!r},{z!r}\n"
+                                              for i, (x, y, z) in enumerate(pts.tolist())))
+
+
+def test_overflowing_coordinates_exit_2_naming_file(tmp_path, capsys, recwarn):
+    # |d1 x d2| squares past the float range
+    path = tmp_path / "huge.csv"
+    write_helix(path, 1e80)
+    assert run("extract", str(path), "--count", "5") == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "coordinates too large" in err
+    assert not recwarn.list
+
+
+def test_large_coordinates_that_do_not_overflow_keep_their_keyframes(tmp_path, recwarn):
+    path, out = tmp_path / "large.csv", tmp_path / "kf.json"
+    write_helix(path, 1e70)
+    assert run("extract", str(path), "--count", "5", "-o", str(out)) == 0
+    assert json.loads(out.read_text()) == {   # nothing overflows, so nothing changes
+        "method": "mt", "frames": [429, 487, 529, 569, 587],
+        "scores": [2.79424262e-11, 3.13200854e-11, 3.08921499e-11, 0.155304772, 2.7336633e-11],
+        "shortfall": False, "n_frames": 600}
+    assert not recwarn.list

@@ -22,14 +22,16 @@ class TestFitPlanes:
         pts = np.cumsum(rng.normal(size=(200, 3)), axis=0)
         intervals = [SigningInterval(0, 0), SigningInterval(0, 11), SigningInterval(5, 7),
                      SigningInterval(40, 120), SigningInterval(100, 199)]
-        for itv, got in zip(intervals, fit_planes(pts, intervals, 0.02)):
+        errors, bases, centroids = fit_planes(pts, intervals)
+        assert errors.shape == (5,) and bases.shape == (5, 2, 3) and centroids.shape == (5, 3)
+        for itv, error, basis, centroid in zip(intervals, errors, bases, centroids):
             want = fit_plane(pts[itv.start : itv.end + 1], 0.02)
-            assert got.fitting_error == want.fitting_error
-            assert got.is_planar == want.is_planar
-            assert np.array_equal(got.basis, want.basis)
-            assert np.array_equal(got.centroid, want.centroid)
+            assert error == want.fitting_error
+            assert (error < 0.02) == want.is_planar
+            assert np.array_equal(basis, want.basis)
+            assert np.array_equal(centroid, want.centroid)
             if itv.length >= 3:
-                assert got.fitting_error == pytest.approx(
+                assert error == pytest.approx(
                     dense_svd_fitting_error(pts[itv.start : itv.end + 1]), rel=1e-9)
 
     def test_interval_outside_points_rejected(self):

@@ -317,3 +317,61 @@ class TestPipelineInvariants:
         assert len(pooled) > 5
         assert list(zip(got.frames, got.scores)) == sorted(pooled[:count])
         assert got.shortfall == (len(pooled) < count)
+
+
+class TestMotionProfile:
+    """extract_keyframes differentiates the smoothed trajectory once; the
+    threshold, the detection and the merit share that stack and its speed."""
+
+    @pytest.fixture(scope="class")
+    def clip(self):
+        from trajkf import CurveSpec, generate
+
+        return generate(CurveSpec(kind="piecewise_signing", radius=0.25, duration=1.0,
+                                  rest_duration=0.5, n_segments=3, noise_sigma=0.001,
+                                  fps=60.0), seed=20)
+
+    @pytest.mark.parametrize("case", ["mt_detected", "mt_supplied", "two_dim", "k3ds",
+                                      "user_threshold"])
+    def test_one_differentiate_call(self, monkeypatch, clip, case):
+        import trajkf.merit
+        import trajkf.pipeline
+        import trajkf.selection
+        from trajkf import extract_keyframes
+
+        calls = []   # each module's own attribute, as the benchmark's tracer wraps them
+        for module in (trajkf.pipeline, trajkf.selection, trajkf.merit):
+            def counting(*args, _differentiate=module.differentiate, **kwargs):
+                calls.append(args)
+                return _differentiate(*args, **kwargs)
+
+            monkeypatch.setattr(module, "differentiate", counting)
+        traj, options = clip.trajectory, {}
+        if case == "mt_supplied":
+            options["intervals"] = list(clip.intervals)
+        elif case == "two_dim":
+            traj = TimedTrajectory(traj.points[:, :2], traj.frame_rate)
+        elif case == "k3ds":
+            options["method"] = MeritMethod.KAPPA3DS
+        elif case == "user_threshold":
+            options["speed_threshold"] = 0.05
+        keys = extract_keyframes(traj, count=5, **options)
+        assert len(calls) == 1 and len(keys.frames) == 5
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_threshold_is_a_twentieth_of_numpy_percentile(self, data):
+        from trajkf import default_speed_threshold, differentiate, speed
+
+        n, dim = data.draw(st.integers(3, 3000)), data.draw(st.sampled_from([2, 3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        style = data.draw(st.sampled_from(["ties", "walk", "mostly_rest"]))
+        if style == "ties":   # few distinct speeds
+            pts = rng.integers(-2, 3, (n, dim)).astype(float)
+        elif style == "walk":
+            pts = np.cumsum(rng.normal(size=(n, dim)), axis=0)
+        else:
+            pts = np.cumsum(rng.normal(size=(n, dim)) * (rng.random((n, 1)) < 0.03), axis=0)
+        traj = TimedTrajectory(pts, data.draw(st.sampled_from([1.0, 29.97, 60.0])))
+        want = 0.05 * float(np.percentile(speed(differentiate(traj, 1)), 95))
+        assert default_speed_threshold(traj).hex() == want.hex()

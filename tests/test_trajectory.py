@@ -1,6 +1,8 @@
 """Tests for trajectory containers, file I/O, smoothing, and differentiation."""
 
+import gc
 import io
+import json
 import math
 import os
 import tracemalloc
@@ -24,7 +26,8 @@ from trajkf import (
     save_trajectory,
     speed,
 )
-from oracles import brute_load_csv, brute_trajectory_text, random_rotation
+import trajkf.trajectory
+from oracles import brute_load_csv, brute_load_json, brute_trajectory_text, random_rotation
 
 
 def make_traj(points, fps=60.0, start=0):
@@ -257,6 +260,73 @@ def test_writer_bytes_equal_per_value_writer(fmt, dim):
     out = io.StringIO()
     save_trajectory(traj, out, fmt)
     assert out.getvalue() == brute_trajectory_text(traj, fmt)
+
+
+def json_outcome(load, text):
+    """Points bytes, shape, frame rate and start frame, or the exception's type and text."""
+    try:
+        traj = load(text)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return traj.points.tobytes(), traj.points.shape, traj.frame_rate, traj.start_frame
+
+
+# JSON numbers at the edges of the float range: ints past it (2**1024 - 2**970 is
+# the first that rounds up out of it), subnormals, signed zero
+EDGE_NUMBERS = [0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, 2**53 + 1, -(2**64),
+                2**1024 - 2**970 - 1, 2**1024 - 2**970, -(10**400), float("nan"), float("inf")]
+
+
+class TestJsonLoaderMatchesOracle:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_points_or_same_error(self, data):
+        number = st.one_of(st.floats(), st.integers(-(2**70), 2**70),
+                           st.sampled_from(EDGE_NUMBERS))
+        width = data.draw(st.sampled_from([2, 3]))
+        points = data.draw(st.lists(st.lists(number, min_size=width, max_size=width),
+                                    min_size=1, max_size=6))
+        bad = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                        st.lists(number, max_size=2), number)
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(points) - 1))
+            how = data.draw(st.sampled_from(["value", "width", "row"]))
+            if how == "row":
+                points[i] = data.draw(bad)
+            elif how == "width":
+                points[i] = data.draw(st.lists(number, max_size=4))
+            elif isinstance(points[i], list) and points[i]:
+                points[i][data.draw(st.integers(0, len(points[i]) - 1))] = data.draw(bad)
+        text = json.dumps({"fps": 30, "start_frame": 4, "points": points})
+        assert json_outcome(lambda t: load_trajectory(io.StringIO(t), "json"), text) \
+            == json_outcome(brute_load_json, text)
+
+    def test_collector_paused_while_the_lists_live(self, monkeypatch):
+        states = []
+        parse = trajkf.trajectory.parse_json
+
+        def recording(text):
+            states.append(gc.isenabled())
+            return parse(text)
+
+        monkeypatch.setattr(trajkf.trajectory, "parse_json", recording)
+        load_trajectory(io.StringIO('{"fps": 60, "points": [[1, 2], [3, 4]]}'), "json")
+        assert states == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("text", ['{"fps": 60, "points": [[1, 2], [3, 4], [5, 6]]}',
+                                      '{"fps": 60, "points": [[1, 2], [3, "x"]]}',
+                                      '{"fps": 60, "points": [[1, 2], '])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, text, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                load_trajectory(io.StringIO(text), "json")
+            except ParseError:
+                pass
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
 
 class TestAnnotations:
