@@ -1,7 +1,6 @@
 """Command-line entry point: extract, evaluate, and synth subcommands.
 
-Exit codes: 0 success, 1 usage error, 2 input validation or I/O failure,
-3 internal invariant violation.
+Exit codes: 0 success, 1 usage error, 2 input validation or I/O failure.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .selection import (
 )
 from .synthetic import CURVE_KINDS, PHASE_KINDS, CurveSpec, generate
 from .trajectory import (
+    FRAME_RATES,
     MAX_N_FRAMES,
     Annotations,
     ParseError,
@@ -40,7 +40,6 @@ from .trajectory import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
-EXIT_INTERNAL = 3
 
 METHOD_CHOICES = [m.value for m in MeritMethod]
 
@@ -94,14 +93,15 @@ def _parse_float_list(text: str, flag: str, positive: bool = False) -> list[floa
 def cmd_extract(args) -> int:
     if (args.count is None) == (args.r_c is None):
         raise ValueError("exactly one of --count and --r-c must be given")
-    for flag, value, positive in [("--count", args.count, True),
-                                  ("--fps", args.fps, True), ("--r-c", args.r_c, True),
+    for flag, value, positive in [("--count", args.count, True), ("--r-c", args.r_c, True),
                                   ("--sigma", args.sigma, False),
                                   ("--f-error", args.f_error, False),
                                   ("--speed-threshold", args.speed_threshold, False),
                                   ("--min-gap", args.min_gap, True),
                                   ("--min-len", args.min_len, True)]:
         _check(flag, value, positive)
+    if not FRAME_RATES[0] <= args.fps <= FRAME_RATES[1]:
+        raise ValueError("--fps must lie in [%g, %g], got %r" % (*FRAME_RATES, args.fps))
     fmt = args.format or ("json" if args.input.endswith(".json") else "csv")
     traj = _read(args.input, load_trajectory, fmt, args.fps)
 
@@ -321,9 +321,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:   # ParseError is a ValueError
         print(f"trajkf: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except AssertionError as exc:
-        print(f"trajkf: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -91,21 +91,19 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
     return DescriptorCurve(vals, kind, mask)
 
 
-def descriptor_kernel(
-    d: DerivativeStack, rate: bool, torsion: bool = False
-) -> tuple[np.ndarray, DescriptorCurve, DescriptorCurve | None]:
-    """Speed, curvature and (with ``torsion``, else None) torsion magnitude.
+def descriptor_kernel(d: DerivativeStack, v: np.ndarray, rate: bool, torsion: bool = False
+                      ) -> tuple[DescriptorCurve, DescriptorCurve | None]:
+    """Curvature and (with ``torsion``, else None) torsion magnitude.
 
     The one kernel behind curvature_s/_t, torsion_s/_t and the merit engine;
-    speed and d1 x d2 are computed once.  ``rate`` selects the time
-    parameterization (K, |T|) over arc length (kappa, |tau|).
+    ``v`` is the speed of ``d``, and d1 x d2 is computed once.  ``rate`` selects
+    the time parameterization (K, |T|) over arc length (kappa, |tau|).
     """
     if torsion and d.dim != 3:
         raise ValueError("torsion is a 3-D notion; got a 2-D derivative stack")
     if d.d2 is None or (torsion and d.d3 is None):
         what = "torsion needs third" if torsion else "curvature needs second"
         raise ValueError(f"{what} derivatives")
-    v = speed(d)
     if d.dim == 2:
         cross_vec = None
         cross_mag = np.abs(d.d1[:, 0] * d.d2[:, 1] - d.d1[:, 1] * d.d2[:, 0])
@@ -117,30 +115,30 @@ def descriptor_kernel(
         else (CurveKind.KAPPA_S_3D if d.dim == 3 else CurveKind.KAPPA_S_2D)
     curvature = _masked_ratio(cross_mag, v**2 if rate else v**3, moving, kind)
     if not torsion:
-        return v, curvature, None
+        return curvature, None
     num = np.abs(np.einsum("ij,ij->i", cross_vec, d.d3))
     if rate:
         num = num * v
     tau = _masked_ratio(num, cross_mag**2, moving & (cross_mag >= CROSS_EPS),
                         CurveKind.T_T if rate else CurveKind.TAU_S)
-    return v, curvature, tau
+    return curvature, tau
 
 
 def curvature_s(d: DerivativeStack) -> DescriptorCurve:
     """Arc-length curvature per sample; masked where the speed degenerates."""
-    return descriptor_kernel(d, rate=False)[1]
+    return descriptor_kernel(d, speed(d), rate=False)[0]
 
 
 def curvature_t(d: DerivativeStack) -> DescriptorCurve:
     """Time-parameterized curvature (instantaneous turning rate, 1/s)."""
-    return descriptor_kernel(d, rate=True)[1]
+    return descriptor_kernel(d, speed(d), rate=True)[0]
 
 
 def torsion_s(d: DerivativeStack) -> DescriptorCurve:
     """Arc-length torsion magnitude; 3-D only, masked where curvature degenerates."""
-    return descriptor_kernel(d, rate=False, torsion=True)[2]
+    return descriptor_kernel(d, speed(d), rate=False, torsion=True)[1]
 
 
 def torsion_t(d: DerivativeStack) -> DescriptorCurve:
     """Time-parameterized torsion magnitude (twist rate, 1/s); 3-D only."""
-    return descriptor_kernel(d, rate=True, torsion=True)[2]
+    return descriptor_kernel(d, speed(d), rate=True, torsion=True)[1]

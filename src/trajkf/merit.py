@@ -7,8 +7,8 @@ descriptors (arc-length curvature in 2-D/3-D, time-parameterized curvature
 in 2-D/3-D) share the same curve representation so one selection stage
 serves all of them.
 
-``segmented_merit`` computes all intervals' curves in one pass, laid end to
-end as one segmented curve, and ``merit_curves`` splits it per interval.
+``segmented_merit`` lays all intervals end to end (``segment_layout``) and
+computes their curves in one pass; ``merit_curves`` splits it per interval.
 ``merit_curve`` is its one-interval case, kept for the benchmark tracer
 (``perfbench/tracing.py``) that wraps it.
 """
@@ -24,7 +24,6 @@ from . import geometry
 from .geometry import BRANCH_NONPLANAR, BRANCH_PLANAR, CurveKind, DescriptorCurve
 # fit_plane and project_to_plane stay importable here for perfbench/tracing.py
 from .planarity import DEFAULT_F_ERROR, fit_plane, fit_planes, project_to_plane  # noqa: F401
-from .planarity import segment_layout
 from .trajectory import MIN_SAMPLES, DerivativeStack, SigningInterval, TimedTrajectory
 from .trajectory import differentiate, speed
 
@@ -62,6 +61,14 @@ def harmonic_mean_curve(k: DescriptorCurve, t_abs: DescriptorCurve) -> Descripto
     return DescriptorCurve(vals, CurveKind.H_T, mask)
 
 
+def segment_layout(intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets and lengths of the intervals laid end to end, and each slot's sample index."""
+    lengths = np.array([itv.length for itv in intervals], dtype=np.intp)
+    offsets = np.cumsum(lengths) - lengths
+    starts = np.array([itv.start for itv in intervals], dtype=np.intp)
+    return offsets, lengths, np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+
+
 def merit_order(method: MeritMethod, traj: TimedTrajectory) -> int:
     """Derivative order segmented_merit needs: 3 to plane-fit MT on 3-D input, if long enough."""
     fit = method is MeritMethod.MT and traj.dim == 3
@@ -71,9 +78,10 @@ def merit_order(method: MeritMethod, traj: TimedTrajectory) -> int:
 def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                     method: MeritMethod, f_error: float = DEFAULT_F_ERROR,
                     speed_threshold: float = 0.0, d: DerivativeStack | None = None,
-                    v: np.ndarray | None = None) -> tuple[DescriptorCurve, list[str | None]]:
+                    v: np.ndarray | None = None) -> tuple[DescriptorCurve, list, np.ndarray]:
     """All intervals' descriptor curves under ``method``, laid end to end as
-    the segments of one curve (``segment_layout``), and each one's branch.
+    the segments of one curve (``segment_layout``), each one's branch, and the
+    trajectory sample of every curve slot.
 
     For MeritMethod.MT on 3-D input each interval's points are plane-fitted.
     Planar intervals are ranked by the turn rate of the motion projected onto
@@ -86,33 +94,33 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     ``speed_threshold`` are masked too; masked entries are stored as 0.
     One pass over the N laid-out samples, O(N log N) for the percentile sort.
     ``d`` is ``differentiate(traj, merit_order(method, traj))`` and ``v`` its
-    speed, each computed when not given.  A non-planar interval raises
-    ValueError if the trajectory is too short for third derivatives.
+    speed, each computed when not given; the kernels read ``v``, bar the one
+    over a 3-D trajectory's first two coordinates.  A non-planar interval
+    raises ValueError if the trajectory is too short for third derivatives.
     """
     n = traj.n_samples
     for itv in intervals:
         if itv.end >= n:
             raise ValueError(
                 f"interval [{itv.start}, {itv.end}] outside trajectory of {n} samples")
+    offsets, lengths, rows = segment_layout(intervals)
     if not intervals:   # an empty curve; its kind is moot
-        return DescriptorCurve(np.zeros(0), CurveKind.M_T, np.zeros(0, dtype=bool)), []
+        return DescriptorCurve(np.zeros(0), CurveKind.M_T, np.zeros(0, dtype=bool)), [], rows
     if method in (MeritMethod.K3DT, MeritMethod.KAPPA3DS) and traj.dim != 3:
         raise ValueError(f"method {method.value} needs a 3-D trajectory")
 
     fit = method is MeritMethod.MT and traj.dim == 3
     d = differentiate(traj, merit_order(method, traj)) if d is None else d
-    offsets, lengths, rows = segment_layout(intervals)
-    v = (speed(d) if v is None else v)[rows]
+    v = speed(d) if v is None else v
     branches = [BRANCH_PLANAR if method is MeritMethod.MT else None] * len(intervals)
     if not fit:   # one kernel over the whole trajectory
-        shape = d
-        if method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3:
-            shape = DerivativeStack(d.d1[:, :2], d.d2[:, :2])
+        xy = method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3
+        shape = DerivativeStack(d.d1[:, :2], d.d2[:, :2]) if xy else d   # with its own speed
         rate = method not in (MeritMethod.KAPPA2DS, MeritMethod.KAPPA3DS)
-        base = geometry.descriptor_kernel(shape, rate)[1]
+        base = geometry.descriptor_kernel(shape, speed(shape) if xy else v, rate)[0]
         values, mask = base.values[rows], base.valid_mask[rows]
     else:   # one kernel over the projected planar samples, one over the rest
-        errors, bases, _ = fit_planes(traj.points, intervals)
+        errors, bases, _ = fit_planes(traj.points[rows], offsets, lengths)
         planar = errors < f_error
         flat = np.repeat(planar, lengths)
         values, mask = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
@@ -128,13 +136,13 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                 raise ValueError(f"need at least {MIN_SAMPLES[3]} samples for order 3, got {n}")
             hr = rows[~flat]
             h = harmonic_mean_curve(*geometry.descriptor_kernel(
-                DerivativeStack(d.d1[hr], d.d2[hr], d.d3[hr]), rate=True, torsion=True)[1:])
-            cut = TORSION_SPEED_FRACTION * segment_percentile(v[~flat], lengths[~planar], 95)
+                DerivativeStack(d.d1[hr], d.d2[hr], d.d3[hr]), v[hr], True, torsion=True))
+            cut = TORSION_SPEED_FRACTION * segment_percentile(v[hr], lengths[~planar], 95)
             values[~flat] = h.values
-            mask[~flat] = h.valid_mask & (v[~flat] >= np.repeat(cut, lengths[~planar]))
-    mask = mask & (v >= speed_threshold) if speed_threshold > 0 else mask
+            mask[~flat] = h.valid_mask & (v[hr] >= np.repeat(cut, lengths[~planar]))
+    mask = mask & (v[rows] >= speed_threshold) if speed_threshold > 0 else mask
     kind = CurveKind.M_T if method is MeritMethod.MT else base.kind
-    return DescriptorCurve(values, kind, mask, offsets=offsets), branches
+    return DescriptorCurve(values, kind, mask, offsets=offsets), branches, rows
 
 
 def merit_curves(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
@@ -142,7 +150,7 @@ def merit_curves(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                  speed_threshold: float = 0.0) -> list[DescriptorCurve]:
     """segmented_merit's curve split into one curve per interval, each with its
     ``branch``: one pass over all intervals laid end to end, O(N log N)."""
-    curve, branches = segmented_merit(traj, intervals, method, f_error, speed_threshold)
+    curve, branches, _ = segmented_merit(traj, intervals, method, f_error, speed_threshold)
     bounds = [*curve.offsets.tolist(), len(curve)]
     return [DescriptorCurve(curve.values[a:b], curve.kind, curve.valid_mask[a:b], branch)
             for a, b, branch in zip(bounds, bounds[1:], branches)]

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 # merit_curve stays importable here for perfbench/tracing.py
-from .merit import MeritMethod, merit_curve, merit_order, segmented_merit  # noqa: F401
-from .planarity import DEFAULT_F_ERROR, segment_layout
+from .merit import DEFAULT_F_ERROR, MeritMethod, merit_curve, merit_order  # noqa: F401
+from .merit import segmented_merit
 from .selection import (
     DEFAULT_MIN_GAP,
     DEFAULT_MIN_LEN,
@@ -40,11 +41,11 @@ def extract_keyframes(
     The trajectory is smoothed and differentiated once; that stack and its
     speed feed the threshold, the interval detection (unless intervals are
     supplied, e.g. from an annotation file) and one segmented_merit pass that
-    lays every interval's merit curve end to end.  One find_peaks call takes
-    the peaks of all of them, ranked globally by prominence.  Frames slower
-    than the speed threshold never become candidates, so rest frames inside
-    annotated intervals stay excluded.  Frames in the result are sample
-    indices into ``traj``.  Raises FloatingPointError if the arithmetic overflows.
+    lays each distinct interval's merit curve end to end.  One find_peaks call
+    takes their peaks, ranked globally by prominence, each once per copy of its
+    interval.  Frames slower than the speed threshold never become candidates,
+    so rest frames inside annotated intervals stay excluded.  Frames in the
+    result are sample indices into ``traj``.  Raises FloatingPointError on overflow.
     """
     smoothed = gaussian_smooth(traj, sigma)
     with np.errstate(over="raise", invalid="raise"):
@@ -57,7 +58,11 @@ def extract_keyframes(
         if intervals is None:
             intervals = detect_intervals(smoothed, threshold, min_gap, min_len, v) \
                 if threshold > 0 else []
-        curve, _ = segmented_merit(smoothed, intervals, method, f_error, threshold, d, v)
+        copies = Counter(intervals)   # each distinct interval and its number of copies
+        curve, _, rows = segmented_merit(smoothed, list(copies), method, f_error, threshold, d, v)
     peaks = find_peaks(curve)
-    frames = segment_layout(intervals)[2][[p.frame for p in peaks]]   # curve to trajectory
-    return select_keyframes(frames, [p.prominence for p in peaks], count, method=method)
+    at = np.array([p.frame for p in peaks], dtype=np.intp)
+    # each candidate at its trajectory sample, once per copy of its interval
+    times = np.fromiter(copies.values(), np.intp)[np.searchsorted(curve.offsets, at, "right") - 1]
+    return select_keyframes(np.repeat(rows[at], times),
+                            np.repeat([p.prominence for p in peaks], times), count, method=method)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import SigningInterval, TimedTrajectory
+from .trajectory import TimedTrajectory
 
 DEFAULT_F_ERROR = 5e-2
 
@@ -27,34 +27,19 @@ class PlanarityResult:
     centroid: np.ndarray   # (3,)
 
 
-def segment_layout(intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offsets and lengths of the intervals laid end to end, and each slot's sample index."""
-    lengths = np.array([itv.length for itv in intervals], dtype=np.intp)
-    offsets = np.cumsum(lengths) - lengths
-    starts = np.array([itv.start for itv in intervals], dtype=np.intp)
-    return offsets, lengths, np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+def fit_planes(seg, offsets, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit a plane by PCA to each non-empty segment of (N, 3) points ``seg``.
 
-
-def fit_planes(points, intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fit a plane by PCA to each inclusive interval of a 3-D point sequence.
-
-    Returns PlanarityResult's fields as arrays: errors (I,), bases (I, 2, 3)
-    and centroids (I, 3).  One batch: per-interval centroids and the six
-    distinct covariance terms are summed segment-wise, then the stacked
-    (I, 3, 3) covariances go through a single SVD.  Point sets of size <= 2
-    (and exactly collinear sets) always lie in a plane, with fitting error 0.
+    ``offsets`` and ``lengths`` lay the segments out as merit.segment_layout
+    does; the caller checks them.  Returns PlanarityResult's fields as arrays:
+    errors (I,), bases (I, 2, 3) and centroids (I, 3).  One batch: per-segment
+    centroids and the six distinct covariance terms are summed segment-wise,
+    then the stacked (I, 3, 3) covariances go through a single SVD.  Point
+    sets of size <= 2 (and exactly collinear sets) always lie in a plane, with
+    fitting error 0.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must be an (N, 3) array")
-    if not intervals:
-        return np.zeros(0), np.zeros((0, 2, 3)), np.zeros((0, 3))
-    offsets, lengths, rows = segment_layout(intervals)
-    if rows.max() >= pts.shape[0]:
-        raise ValueError(f"interval outside the {pts.shape[0]} points")
-    seg = pts[rows]
     centroids = np.add.reduceat(seg, offsets, axis=0) / lengths[:, None]
-    seg -= np.repeat(centroids, lengths, axis=0)
+    seg = seg - np.repeat(centroids, lengths, axis=0)
     cov = np.empty((len(lengths), 3, 3))
     for a in range(3):
         for b in range(a, 3):
@@ -74,8 +59,11 @@ def fit_planes(points, intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def fit_plane(points, f_error: float = DEFAULT_F_ERROR) -> PlanarityResult:
-    """Fit a plane through a 3-D point set by PCA: fit_planes on one interval."""
-    (error,), (basis,), (centroid,) = fit_planes(points, [SigningInterval(0, len(points) - 1)])
+    """Fit a plane through a 3-D point set by PCA: fit_planes on one segment."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 3:
+        raise ValueError(f"points must be a non-empty (N, 3) array, got shape {pts.shape}")
+    (error,), (basis,), (centroid,) = fit_planes(pts, np.zeros(1, np.intp), np.array([len(pts)]))
     return PlanarityResult(float(error), bool(error < f_error), basis, centroid)
 
 

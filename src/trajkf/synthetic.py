@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import SPEED_EPS, CurveKind, DescriptorCurve
-from .trajectory import SigningInterval, TimedTrajectory
+from .trajectory import FRAME_RATES, SigningInterval, TimedTrajectory
 
 CURVE_KINDS = ("circle", "helix", "line", "planar_polynomial", "piecewise_signing")
 PHASE_KINDS = ("linear", "quadratic", "burst")
@@ -44,8 +44,8 @@ class CurveSpec:
     planar, untilted curve as a genuinely 2-D trajectory.
 
     Every number must be finite.  ``radius``, ``n_bursts``, ``duration``,
-    ``fps``, ``n_segments`` and ``rest_duration`` must be positive and
-    ``noise_sigma`` non-negative; ``n_bursts`` is at most ``duration * fps``.
+    ``n_segments`` and ``rest_duration`` must be positive, ``fps`` in FRAME_RATES
+    and ``noise_sigma`` non-negative; ``n_bursts`` is at most ``duration * fps``.
     """
 
     kind: str
@@ -78,6 +78,8 @@ class CurveSpec:
         for name in ("radius", "n_bursts", "duration", "fps", "n_segments", "rest_duration"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not FRAME_RATES[0] <= self.fps <= FRAME_RATES[1]:
+            raise ValueError("fps must lie in [%g, %g], got %r" % (*FRAME_RATES, self.fps))
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not _finite(self.duration * self.fps, self.rest_duration * self.fps):

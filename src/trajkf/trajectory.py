@@ -47,7 +47,7 @@ class TimedTrajectory:
     Attributes:
         points: (N, D) array of positions, D in {2, 3}; units are whatever the
             source provides (pixels or meters).
-        frame_rate: samples per second, > 0.
+        frame_rate: samples per second, within FRAME_RATES.
         start_frame: video frame index of sample 0.  Sample n occurs at time
             (start_frame + n) / frame_rate.
     """
@@ -62,8 +62,8 @@ class TimedTrajectory:
             raise ValueError("points must be a non-empty (N, D) array")
         if pts.shape[1] not in (2, 3):
             raise ValueError(f"dimensionality must be 2 or 3, got {pts.shape[1]}")
-        if not self.frame_rate > 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
+        if not FRAME_RATES[0] <= self.frame_rate <= FRAME_RATES[1]:
+            raise ValueError("frame_rate %r is outside [%g, %g]" % (self.frame_rate, *FRAME_RATES))
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "frame_rate", float(self.frame_rate))
         object.__setattr__(self, "start_frame", int(self.start_frame))
@@ -177,6 +177,8 @@ def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
 
 
 MIN_SAMPLES = {1: 3, 2: 4, 3: 7}   # fewest samples per derivative order
+# the rates whose step h = 1/rate has a finite normal h**3 (to 3 digits), as differentiate needs
+FRAME_RATES = (1.78e-103, 3.55e102)
 
 
 def differentiate(traj: TimedTrajectory, order_max: int = 3) -> DerivativeStack:
@@ -425,8 +427,8 @@ def _load_json(text: str) -> TimedTrajectory:
     if not isinstance(obj, dict) or "fps" not in obj or "points" not in obj:
         raise ParseError('trajectory JSON must contain "fps" and "points"')
     fps = obj["fps"]
-    if not (json_finite_number(fps) and fps > 0):
-        raise ParseError('"fps" must be a finite positive number')
+    if not (json_finite_number(fps) and FRAME_RATES[0] <= fps <= FRAME_RATES[1]):
+        raise ParseError('"fps" must be a number in [%g, %g], got %r' % (*FRAME_RATES, fps))
     start_frame = obj.get("start_frame", 0)
     if type(start_frame) is not int or start_frame < 0:
         raise ParseError('"start_frame" must be a non-negative integer')

@@ -35,14 +35,19 @@ from trajkf import (
     complexity_metric,
     curvature_s,
     curvature_t,
+    default_speed_threshold,
     differentiate,
+    find_peaks,
     fit_plane,
+    gaussian_smooth,
     harmonic_mean_curve,
     project_to_plane,
     score,
+    select_keyframes,
     speed,
     torsion_t,
 )
+from trajkf.merit import segmented_merit
 from trajkf.trajectory import float9, json_finite_number, parse_json
 
 
@@ -371,3 +376,16 @@ def brute_trajectory_text(traj: TimedTrajectory, fmt: str) -> str:
         "points": [[float(f"{v:.9g}") for v in row] for row in traj.points],
     }
     return json.dumps(obj, indent=2) + "\n"
+
+
+def extract_every_copy(traj, intervals, method, count, sigma=2.0):
+    """extract_keyframes on supplied intervals as it ran while every listed
+    interval, repeats included, was laid out and scored: one segment per copy,
+    and each copy's candidates found on its own segment."""
+    smoothed = gaussian_smooth(traj, sigma)
+    with np.errstate(over="raise", invalid="raise"):
+        threshold = default_speed_threshold(smoothed)
+        curve, _, rows = segmented_merit(smoothed, intervals, method, speed_threshold=threshold)
+    peaks = find_peaks(curve)
+    frames = rows[[p.frame for p in peaks]]
+    return select_keyframes(frames, [p.prominence for p in peaks], count, method=method)

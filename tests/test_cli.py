@@ -155,8 +155,13 @@ class TestExtract:
     @pytest.mark.parametrize("payload,where", [
         ({"fps": "60"}, '"fps"'),
         ({"fps": True}, '"fps"'),
+        ({"fps": 1e-200}, '"fps"'),
+        ({"fps": 1e-320}, '"fps"'),
+        ({"fps": 1e110}, '"fps"'),
+        ({"fps": 1e300}, '"fps"'),
         ({"start_frame": 2.5}, '"start_frame"'),
         ({"start_frame": "3"}, '"start_frame"'),
+        ({"points": []}, '"points" must be a non-empty list'),
         ({"points": [5, 6]}, "points[0]"),
         ({"points": [[1, 2, 3], [1, "x", 1], [1, 2, 3]]}, "points[1]"),
         ({"points": [[1, 2, 3], [1, [1], 1], [1, 2, 3]]}, "points[1]"),
@@ -285,6 +290,7 @@ class TestEvaluate:
         ({"frames": [3, 4], "scores": [1.0, float("nan")]}, "scores[1]"),
         ({"frames": [3, 4], "scores": [1.0, 10**400]}, "scores[1]"),
         ({"frames": [3, 4], "scores": 2.0}, '"scores"'),
+        ({"frames": [3, 4], "scores": [1.0]}, '"scores" and "frames" lengths differ'),
         ({"frames": [3], "n_frames": "200"}, '"n_frames"'),
         ({"frames": [3], "method": "fast"}, '"method"'),
         ({"frames": [3], "method": 0}, '"method"'),
@@ -499,7 +505,8 @@ def test_output_files_get_mode_from_umask(tmp_path, small_clip, umask):
 @pytest.mark.parametrize("command,flag,value", [
     *[("extract", flag, value) for flag, value in [
         ("--sigma", "inf"), ("--sigma", "nan"), ("--sigma", "-1"),
-        ("--fps", "inf"), ("--fps", "nan"), ("--fps", "0"),
+        ("--fps", "inf"), ("--fps", "nan"), ("--fps", "0"), ("--fps", "1e-200"),
+        ("--fps", "1e-320"), ("--fps", "1e110"), ("--fps", "1e300"),
         ("--f-error", "nan"), ("--speed-threshold", "nan"), ("--speed-threshold", "-1"),
         ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "0"), ("--r-c", "1e308"),
         ("--min-gap", "0"), ("--min-len", "0")]],
@@ -507,10 +514,11 @@ def test_output_files_get_mode_from_umask(tmp_path, small_clip, umask):
         ("--delta", "inf"), ("--delta", "nan"), ("--delta", "2.7"), ("--delta", "5,-1"),
         ("--r-c", "inf"), ("--r-c", "nan"), ("--r-c", "-1"), ("--r-c", "1,0"),
         ("--r-c", "1e308"), ("--n-frames", "0"), ("--n-frames", "-5"),
-        ("--n-frames", "10000000000000000000")]],
+        ("--n-frames", "10000000000000000000"), ("--delta", "5,x"), ("--r-c", "one")]],
     *[("synth", flag, value) for flag, value in [
         ("--dur", "inf"), ("--dur", "1e308"), ("--dur", "0"), ("--rest-dur", "inf"),
-        ("--fps", "nan"), ("--fps", "1e308"), ("--a", "nan"), ("--a", "0"), ("--b", "nan"),
+        ("--fps", "nan"), ("--fps", "1e308"), ("--fps", "1e-200"), ("--a", "nan"),
+        ("--a", "0"), ("--b", "nan"),
         ("--omega", "inf"), ("--omega", "1e308"), ("--n-bursts", "0"),
         ("--n-bursts", "1" + "0" * 400), ("--noise", "nan"), ("--noise", "-1"),
         ("--noise", "1e308"), ("--segments", "0"), ("--seed", "-1")]],
@@ -618,3 +626,63 @@ def test_large_coordinates_that_do_not_overflow_keep_their_keyframes(tmp_path, r
         "scores": [2.79424262e-11, 3.13200854e-11, 3.08921499e-11, 0.155304772, 2.7336633e-11],
         "shortfall": False, "n_frames": 600}
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("fps", ["1e-200", "1e-320", "1e110", "1e300"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unusable_frame_rate_exits_2_without_warning(small_clip, tmp_path, capsys, recwarn,
+                                                     fps, fmt):
+    # the step 1/fps cubed overflows, or underflows past the normal floats
+    traj, _ = small_clip
+    argv = ["--fps", fps]
+    if fmt == "json":
+        obj = {"fps": float(fps), "points": trajkf.load_trajectory(traj).points.tolist()}
+        traj = tmp_path / "clip.json"
+        traj.write_text(json.dumps(obj))
+        argv = []
+    capsys.readouterr()
+    assert run("extract", str(traj), "--count", "3", *argv) == 2
+    err = capsys.readouterr().err
+    want = "--fps must lie in" if fmt == "csv" else f'{traj}: "fps" must be a number in'
+    assert f"{want} [1.78e-103, 3.55e+102], got " in err
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("fps,code", [("1.78e-103", 0), ("1e-50", 0), ("1e40", 0),
+                                      ("1e102", 2), ("3.55e102", 2)])
+def test_frame_rates_in_the_range_end_without_warning(small_clip, capsys, recwarn, fps, code):
+    # at the top of the range the clip's derivatives overflow: exit 2 naming the file
+    traj, _ = small_clip
+    assert run("extract", str(traj), "--count", "3", "--fps", fps) == code
+    assert (str(traj) in capsys.readouterr().err) == (code == 2)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("flag,value", [("--delta", "0,five"), ("--r-c", "1;2"),
+                                        ("--delta", "[5]")])
+def test_list_flag_that_is_not_numbers_names_flag(small_clip, tmp_path, capsys, flag, value):
+    traj, truth = small_clip
+    kf = tmp_path / "kf.json"
+    assert run("extract", str(traj), "--count", "2", "-o", str(kf)) == 0
+    assert run("evaluate", "--pred", str(kf), "--truth", str(truth), flag, value) == 2
+    assert f"{flag} expects a comma-separated list of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--delta", ""], ["--r-c", ","], ["--delta", " , "]])
+def test_empty_list_flags_rejected(small_clip, tmp_path, capsys, argv):
+    traj, truth = small_clip
+    kf = tmp_path / "kf.json"
+    assert run("extract", str(traj), "--count", "2", "-o", str(kf)) == 0
+    assert run("evaluate", "--pred", str(kf), "--truth", str(truth), *argv) == 2
+    assert "--delta and --r-c must be non-empty" in capsys.readouterr().err
+
+
+def test_empty_files_without_a_video_length_rejected(tmp_path, capsys):
+    pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
+    pred.write_text(json.dumps({"frames": []}))
+    truth.write_text(json.dumps({"keyframes": []}))
+    assert run("evaluate", "--pred", str(pred), "--truth", str(truth)) == 2
+    assert "cannot infer video length from empty files; pass --n-frames" in \
+        capsys.readouterr().err
+    assert run("evaluate", "--pred", str(pred), "--truth", str(truth),
+               "--n-frames", "50", "-o", str(tmp_path / "r.json")) == 0

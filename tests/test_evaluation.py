@@ -57,6 +57,12 @@ class TestProximityWindows:
         with pytest.raises(ValueError, match=f"keyframe {10**30} out of range"):
             score([3, 10**30, -1], [-2], delta=5, n_frames=30)
 
+    @pytest.mark.parametrize("n_frames", [0, -3, 2**62 + 1])
+    def test_video_length_outside_1_to_2_62_rejected(self, n_frames):
+        want = rf"n_frames must be positive and at most 2\*\*62, got {n_frames}"
+        with pytest.raises(ValueError, match=want):
+            score([1], [1], delta=5, n_frames=n_frames)
+
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError, match="delta"):
             score([1], [1], delta=-1, n_frames=10)
@@ -163,6 +169,10 @@ class TestComplexityMetric:
 
     def test_two_signs(self):
         assert complexity_metric([(2, 2), (1, 4)]) == pytest.approx(0.375)
+
+    def test_no_signs_rejected(self):
+        with pytest.raises(ValueError, match="per_sign_counts must be non-empty"):
+            complexity_metric([])
 
     def test_zero_annotated_count_rejected(self):
         with pytest.raises(ValueError):

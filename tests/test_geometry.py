@@ -8,9 +8,11 @@ the arc-length-route oracle in oracles.py.
 import numpy as np
 import pytest
 
+import trajkf.geometry
 from trajkf import (
     CurveKind,
     CurveSpec,
+    DescriptorCurve,
     TimedTrajectory,
     curvature_s,
     curvature_t,
@@ -228,3 +230,39 @@ class TestReparameterization:
         vals = k.values[k.valid_mask]
         # constant-speed original has constant turn rate; the warp spreads it
         assert vals.max() - vals.min() > 0.1
+
+
+class TestDescriptorKernel:
+    def test_reads_the_speed_it_is_given(self, monkeypatch):
+        d = differentiate(helix_traj().trajectory, 3)
+        v = speed(d)
+        want_k, want_tau = curvature_t(d), torsion_t(d)
+        monkeypatch.setattr(trajkf.geometry, "speed", lambda d: pytest.fail("speed computed"))
+        k, tau = trajkf.geometry.descriptor_kernel(d, v, True, torsion=True)
+        assert np.array_equal(k.values, want_k.values)
+        assert np.array_equal(tau.values, want_tau.values)
+        # twice the speed: a quarter of the turn rate, twice the twist rate, bit for bit
+        k2, tau2 = trajkf.geometry.descriptor_kernel(d, 2 * v, True, torsion=True)
+        assert np.array_equal(k2.values, k.values / 4)
+        assert np.array_equal(tau2.values, 2 * tau.values)
+        assert trajkf.geometry.descriptor_kernel(d, v, False)[1] is None
+
+    @pytest.mark.parametrize("descriptor,order,match", [
+        (curvature_s, 1, "curvature needs second derivatives"),
+        (curvature_t, 1, "curvature needs second derivatives"),
+        (torsion_s, 2, "torsion needs third derivatives"),
+        (torsion_t, 2, "torsion needs third derivatives"),
+    ])
+    def test_missing_derivatives_rejected(self, descriptor, order, match):
+        d = differentiate(helix_traj().trajectory, order)
+        with pytest.raises(ValueError, match=match):
+            descriptor(d)
+
+
+@pytest.mark.parametrize("values,mask", [
+    (np.zeros(3), np.zeros(4, dtype=bool)),
+    (np.zeros((2, 3)), np.zeros((2, 3), dtype=bool)),
+])
+def test_descriptor_curve_needs_equal_1d_values_and_mask(values, mask):
+    with pytest.raises(ValueError, match="values and valid_mask must be 1-D arrays of equal len"):
+        DescriptorCurve(values, CurveKind.M_T, mask)

@@ -109,6 +109,11 @@ def test_import_checker_sees_nested_and_relative_imports(tmp_path):
     assert imported_packages(src) == {"os", "scipy"}
 
 
+def test_plane_fit_reads_laid_out_points_not_intervals():
+    # merit.segment_layout lays the intervals out once; planarity fits what it is given
+    assert "SigningInterval" not in (SRC / "planarity.py").read_text()
+
+
 # The benchmark (perfbench/) wraps and patches these names; a refactor of
 # src/ must keep them working or the benchmark's runs fail.
 TRACING = SRC.parents[1] / "perfbench" / "tracing.py"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trajkf import SigningInterval, TimedTrajectory, fit_plane, project_to_plane
+from trajkf.merit import segment_layout
 from trajkf.planarity import fit_planes
 from oracles import random_rotation
 
@@ -22,7 +23,10 @@ class TestFitPlanes:
         pts = np.cumsum(rng.normal(size=(200, 3)), axis=0)
         intervals = [SigningInterval(0, 0), SigningInterval(0, 11), SigningInterval(5, 7),
                      SigningInterval(40, 120), SigningInterval(100, 199)]
-        errors, bases, centroids = fit_planes(pts, intervals)
+        offsets, lengths, rows = segment_layout(intervals)
+        seg = pts[rows]
+        errors, bases, centroids = fit_planes(seg, offsets, lengths)
+        assert np.array_equal(seg, pts[rows])   # the caller's points are left as they were
         assert errors.shape == (5,) and bases.shape == (5, 2, 3) and centroids.shape == (5, 3)
         for itv, error, basis, centroid in zip(intervals, errors, bases, centroids):
             want = fit_plane(pts[itv.start : itv.end + 1], 0.02)
@@ -33,10 +37,6 @@ class TestFitPlanes:
             if itv.length >= 3:
                 assert error == pytest.approx(
                     dense_svd_fitting_error(pts[itv.start : itv.end + 1]), rel=1e-9)
-
-    def test_interval_outside_points_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            fit_planes(np.zeros((10, 3)), [SigningInterval(5, 10)])
 
 
 class TestFitPlane:
@@ -104,6 +104,18 @@ class TestFitPlane:
             pts = rng.normal(size=(rng.integers(3, 50), 3)) * rng.uniform(0.1, 5, size=3)
             err = fit_plane(pts).fitting_error
             assert 0.0 <= err <= 1 / 3 + 1e-12
+
+    @pytest.mark.parametrize("points,shape", [
+        (np.zeros((0, 3)), r"\(0, 3\)"),
+        (np.zeros((5, 2)), r"\(5, 2\)"),
+        (np.zeros(3), r"\(3,\)"),
+        (np.zeros((2, 3, 1)), r"\(2, 3, 1\)"),
+        ([], r"\(0,\)"),
+    ])
+    def test_needs_a_non_empty_n_by_3_array(self, points, shape):
+        want = rf"points must be a non-empty \(N, 3\) array, got shape {shape}$"
+        with pytest.raises(ValueError, match=want):
+            fit_plane(points)
 
     def test_basis_orthonormal_and_sign_fixed(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 """Tests for interval detection, peak finding, and keyframe selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from trajkf import (
     find_peaks,
     select_keyframes,
 )
-from oracles import brute_peaks
+from oracles import brute_peaks, extract_every_copy, random_rotation
 
 
 def traj_from_steps(steps, fps=60.0):
@@ -319,6 +321,72 @@ class TestPipelineInvariants:
         assert got.shortfall == (len(pooled) < count)
 
 
+@st.composite
+def clip_and_repeated_intervals(draw):
+    """A random walk with rests, 2-D or 3-D, and 1-4 supplied intervals, each
+    listed 1-4 times, perhaps with one nested in the first, in any order."""
+    n = draw(st.integers(20, 240))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.normal(size=(n, 3)) * (rng.random((n, 1)) < 0.8)
+    steps[:, 2] *= draw(st.sampled_from([0.0, 0.05, 1.0]))
+    points = np.cumsum(steps, axis=0) @ random_rotation(rng).T
+    points = points[:, : draw(st.sampled_from([2, 3]))]
+    distinct = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, n - 1))
+        distinct.append(SigningInterval(start, draw(st.integers(start, min(n - 1, start + 150)))))
+    if draw(st.booleans()):
+        first, cut = distinct[0], distinct[0].length // 4
+        distinct.append(SigningInterval(first.start + cut, first.end - cut))
+    intervals = [itv for itv in distinct for _ in range(draw(st.integers(1, 4)))]
+    return TimedTrajectory(points, 60.0), draw(st.permutations(intervals))
+
+
+class TestRepeatedIntervals:
+    """A supplied interval listed k times is scored once and its candidates
+    counted k times: the result of scoring every copy, in a fraction of the memory."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=clip_and_repeated_intervals(), count=st.sampled_from([1, 5, 1000]))
+    def test_same_keyframes_as_scoring_every_copy(self, case, count):
+        from trajkf import extract_keyframes
+
+        traj, intervals = case
+        for method in (MeritMethod.MT, MeritMethod.K2DT, MeritMethod.KAPPA3DS):
+            if method is MeritMethod.KAPPA3DS and traj.dim == 2:
+                continue
+            got = want = None
+            try:
+                got = extract_keyframes(traj, method, count, intervals=intervals)
+            except ValueError as exc:
+                got = str(exc)
+            try:
+                want = extract_every_copy(traj, intervals, method, count)
+            except ValueError as exc:
+                want = str(exc)
+            assert got == want
+
+    def test_two_hundred_copies_cost_at_most_twice_one(self):
+        from trajkf import CurveSpec, extract_keyframes, generate
+
+        # one 5430-sample interval over 60 signs, two keyframes a sign
+        traj = generate(CurveSpec(kind="piecewise_signing", radius=0.25, duration=1.0,
+                                  rest_duration=0.5, n_segments=60, noise_sigma=0.001,
+                                  fps=60.0), seed=7).trajectory
+        whole = SigningInterval(0, traj.n_samples - 1)
+        peaks, results = [], []
+        for copies in (1, 200):
+            tracemalloc.start()
+            try:
+                results.append(extract_keyframes(traj, count=120, intervals=[whole] * copies))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+        # each candidate now stands 200 times, so fewer distinct frames fill the budget
+        assert len(results[1].frames) == 120 and set(results[1].frames) <= set(results[0].frames)
+
+
 class TestMotionProfile:
     """extract_keyframes differentiates the smoothed trajectory once; the
     threshold, the detection and the merit share that stack and its speed."""
@@ -331,13 +399,28 @@ class TestMotionProfile:
                                   rest_duration=0.5, n_segments=3, noise_sigma=0.001,
                                   fps=60.0), seed=20)
 
-    @pytest.mark.parametrize("case", ["mt_detected", "mt_supplied", "two_dim", "k3ds",
-                                      "user_threshold"])
+    CASES = ["mt_detected", "mt_supplied", "two_dim", "k3ds", "k2dt", "user_threshold"]
+
+    @staticmethod
+    def extract(clip, case):
+        from trajkf import extract_keyframes
+
+        traj, options = clip.trajectory, {}
+        if case == "mt_supplied":
+            options["intervals"] = list(clip.intervals)
+        elif case == "two_dim":
+            traj = TimedTrajectory(traj.points[:, :2], traj.frame_rate)
+        elif case in ("k3ds", "k2dt"):
+            options["method"] = MeritMethod(case)
+        elif case == "user_threshold":
+            options["speed_threshold"] = 0.05
+        return extract_keyframes(traj, count=5, **options)
+
+    @pytest.mark.parametrize("case", CASES)
     def test_one_differentiate_call(self, monkeypatch, clip, case):
         import trajkf.merit
         import trajkf.pipeline
         import trajkf.selection
-        from trajkf import extract_keyframes
 
         calls = []   # each module's own attribute, as the benchmark's tracer wraps them
         for module in (trajkf.pipeline, trajkf.selection, trajkf.merit):
@@ -346,17 +429,28 @@ class TestMotionProfile:
                 return _differentiate(*args, **kwargs)
 
             monkeypatch.setattr(module, "differentiate", counting)
-        traj, options = clip.trajectory, {}
-        if case == "mt_supplied":
-            options["intervals"] = list(clip.intervals)
-        elif case == "two_dim":
-            traj = TimedTrajectory(traj.points[:, :2], traj.frame_rate)
-        elif case == "k3ds":
-            options["method"] = MeritMethod.KAPPA3DS
-        elif case == "user_threshold":
-            options["speed_threshold"] = 0.05
-        keys = extract_keyframes(traj, count=5, **options)
+        keys = self.extract(clip, case)
         assert len(calls) == 1 and len(keys.frames) == 5
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_segment_layout(self, monkeypatch, clip, case):
+        # merit lays the intervals out once; the plane fit and the pipeline read that layout
+        import trajkf.merit
+        import trajkf.pipeline
+        import trajkf.planarity
+
+        calls = []
+        layout = trajkf.merit.segment_layout
+
+        def counting(intervals):
+            calls.append(len(intervals))
+            return layout(intervals)
+
+        for module in (trajkf.pipeline, trajkf.merit, trajkf.planarity):   # wherever it is read
+            if getattr(module, "segment_layout", None) is layout:
+                monkeypatch.setattr(module, "segment_layout", counting)
+        keys = self.extract(clip, case)
+        assert calls == [len(clip.intervals)] and len(keys.frames) == 5
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())

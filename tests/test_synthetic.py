@@ -105,6 +105,10 @@ class TestGenerate:
         ({"duration": 0.01}, "duration \\* fps"),
         ({"kind": "piecewise_signing", "duration": 0.1}, "duration \\* fps"),
         ({"segment_kinds": ("arc", "loop", "arc")}, "segment_kinds"),
+        ({"segment_kinds": ("arc", "helix")}, "segment_kinds length must equal n_segments"),
+        ({"embed": 4}, "embed must be 2 or 3"),
+        ({"fps": 1e-200, "duration": 1e201}, r"fps must lie in \[1.78e-103, 3.55e\+102\]"),
+        ({"fps": 1e110}, r"fps must lie in \[1.78e-103, 3.55e\+102\], got 1e\+110"),
     ])
     def test_invalid_specs_rejected(self, fields, match):
         with pytest.raises(ValueError, match=match):
@@ -212,6 +216,15 @@ class TestWarpTime:
         res = generate(CurveSpec(kind="circle", radius=1.0, duration=2.0, fps=60.0), seed=0)
         with pytest.raises(ValueError, match="endpoints"):
             warp_time(res.trajectory, lambda t: 0.5 * t, res.position_fn)
+
+    def test_two_dim_trajectory_warps_in_the_plane(self):
+        res = generate(CurveSpec(kind="circle", radius=1.0, duration=2.0, fps=60.0,
+                                 embed=2), seed=0)
+        span = res.trajectory.times()[-1]
+        out = warp_time(res.trajectory, lambda t: t**2 / span, res.position_fn)
+        assert out.dim == 2 and out.frame_rate == 60.0 and out.start_frame == 0
+        warped = res.trajectory.times() ** 2 / span
+        assert np.array_equal(out.points, res.position_fn(warped)[:, :2])
 
     def test_wrong_shape_warp_rejected(self):
         res = generate(CurveSpec(kind="circle", radius=1.0, duration=2.0, fps=60.0), seed=0)

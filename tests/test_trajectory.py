@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 import tracemalloc
 import warnings
 
@@ -54,6 +55,39 @@ class TestTimedTrajectory:
         with pytest.raises(ValueError):
             traj.points[0, 0] = 9.0
 
+    def test_frame_rates_keep_the_step_cube_finite_and_normal(self):
+        lo, hi = trajkf.trajectory.FRAME_RATES
+        pts = np.cumsum(np.ones((8, 3)), axis=0) ** 2
+        for rate in (lo, hi, 60.0):
+            assert sys.float_info.min <= (1 / rate) ** 3 < math.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                differentiate(make_traj(pts, fps=rate), 3)
+        # the bounds are that rule to 3 digits: one step further out breaks it
+        with pytest.raises(OverflowError):
+            (1 / 1.77e-103) ** 3
+        assert (1 / 3.56e102) ** 3 < sys.float_info.min
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, 1.77e-103, 1e-200,
+                                      1e-320, 3.56e102, 1e110, 10**400])
+    def test_frame_rate_outside_the_range_rejected(self, rate):
+        want = r"frame_rate .* is outside \[1.78e-103, 3.55e\+102\]$"
+        with pytest.raises(ValueError, match=want):
+            TimedTrajectory(np.zeros((4, 2)), rate)
+
+
+class TestContainerChecks:
+    @pytest.mark.parametrize("start,end", [(5, 3), (-1, 3)])
+    def test_interval_bounds_rejected(self, start, end):
+        with pytest.raises(ValueError, match=rf"invalid interval \[{start}, {end}\]"):
+            SigningInterval(start, end)
+
+    @pytest.mark.parametrize("name", ["d2", "d3"])
+    def test_derivative_shapes_must_match(self, name):
+        d1 = np.zeros((5, 3))
+        with pytest.raises(ValueError, match=rf"{name} shape \(4, 3\) != d1 shape \(5, 3\)"):
+            DerivativeStack(d1, **{"d2": d1, name: np.zeros((4, 3))})
+
 
 class TestTrajectoryFiles:
     def test_csv_two_dim(self):
@@ -62,6 +96,23 @@ class TestTrajectoryFiles:
         assert traj.dim == 2
         assert traj.n_samples == 3
         assert traj.start_frame == 0
+
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown trajectory format 'xml'"):
+            load_trajectory(io.StringIO("frame,x,y\n0,1,2\n"), "xml")
+        with pytest.raises(ValueError, match="unknown trajectory format 'xml'"):
+            save_trajectory(make_traj([[0, 0], [1, 1]]), tmp_path / "t.xml", "xml")
+        assert not list(tmp_path.iterdir())
+
+    def test_json_empty_points_rejected(self):
+        with pytest.raises(ParseError, match='"points" must be a non-empty list'):
+            load_trajectory(io.StringIO('{"fps": 60, "points": []}'), "json")
+
+    @pytest.mark.parametrize("fps", ["1e-200", "1e-320", "1e110", "1e300", "0", "true"])
+    def test_json_fps_outside_the_frame_rates_rejected(self, fps):
+        want = r'"fps" must be a number in \[1.78e-103, 3.55e\+102\], got '
+        with pytest.raises(ParseError, match=want):
+            load_trajectory(io.StringIO(f'{{"fps": {fps}, "points": [[1, 2], [3, 4]]}}'), "json")
 
     def test_csv_z_column_gives_3d(self):
         text = "frame,x,y,z\n4,1,2,3\n5,1,2,3\n"
@@ -356,6 +407,19 @@ class TestAnnotations:
             load_annotations(io.StringIO(
                 '{"intervals": [{"start": 1, "end": 2}, {"start": 5}]}'
             ))
+
+    def test_non_object_file_rejected(self):
+        from trajkf import load_annotations
+
+        with pytest.raises(ParseError, match="annotation file must hold a JSON object"):
+            load_annotations(io.StringIO("[1, 2]"))
+
+    def test_reversed_interval_names_index(self):
+        from trajkf import load_annotations
+
+        text = '{"intervals": [{"start": 1, "end": 2}, {"start": 5, "end": 3}]}'
+        with pytest.raises(ParseError, match=r"^intervals\[1\]: invalid interval \[5, 3\]$"):
+            load_annotations(io.StringIO(text))
 
     def test_non_integer_keyframe_rejected(self):
         from trajkf import load_annotations
