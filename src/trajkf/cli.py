@@ -18,9 +18,9 @@ from .planarity import DEFAULT_F_ERROR
 from .selection import (
     DEFAULT_MIN_GAP,
     DEFAULT_MIN_LEN,
-    KeyframeSet,
     keyframes_from_json,
     keyframes_to_json,
+    rank_order,
 )
 from .synthetic import CURVE_KINDS, PHASE_KINDS, CurveSpec, generate
 from .trajectory import (
@@ -142,16 +142,12 @@ def cmd_extract(args) -> int:
             min_gap=args.min_gap,
             min_len=args.min_len,
         )
-    except FloatingPointError as exc:   # the descriptor arithmetic overflowed
-        raise ValueError(f"{args.input}: coordinates too large ({exc})") from None
+    except FloatingPointError as exc:   # derivatives scale as powers of the frame rate
+        raise ValueError(f"{args.input}: coordinates too large for its frame rate of "
+                         f"{traj.frame_rate!r} fps ({exc})") from None
     n_frames = traj.start_frame + traj.n_samples
     _write_output(args.output, keyframes_to_json(result, traj.start_frame, n_frames))
     return EXIT_OK
-
-
-def _ranked_frames(pred: KeyframeSet) -> list[int]:
-    order = sorted(zip(pred.frames, pred.scores), key=lambda fs: (-fs[1], fs[0]))
-    return [f for f, _ in order]
 
 
 def cmd_evaluate(args) -> int:
@@ -193,7 +189,7 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"{args.truth}: interval [{itv.start}, {itv.end}] outside "
                              f"the {n_frames}-frame video")
 
-    ranked = _ranked_frames(pred)
+    ranked = [pred.frames[i] for i in rank_order(pred.frames, pred.scores).tolist()]
     if args.per_gloss:
         if not truth.intervals:
             raise ValueError(f"{args.truth}: --per-gloss needs annotated intervals")

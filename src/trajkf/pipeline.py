@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -42,10 +41,11 @@ def extract_keyframes(
     speed feed the threshold, the interval detection (unless intervals are
     supplied, e.g. from an annotation file) and one segmented_merit pass that
     lays each distinct interval's merit curve end to end.  One find_peaks call
-    takes their peaks, ranked globally by prominence, each once per copy of its
-    interval.  Frames slower than the speed threshold never become candidates,
-    so rest frames inside annotated intervals stay excluded.  Frames in the
-    result are sample indices into ``traj``.  Raises FloatingPointError on overflow.
+    takes their peaks, ranked globally by prominence; a frame where overlapping
+    intervals both peak is one candidate at its best, so keyframes are distinct.
+    Frames slower than the speed threshold never become candidates, so rest
+    frames inside annotated intervals stay excluded.  Frames in the result are
+    sample indices into ``traj``.  Raises FloatingPointError on overflow.
     """
     smoothed = gaussian_smooth(traj, sigma)
     with np.errstate(over="raise", invalid="raise"):
@@ -58,11 +58,8 @@ def extract_keyframes(
         if intervals is None:
             intervals = detect_intervals(smoothed, threshold, min_gap, min_len, v) \
                 if threshold > 0 else []
-        copies = Counter(intervals)   # each distinct interval and its number of copies
-        curve, _, rows = segmented_merit(smoothed, list(copies), method, f_error, threshold, d, v)
+        distinct = list(dict.fromkeys(intervals))   # a repeat adds no candidate, only memory
+        curve, _, rows = segmented_merit(smoothed, distinct, method, f_error, threshold, d, v)
     peaks = find_peaks(curve)
-    at = np.array([p.frame for p in peaks], dtype=np.intp)
-    # each candidate at its trajectory sample, once per copy of its interval
-    times = np.fromiter(copies.values(), np.intp)[np.searchsorted(curve.offsets, at, "right") - 1]
-    return select_keyframes(np.repeat(rows[at], times),
-                            np.repeat([p.prominence for p in peaks], times), count, method=method)
+    return select_keyframes(rows[[p.frame for p in peaks]], [p.prominence for p in peaks], count,
+                            method=method)

@@ -49,7 +49,8 @@ class Peak(NamedTuple):
 
 @dataclass(frozen=True)
 class KeyframeSet:
-    """Selected frames with their prominence scores, sorted by frame."""
+    """Selected frames with their prominence scores, sorted by frame; the frames
+    select_keyframes picks are distinct (a keyframe file's are as it lists them)."""
 
     frames: tuple[int, ...]
     scores: tuple[float, ...]
@@ -152,21 +153,29 @@ def _stack_bases(peak_values: list[float], lows: list[float], segment: list[int]
     return bases
 
 
+def rank_order(frames, scores) -> np.ndarray:
+    """Positions of ``frames`` by descending score, ties to the earlier frame and
+    then to the earlier position: the order in which keyframes are chosen."""
+    return np.lexsort((frames, -np.asarray(scores, dtype=float)))
+
+
 def select_keyframes(frames, prominences, count: int,
                      method: MeritMethod | None = None) -> KeyframeSet:
-    """Keep the ``count`` most prominent of the candidates ``frames``.
+    """Keep the ``count`` most prominent of the distinct candidate ``frames``.
 
-    ``prominences`` runs parallel to ``frames``.  Ties in prominence break
-    toward the earlier frame; the result is sorted by frame and flags a
-    shortfall when fewer candidates than requested exist.
+    ``prominences`` runs parallel to ``frames``.  A frame listed several times
+    is one candidate, at its best prominence, so the result never repeats a
+    frame.  Candidates are taken in ``rank_order``; the result is sorted by
+    frame and flags a shortfall when fewer distinct frames than requested exist.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     frames, prominences = np.asarray(frames, dtype=np.int64), np.asarray(prominences, dtype=float)
-    top = np.lexsort((frames, -prominences))[:count]
-    top = top[np.lexsort((prominences[top], frames[top]))]
+    order = rank_order(frames, prominences)
+    first = np.unique(frames[order], return_index=True)[1]   # each frame's best rank, by frame
+    top = order[first[np.sort(np.argsort(first)[:count])]]   # the ``count`` best, by frame
     return KeyframeSet(tuple(frames[top].tolist()), tuple(prominences[top].tolist()), method,
-                       shortfall=len(frames) < count)
+                       shortfall=len(first) < count)
 
 
 # ---------------------------------------------------------------------------

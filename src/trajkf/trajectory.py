@@ -124,10 +124,6 @@ class DerivativeStack:
                 object.__setattr__(self, name, arr)
 
     @property
-    def n_samples(self) -> int:
-        return self.d1.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.d1.shape[1]
 

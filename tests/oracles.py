@@ -4,7 +4,8 @@ These deliberately avoid the library's code paths: shape descriptors are
 computed by resampling curves to unit speed and differentiating with respect
 to arc length (np.gradient, not the library's stencils), peaks and
 prominences by exhaustive bracketing-minimum search, scores by a literal
-per-frame Python loop, merit curves by the per-interval route
+per-frame Python loop, keyframe selection by a dictionary of each frame's
+best prominence and one Python sort, merit curves by the per-interval route
 (re-differentiating a padded window of each interval), and per-sign counts by
 testing every frame against every interval.  Trajectory CSV is read by the
 row-at-a-time ``csv.reader`` loop (``int``/``float`` per field), and
@@ -31,6 +32,7 @@ from trajkf import (
     ParseError,
     TimedTrajectory,
     EvaluationReport,
+    KeyframeSet,
     budget_for_ratio,
     complexity_metric,
     curvature_s,
@@ -43,7 +45,6 @@ from trajkf import (
     harmonic_mean_curve,
     project_to_plane,
     score,
-    select_keyframes,
     speed,
     torsion_t,
 )
@@ -378,14 +379,27 @@ def brute_trajectory_text(traj: TimedTrajectory, fmt: str) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def brute_select(frames, prominences, count, method=None) -> KeyframeSet:
+    """select_keyframes by hand: each frame once, at its best prominence; the
+    ``count`` strongest by descending prominence, ties to the earlier frame;
+    listed by frame, short when fewer distinct frames than ``count`` exist."""
+    best: dict[int, float] = {}
+    for frame, prominence in zip(frames, prominences):
+        if frame not in best or prominence > best[frame]:
+            best[frame] = prominence
+    chosen = sorted(sorted(best.items(), key=lambda fp: (-fp[1], fp[0]))[:count])
+    return KeyframeSet(tuple(f for f, _ in chosen), tuple(p for _, p in chosen), method,
+                       shortfall=len(best) < count)
+
+
 def extract_every_copy(traj, intervals, method, count, sigma=2.0):
-    """extract_keyframes on supplied intervals as it ran while every listed
-    interval, repeats included, was laid out and scored: one segment per copy,
-    and each copy's candidates found on its own segment."""
+    """extract_keyframes on supplied intervals with every listed interval,
+    repeats included, laid out and scored: one segment per copy, each copy's
+    candidates found on its own segment and all of them pooled by brute_select."""
     smoothed = gaussian_smooth(traj, sigma)
     with np.errstate(over="raise", invalid="raise"):
         threshold = default_speed_threshold(smoothed)
         curve, _, rows = segmented_merit(smoothed, intervals, method, speed_threshold=threshold)
     peaks = find_peaks(curve)
-    frames = rows[[p.frame for p in peaks]]
-    return select_keyframes(frames, [p.prominence for p in peaks], count, method=method)
+    frames = rows[[p.frame for p in peaks]].tolist()
+    return brute_select(frames, [p.prominence for p in peaks], count, method=method)

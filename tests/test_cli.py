@@ -651,10 +651,13 @@ def test_unusable_frame_rate_exits_2_without_warning(small_clip, tmp_path, capsy
 @pytest.mark.parametrize("fps,code", [("1.78e-103", 0), ("1e-50", 0), ("1e40", 0),
                                       ("1e102", 2), ("3.55e102", 2)])
 def test_frame_rates_in_the_range_end_without_warning(small_clip, capsys, recwarn, fps, code):
-    # at the top of the range the clip's derivatives overflow: exit 2 naming the file
+    # at the top of the range the clip's derivatives overflow: exit 2 naming the file and
+    # the rate, since no coordinate of the clip is large
     traj, _ = small_clip
     assert run("extract", str(traj), "--count", "3", "--fps", fps) == code
-    assert (str(traj) in capsys.readouterr().err) == (code == 2)
+    err = capsys.readouterr().err
+    assert (str(traj) in err) == (code == 2)
+    assert (f"coordinates too large for its frame rate of {float(fps)!r} fps" in err) == (code == 2)
     assert not recwarn.list
 
 

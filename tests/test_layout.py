@@ -128,6 +128,39 @@ def test_benchmark_spans_resolve():
     assert missing == []
 
 
+def trajkf_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for each ``from trajkf... import name`` in one source file."""
+    return [(node.module, alias.name)
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "trajkf"
+            for alias in node.names]
+
+
+def unresolved(imports: list[tuple[str, str]]) -> list[str]:
+    return [f"{module}.{name}" for module, name in imports
+            if not hasattr(importlib.import_module(module), name)]
+
+
+def test_benchmark_imports_resolve():
+    imports = [pair for path in sorted(TRACING.parent.glob("*.py")) for pair in trajkf_imports(path)]
+    assert len(imports) > 10 and unresolved(imports) == []
+    # methods the benchmark calls on library objects: its reference run and its counter
+    assert callable(trajkf.DescriptorCurve.selection_values)
+    assert callable(trajkf.SigningInterval.contains)
+
+
+def test_import_guard_sees_a_missing_name(tmp_path):
+    src = tmp_path / "bench.py"
+    src.write_text("import trajkf.pipeline\n"
+                   "from trajkf.merit import merit_curves, gone\n"
+                   "def f():\n"
+                   "    from trajkf import extract_keyframes\n")
+    imports = trajkf_imports(src)
+    assert sorted(imports) == [("trajkf", "extract_keyframes"), ("trajkf.merit", "gone"),
+                               ("trajkf.merit", "merit_curves")]
+    assert unresolved(imports) == ["trajkf.merit.gone"]
+
+
 @pytest.mark.parametrize("n_intervals", [1, 3])
 def test_pipeline_calls_patched_find_peaks_once(monkeypatch, n_intervals):
     # as the benchmark's reference run records it: one positional argument

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from trajkf import (
     CurveKind,
+    CurveSpec,
     DescriptorCurve,
+    KeyframeSet,
     MeritMethod,
     Peak,
     SigningInterval,
     TimedTrajectory,
     detect_intervals,
+    extract_keyframes,
     find_peaks,
+    generate,
     select_keyframes,
 )
 from oracles import brute_peaks, extract_every_copy, random_rotation
@@ -55,6 +59,15 @@ class TestDetectIntervals:
         steps = np.concatenate([np.zeros(30), np.ones(6), np.zeros(30)])
         traj = traj_from_steps(steps)
         assert detect_intervals(traj, speed_threshold=0.75 * 60.0, min_gap=3, min_len=12) == []
+
+    @pytest.mark.parametrize("steps", [[], [1.0]], ids=["one_sample", "two_samples"])
+    def test_fewer_than_three_samples_give_nothing(self, steps):
+        # too short for a speed; a low threshold would otherwise take every sample
+        assert detect_intervals(traj_from_steps(steps), speed_threshold=1e-9, min_len=1) == []
+
+    def test_two_sample_clip_extracts_nothing(self):
+        got = extract_keyframes(traj_from_steps([1.0]), count=3, speed_threshold=0.1)
+        assert got == KeyframeSet((), (), MeritMethod.MT, shortfall=True)
 
     def test_nonpositive_parameters_rejected(self):
         traj = traj_from_steps(np.ones(30))
@@ -233,6 +246,12 @@ class TestSelectKeyframes:
         ks = select_keyframes(*self._peaks((20, 3.0), (8, 3.0)), count=1)
         assert ks.frames == (8,)
 
+    def test_repeated_frame_is_one_candidate_at_its_best(self):
+        peaks = self._peaks((30, 1.0), (10, 2.0), (30, 5.0))
+        assert select_keyframes(*peaks, count=1).frames == (30,)
+        ks = select_keyframes(*peaks, count=3)   # two distinct frames fall short of three
+        assert ks.frames == (10, 30) and ks.scores == (2.0, 5.0) and ks.shortfall
+
     def test_no_candidates_is_a_shortfall(self):
         ks = select_keyframes([], [], count=2, method=MeritMethod.MT)
         assert ks.frames == () and ks.scores == () and ks.shortfall
@@ -313,12 +332,23 @@ class TestPipelineInvariants:
         smoothed = gaussian_smooth(traj, 2.0)
         curves = merit_curves(smoothed, intervals, MeritMethod.MT,
                               speed_threshold=default_speed_threshold(smoothed))
-        pooled = [(itv.start + p.frame, p.prominence)
-                  for itv, curve in zip(intervals, curves) for p in find_peaks(curve)]
-        pooled.sort(key=lambda fp: (-fp[1], fp[0]))
+        best: dict[int, float] = {}   # each frame once, at its best prominence
+        for itv, curve in zip(intervals, curves):
+            for p in find_peaks(curve):
+                frame = itv.start + p.frame
+                best[frame] = max(p.prominence, best.get(frame, -np.inf))
+        pooled = sorted(best.items(), key=lambda fp: (-fp[1], fp[0]))
         assert len(pooled) > 5
         assert list(zip(got.frames, got.scores)) == sorted(pooled[:count])
         assert got.shortfall == (len(pooled) < count)
+
+
+# the three-sign clip whose doubled or overlapping annotation once repeated keyframes
+SEED4_CLIP = generate(CurveSpec(kind="piecewise_signing", radius=0.25, duration=1.0,
+                                rest_duration=0.5, n_segments=3, noise_sigma=0.001, fps=60.0),
+                      seed=4)
+_first, *_rest = SEED4_CLIP.intervals
+OVERLAPPING = [_first, SigningInterval(_first.start, _first.end - 1), *_rest]
 
 
 @st.composite
@@ -343,14 +373,14 @@ def clip_and_repeated_intervals(draw):
 
 
 class TestRepeatedIntervals:
-    """A supplied interval listed k times is scored once and its candidates
-    counted k times: the result of scoring every copy, in a fraction of the memory."""
+    """A supplied interval listed k times is scored once, and a frame where
+    several intervals peak is one candidate at its best prominence: the result
+    of scoring every copy and pooling by frame, in a fraction of the memory."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=clip_and_repeated_intervals(), count=st.sampled_from([1, 5, 1000]))
+    @example(case=(SEED4_CLIP.trajectory, OVERLAPPING), count=6)
     def test_same_keyframes_as_scoring_every_copy(self, case, count):
-        from trajkf import extract_keyframes
-
         traj, intervals = case
         for method in (MeritMethod.MT, MeritMethod.K2DT, MeritMethod.KAPPA3DS):
             if method is MeritMethod.KAPPA3DS and traj.dim == 2:
@@ -366,9 +396,13 @@ class TestRepeatedIntervals:
                 want = str(exc)
             assert got == want
 
-    def test_two_hundred_copies_cost_at_most_twice_one(self):
-        from trajkf import CurveSpec, extract_keyframes, generate
+    @pytest.mark.parametrize("intervals", [[*SEED4_CLIP.intervals] * 2, OVERLAPPING],
+                             ids=["repeated", "overlapping"])
+    def test_frames_are_distinct(self, intervals):
+        got = extract_keyframes(SEED4_CLIP.trajectory, count=6, intervals=intervals)
+        assert got.frames == (38, 61, 150, 173, 219, 240) and not got.shortfall
 
+    def test_two_hundred_copies_cost_at_most_twice_one(self):
         # one 5430-sample interval over 60 signs, two keyframes a sign
         traj = generate(CurveSpec(kind="piecewise_signing", radius=0.25, duration=1.0,
                                   rest_duration=0.5, n_segments=60, noise_sigma=0.001,
@@ -383,8 +417,7 @@ class TestRepeatedIntervals:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
-        # each candidate now stands 200 times, so fewer distinct frames fill the budget
-        assert len(results[1].frames) == 120 and set(results[1].frames) <= set(results[0].frames)
+        assert results[1] == results[0] and len(results[0].frames) == 120
 
 
 class TestMotionProfile:
