@@ -11,7 +11,7 @@ import re
 import sys
 from pathlib import Path
 
-from .evaluation import budget_for_ratio, ranked_picker, reports_to_csv, reports_to_json, sweep
+from .evaluation import budget_for_ratio, reports_to_csv, reports_to_json, sweep
 from .merit import MeritMethod
 from .pipeline import DEFAULT_SIGMA, extract_keyframes
 from .planarity import DEFAULT_F_ERROR
@@ -189,17 +189,10 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"{args.truth}: interval [{itv.start}, {itv.end}] outside "
                              f"the {n_frames}-frame video")
 
-    ranked = [pred.frames[i] for i in rank_order(pred.frames, pred.scores).tolist()]
-    if args.per_gloss:
-        if not truth.intervals:
-            raise ValueError(f"{args.truth}: --per-gloss needs annotated intervals")
-        pred_fn = ranked_picker(ranked)
-    else:
-        def pred_fn(count):
-            return ranked[:count]
-
+    if args.per_gloss and not truth.intervals:
+        raise ValueError(f"{args.truth}: --per-gloss needs annotated intervals")
     reports = sweep(
-        pred_fn,
+        [pred.frames[i] for i in rank_order(pred.frames, pred.scores).tolist()],
         truth.keyframes,
         n_frames,
         r_cs,

@@ -107,30 +107,63 @@ def _counts_in(frames: Sequence[int], starts: np.ndarray, ends: np.ndarray) -> l
     return (hi - np.searchsorted(ordered, starts, side="left")).tolist()
 
 
-def ranked_picker(ranked: Sequence[int]) -> Callable:
-    """Per-gloss ``pred_fn`` over frames listed best first.
+def per_gloss_picker(ranked: Sequence[int], starts: np.ndarray, ends: np.ndarray) -> Callable:
+    """Per-gloss picks over frames listed best first, for many intervals at once.
 
-    ``pred_fn(count, interval)`` equals
-    ``[f for f in ranked if interval.contains(f)][:count]``: one stable sort
-    by frame finds each interval's frames by binary search, and their
-    positions in ``ranked`` give the order.  A call costs O(h log h), where h
-    is the number of ranked frames inside the interval: nested intervals
-    each pay for what they hold, not for the whole ranking.
+    ``pick(counts)`` returns the sorted distinct frames of
+    ``[f for f in ranked if start <= f <= end][:count]`` over every interval
+    ``[start, end]`` and its count in ``counts`` (non-negative; a count of at
+    least ``len(ranked)`` takes all).  A merge-sort tree over ranks in frame
+    order holds, for each aligned block of 2**k positions, its ranks sorted;
+    each interval splits into at most two blocks per level, and each block
+    offers its first ``count`` ranks.  The tree and the blocks are built once,
+    in O((K + I) log K) for K ranked frames and I intervals; a pick costs
+    O(sum of min(count, h) log K), h being the frames an interval holds, with
+    no Python loop over intervals or frames.
     """
-    ranked = np.asarray(ranked)
-    order = np.argsort(ranked, kind="stable")
+    ranked = np.asarray(ranked, dtype=np.int64)
+    order = np.argsort(ranked, kind="stable")   # ranks in frame order
     by_frame = ranked[order]
+    levels = max(len(ranked) - 1, 0).bit_length()
+    size = 1 << levels
+    tree = np.full((levels + 1, size), len(ranked))   # padding ranks past every frame
+    tree[0, :len(ranked)] = order
+    for level in range(1, levels + 1):   # two sorted halves per block below
+        tree[level] = np.sort(tree[level - 1].reshape(-1, 1 << level), axis=1).ravel()
+    tree = tree.ravel()
 
-    def pred_fn(count: int, interval: SigningInterval) -> list[int]:
-        lo = np.searchsorted(by_frame, interval.start, side="left")
-        hi = np.searchsorted(by_frame, interval.end, side="right")
-        return ranked[np.sort(order[lo:hi])[:count]].tolist()
+    # [lo, hi) in frame order, split into aligned blocks bottom up
+    lo = np.searchsorted(by_frame, starts, side="left")
+    hi = np.searchsorted(by_frame, ends, side="right")
+    first, width, owner = [], [], []
+    for level in range(levels + 1):
+        left, right = (lo < hi) & (lo % 2 == 1), (lo < hi) & (hi % 2 == 1)
+        for block, mask in ((lo, left), (hi - 1, right)):
+            owner.append(np.flatnonzero(mask))
+            first.append(level * size + (block[mask] << level))
+            width.append(np.full(len(owner[-1]), 1 << level))
+        lo, hi = (lo + left) >> 1, (hi - right) >> 1
+    first, width, owner = map(np.concatenate, (first, width, owner))
 
-    return pred_fn
+    def pick(counts: np.ndarray) -> list[int]:
+        take = np.minimum(counts[owner], width)
+        stop = np.cumsum(take)
+        at = np.arange(stop[-1] if stop.size else 0) + np.repeat(first - stop + take, take)
+        ranks, held_by = tree[at], np.repeat(owner, take)
+        by_owner = np.lexsort((ranks, held_by))
+        ranks, held_by = ranks[by_owner], held_by[by_owner]
+        # an interval's blocks hold distinct ranks: keep its ``count`` smallest
+        nth = np.arange(len(ranks)) - np.searchsorted(held_by, held_by)
+        frames = np.sort(ranked[ranks[nth < counts[held_by]]])
+        distinct = np.ones(len(frames), dtype=bool)
+        distinct[1:] = frames[1:] != frames[:-1]
+        return frames[distinct].tolist()
+
+    return pick
 
 
 def sweep(
-    pred_fn: Callable,
+    pred: Callable | Sequence[int],
     truth_keyframes: Sequence[int],
     n_frames: int,
     r_c_values: Sequence[float],
@@ -140,11 +173,17 @@ def sweep(
 ) -> list[EvaluationReport]:
     """Evaluate over a grid of keyframe-count ratios and proximity thresholds.
 
-    ``pred_fn(count)`` must return the predicted frames (KeyframeSet or
-    sequence) for a given budget; with ``per_gloss`` it is called as
-    ``pred_fn(count, interval)`` once per annotated interval and the union of
-    the selections is scored.  When intervals are given, per-sign counts and
-    the complexity metric are attached to each report.
+    ``pred`` takes one of two forms.  A callable ``pred(count)`` returns the
+    predicted frames (KeyframeSet or sequence) for a given budget; with
+    ``per_gloss`` it is called as ``pred(count, interval)`` once per annotated
+    interval that holds ground truth, and the union of the selections is
+    scored.  Otherwise ``pred`` is the predicted frames themselves, best
+    first: a budget takes the first ``count`` of them, and with ``per_gloss``
+    each interval takes the first ``count`` of those inside it, all intervals
+    of a ratio in one ``per_gloss_picker`` pass.  Both forms give the same
+    reports for ``pred(count, interval) = [f for f in ranked if
+    interval.contains(f)][:count]``.  When intervals are given, per-sign
+    counts and the complexity metric are attached to each report.
     """
     if per_gloss and not intervals:
         raise ValueError("per-gloss budgets need annotated intervals")
@@ -153,17 +192,25 @@ def sweep(
         spans = (np.array([itv.start for itv in intervals]),
                  np.array([itv.end for itv in intervals]))
         truth_counts = _counts_in(truth, *spans)
+    if per_gloss and not callable(pred):
+        pick = per_gloss_picker(pred, *spans)
+        sign_truth = np.array(truth_counts, dtype=float)
     reports: list[EvaluationReport] = []
     for r_c in r_c_values:
-        if per_gloss:
+        if not per_gloss:
+            budget = budget_for_ratio(r_c, len(truth))
+            frames = sorted(_frames_of(pred(budget)) if callable(pred) else pred[:budget])
+        elif callable(pred):
             frames: list[int] = []
             for itv, l_s in zip(intervals, truth_counts):
                 if l_s == 0:
                     continue
-                frames.extend(_frames_of(pred_fn(budget_for_ratio(r_c, l_s), itv)))
+                frames.extend(_frames_of(pred(budget_for_ratio(r_c, l_s), itv)))
             frames = sorted(set(frames))
         else:
-            frames = sorted(_frames_of(pred_fn(budget_for_ratio(r_c, len(truth)))))
+            # budget_for_ratio per interval; a budget past len(pred) takes all of an
+            # interval, so clipping there first keeps the int64 cast in range
+            frames = pick(np.minimum(r_c * sign_truth + 0.5, len(pred)).astype(np.int64))
 
         per_sign = None
         c_s = None

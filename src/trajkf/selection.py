@@ -9,6 +9,7 @@ exists) and the strongest ones across all intervals become the keyframes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -186,16 +187,27 @@ def select_keyframes(frames, prominences, count: int,
 # ---------------------------------------------------------------------------
 
 
+def _json_block(values: list) -> str:
+    """A list of JSON scalars as json.dumps(..., indent=2) lays it out one level deep."""
+    if not values:
+        return "[]"
+    return "[\n    " + json.dumps(values, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+
+
 def keyframes_to_json(ks: KeyframeSet, start_frame: int = 0, n_frames: int | None = None) -> str:
-    obj: dict = {
-        "method": ks.method.value if ks.method else None,
-        "frames": [start_frame + f for f in ks.frames],
-        "scores": [float9(s) for s in ks.scores],
-        "shortfall": ks.shortfall,
-    }
-    if n_frames is not None:
-        obj["n_frames"] = int(n_frames)
-    return json.dumps(obj, indent=2) + "\n"
+    """The keyframe file, byte for byte ``json.dumps(obj, indent=2) + "\\n"``.
+
+    ``indent`` would run the pure-Python encoder over every frame and score,
+    so the C encoder spells the values and one template lays them out.
+    """
+    tail = "" if n_frames is None else ',\n  "n_frames": %d' % n_frames
+    return '{\n  "method": %s,\n  "frames": %s,\n  "scores": %s,\n  "shortfall": %s%s\n}\n' % (
+        json.dumps(ks.method.value if ks.method else None),
+        _json_block([start_frame + f for f in ks.frames]),
+        _json_block([float9(s) for s in ks.scores]),
+        json.dumps(ks.shortfall),
+        tail,
+    )
 
 
 def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
@@ -204,15 +216,17 @@ def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ParseError('keyframe file must hold an object with a "frames" list')
     frames = json_list(obj, "frames")
-    for i, f in enumerate(frames):
-        if type(f) is not int:
-            raise ParseError(f"frames[{i}]: must be an integer frame index")
+    if not set(map(type, frames)) <= {int}:   # the loop only names the first bad one
+        for i, f in enumerate(frames):
+            if type(f) is not int:
+                raise ParseError(f"frames[{i}]: must be an integer frame index")
     scores = json_list(obj, "scores") if "scores" in obj else [0.0] * len(frames)
     if len(scores) != len(frames):
         raise ParseError('"scores" and "frames" lengths differ')
-    for i, sc in enumerate(scores):
-        if not json_finite_number(sc):
-            raise ParseError(f"scores[{i}]: must be a finite number")
+    if not (set(map(type, scores)) <= {float} and all(map(math.isfinite, scores))):
+        for i, sc in enumerate(scores):
+            if not json_finite_number(sc):
+                raise ParseError(f"scores[{i}]: must be a finite number")
     shortfall = obj.get("shortfall", False)
     if type(shortfall) is not bool:
         raise ParseError('"shortfall" must be true or false')
@@ -222,7 +236,7 @@ def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
         raise ParseError(f'"method": unknown method {obj["method"]!r}') from None
     ks = KeyframeSet(
         frames=tuple(frames),
-        scores=tuple(float(s) for s in scores),
+        scores=tuple(map(float, scores)),
         method=method,
         shortfall=shortfall,
     )

@@ -10,8 +10,8 @@ best prominence and one Python sort, merit curves by the per-interval route
 testing every frame against every interval.  Trajectory CSV is read by the
 row-at-a-time ``csv.reader`` loop (``int``/``float`` per field), and
 trajectory files are written one value at a time.  Trajectory JSON is
-converted by one ``np.array`` call over the parsed point lists.  Report JSON
-goes through ``json.dumps(..., indent=2)`` over the whole list.
+converted by one ``np.array`` call over the parsed point lists.  Report and
+keyframe JSON go through ``json.dumps(..., indent=2)`` over the whole object.
 """
 
 from __future__ import annotations
@@ -224,6 +224,25 @@ def brute_reports_json(reports) -> str:
             row["per_sign"] = list(r.per_sign)
         rows.append(row)
     return json.dumps(rows, indent=2) + "\n"
+
+
+def brute_keyframes_json(ks: KeyframeSet, start_frame: int = 0, n_frames=None) -> str:
+    """The keyframe file ``keyframes_to_json`` must write, through ``json.dumps(obj, indent=2)``."""
+    obj: dict = {
+        "method": ks.method.value if ks.method else None,
+        "frames": [start_frame + f for f in ks.frames],
+        "scores": [float9(s) for s in ks.scores],
+        "shortfall": ks.shortfall,
+    }
+    if n_frames is not None:
+        obj["n_frames"] = int(n_frames)
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# floats that test the C encoder's spelling: signed zero, subnormals, the
+# range's ends and the values json writes as NaN / Infinity / -Infinity
+ODD_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e-300, 1e300, -1e300,
+              1.7976931348623157e308, 0.1, 1 / 3, float("nan"), float("inf"), float("-inf")]
 
 
 def random_rotation(rng) -> np.ndarray:

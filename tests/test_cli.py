@@ -388,7 +388,9 @@ class TestEvaluate:
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["recall"] == 1.0
 
-    def test_per_gloss_repeats_and_ties_match_reference(self, tmp_path, capsys):
+    @staticmethod
+    def repeats_and_ties(tmp_path):
+        """A prediction with repeated frames and tied scores, and its truth."""
         pred = tmp_path / "pred.json"
         truth = tmp_path / "truth.json"
         pred.write_text(json.dumps({
@@ -403,17 +405,34 @@ class TestEvaluate:
             "keyframes": [33, 12, 28, 56, 91, 90, 28],
             "n_frames": 100,
         }))
-        assert run("evaluate", "--pred", str(pred), "--truth", str(truth), "--per-gloss",
-                   "--r-c", "0.2,0.5,1,2", "--delta", "0,5") == 0
+        return pred, truth
 
+    @staticmethod
+    def reference_json(pred, truth, r_cs, deltas):
+        """Per-gloss reports with each pick taken by the ``contains`` comprehension."""
         keys, _ = keyframes_from_json(pred)
         ranked = [f for f, _ in sorted(zip(keys.frames, keys.scores),
                                        key=lambda fs: (-fs[1], fs[0]))]
         ann = load_annotations(truth)
         reports = sweep(lambda count, itv: [f for f in ranked if itv.contains(f)][:count],
-                        ann.keyframes, 100, [0.2, 0.5, 1.0, 2.0], [0, 5],
+                        ann.keyframes, 100, r_cs, deltas,
                         intervals=ann.intervals, per_gloss=True)
-        assert capsys.readouterr().out == reports_to_json(reports)
+        return reports_to_json(reports)
+
+    def test_per_gloss_repeats_and_ties_match_reference(self, tmp_path, capsys):
+        pred, truth = self.repeats_and_ties(tmp_path)
+        assert run("evaluate", "--pred", str(pred), "--truth", str(truth), "--per-gloss",
+                   "--r-c", "0.2,0.5,1,2", "--delta", "0,5") == 0
+        assert capsys.readouterr().out == \
+            self.reference_json(pred, truth, [0.2, 0.5, 1.0, 2.0], [0, 5])
+
+    # 1e300 budgets every interval far past the 10 predicted frames; 0.01 budgets 0
+    @pytest.mark.parametrize("r_c", [1e300, 0.01])
+    def test_per_gloss_extreme_ratios_match_reference(self, tmp_path, capsys, r_c):
+        pred, truth = self.repeats_and_ties(tmp_path)
+        assert run("evaluate", "--pred", str(pred), "--truth", str(truth), "--per-gloss",
+                   "--r-c", repr(r_c), "--delta", "0,5") == 0
+        assert capsys.readouterr().out == self.reference_json(pred, truth, [r_c], [0, 5])
 
     def test_round_trip_with_extract(self, tmp_path, capsys):
         out = tmp_path / "vid"
@@ -584,6 +603,15 @@ def test_video_length_of_2_62_is_accepted(tmp_path):
                "-o", str(tmp_path / "r.json")) == 0
 
 
+def numpy_ma_loaded_after(argv) -> bool:
+    """Whether ``trajkf.cli.main(argv)`` in a fresh interpreter imports numpy.ma."""
+    code = f"import sys, trajkf.cli; trajkf.cli.main({argv!r}); print('numpy.ma' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(trajkf.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout.strip() != "False"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_cli_extract_leaves_numpy_ma_unloaded(tmp_path, fmt):
     # np.percentile imports numpy.ma on its first call; no stage of extract needs it
@@ -591,12 +619,22 @@ def test_cli_extract_leaves_numpy_ma_unloaded(tmp_path, fmt):
                "--noise", "0.001", "--format", fmt, "--out", str(tmp_path / "clip")) == 0
     argv = ["extract", str(tmp_path / f"clip.{fmt}"), "--count", "2",
             "-o", str(tmp_path / "kf.json")]
-    code = f"import sys, trajkf.cli; trajkf.cli.main({argv!r}); print('numpy.ma' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(trajkf.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert not numpy_ma_loaded_after(argv)
     assert json.loads((tmp_path / "kf.json").read_text())["frames"]
+
+
+@pytest.mark.parametrize("budget", [[], ["--per-gloss"]], ids=["global", "per_gloss"])
+def test_cli_evaluate_leaves_numpy_ma_unloaded(tmp_path, budget):
+    # a plain np.unique imports numpy.ma on its first call; evaluate needs none
+    clip = tmp_path / "clip"
+    assert run("synth", "--kind", "piecewise_signing", "--segments", "2", "--dur", "1",
+               "--noise", "0.001", "--out", str(clip)) == 0
+    assert run("extract", f"{clip}.csv", "--count", "4", "-o", str(tmp_path / "kf.json")) == 0
+    argv = ["evaluate", "--pred", str(tmp_path / "kf.json"),
+            "--truth", f"{clip}.annotations.json", "--r-c", "0.5,1", *budget,
+            "-o", str(tmp_path / "r.json")]
+    assert not numpy_ma_loaded_after(argv)
+    assert json.loads((tmp_path / "r.json").read_text())[0]["per_sign"]
 
 
 def write_helix(path, scale):

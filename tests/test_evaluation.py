@@ -1,5 +1,6 @@
 """Tests for proximity scoring, the complexity metric, and sweeps."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,8 @@ from trajkf import (
     score,
     sweep,
 )
-from trajkf.evaluation import ranked_picker
-from oracles import brute_reports_json, brute_score, brute_sweep
+from trajkf.evaluation import per_gloss_picker
+from oracles import ODD_FLOATS, brute_reports_json, brute_score, brute_sweep
 
 
 def covered_share(frames, delta, n):
@@ -301,6 +302,36 @@ class TestSweepAgainstBruteForce:
             plain = sweep(pred_fn, truth, n, r_cs, deltas)
             assert reports_to_json(plain) == brute_reports_json(plain)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=sweep_cases(), per_gloss=st.booleans())
+    def test_ranked_frames_equal_comprehension(self, case, per_gloss):
+        # the ranked frames themselves, in place of the callable over them
+        n, intervals, truth, ranked, r_cs, deltas = case
+        if per_gloss:
+            def pred_fn(count, interval):
+                return [f for f in ranked if interval.contains(f)][:count]
+        else:
+            def pred_fn(count):
+                return ranked[:count]
+
+        got = sweep(ranked, truth, n, r_cs, deltas, intervals, per_gloss)
+        assert got == brute_sweep(pred_fn, truth, n, r_cs, deltas, intervals, per_gloss)
+        assert reports_to_json(got) == brute_reports_json(got)
+
+
+def union_of_picks(ranked, intervals, counts):
+    """The reference per-gloss union: each interval's first ``count`` ranked frames."""
+    picked = set()
+    for interval, count in zip(intervals, counts):
+        picked.update([f for f in ranked if interval.contains(f)][:count])
+    return sorted(picked)
+
+
+def batched_pick(ranked, intervals, counts):
+    pick = per_gloss_picker(ranked, np.array([itv.start for itv in intervals]),
+                            np.array([itv.end for itv in intervals]))
+    return pick(np.array(counts, dtype=np.int64))
+
 
 class TestRankedPicker:
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -313,30 +344,44 @@ class TestRankedPicker:
         if data.draw(st.booleans()):
             order = sorted(zip(frames, scores), key=lambda fs: (-fs[1], fs[0]))
             ranked = [f for f, _ in order]
-        pick = ranked_picker(ranked)
+        intervals, counts = [], []
         for _ in range(4):
             start = data.draw(st.integers(0, 45))
-            interval = SigningInterval(start, data.draw(st.integers(start, 50)))
-            count = data.draw(st.integers(0, len(ranked) + 1))
-            got = pick(count, interval)
-            assert got == [f for f in ranked if interval.contains(f)][:count]
+            intervals.append(SigningInterval(start, data.draw(st.integers(start, 50))))
+            counts.append(data.draw(st.integers(0, len(ranked) + 1)))
+            got = batched_pick(ranked, intervals[-1:], counts[-1:])
+            assert got == union_of_picks(ranked, intervals[-1:], counts[-1:])
             assert all(type(f) is int for f in got)
+        # the four at once: nested, overlapping or repeated intervals share frames
+        assert batched_pick(ranked, intervals, counts) == union_of_picks(ranked, intervals, counts)
 
     def test_nested_intervals(self):
         # each interval holds the next, over a ranking with every frame twice
         ranked = np.random.default_rng(8).permutation(np.repeat(np.arange(200), 2)).tolist()
-        pick = ranked_picker(ranked)
-        for start in range(0, 100, 7):
-            interval = SigningInterval(start, 199 - start)
-            for count in (0, 1, 5, 400):
-                assert pick(count, interval) == \
-                    [f for f in ranked if interval.contains(f)][:count]
+        intervals = [SigningInterval(start, 199 - start) for start in range(0, 100, 7)]
+        for count in (0, 1, 5, 400):
+            for interval in intervals:
+                assert batched_pick(ranked, [interval], [count]) == \
+                    union_of_picks(ranked, [interval], [count])
+            counts = [count] * len(intervals)
+            assert batched_pick(ranked, intervals, counts) == \
+                union_of_picks(ranked, intervals, counts)
 
+    def test_nested_intervals_cost_grows_near_linearly(self):
+        # m intervals [i, 2m - 1 - i], each nested in the last, over m frames
+        # drawn from 2m: a per-interval pick would pay for every frame it holds
+        def best_time(m):
+            ranked = np.random.default_rng(m).choice(2 * m, size=m, replace=False).tolist()
+            starts = np.arange(m)
+            counts = np.full(m, 3)
+            best = np.inf
+            for _ in range(3):
+                begin = time.perf_counter()
+                per_gloss_picker(ranked, starts, 2 * m - 1 - starts)(counts)
+                best = min(best, time.perf_counter() - begin)
+            return best
 
-# floats that test the C encoder's spelling: signed zero, subnormals, the
-# range's ends and the values json writes as NaN / Infinity / -Infinity
-ODD_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e-300, 1e300, -1e300,
-              1.7976931348623157e308, 0.1, 1 / 3, float("nan"), float("inf"), float("-inf")]
+        assert best_time(16000) < 8 * best_time(4000)   # quadratic would be 16x
 
 
 @st.composite

@@ -31,6 +31,7 @@ from trajkf import (
 from trajkf.cli import main
 from trajkf.selection import keyframes_from_json, keyframes_to_json
 from trajkf.trajectory import MAX_N_FRAMES, float9
+from oracles import ODD_FLOATS, brute_keyframes_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -78,6 +79,16 @@ def test_keyframes_round_trip(frames, data, method, shortfall, n_frames):
     back, back_n = keyframes_from_json(keyframes_to_json(ks, 0, n_frames).encode())
     assert back == KeyframeSet(tuple(frames), tuple(map(float9, scores)), method, shortfall)
     assert back_n == n_frames
+
+
+@pytest.mark.parametrize("frames", [(), (3,), tuple(range(len(ODD_FLOATS)))])
+@pytest.mark.parametrize("method", [None, MeritMethod.MT])
+@pytest.mark.parametrize("start_frame,n_frames", [(0, None), (0, 2**62), (7, None), (2**40, 2**41)])
+@pytest.mark.parametrize("shortfall", [False, True])
+def test_keyframes_json_equals_indent_encoder(frames, method, start_frame, n_frames, shortfall):
+    ks = KeyframeSet(frames, tuple(ODD_FLOATS[:len(frames)]), method, shortfall)
+    assert keyframes_to_json(ks, start_frame, n_frames) == \
+        brute_keyframes_json(ks, start_frame, n_frames)
 
 
 # --- mutation fuzz ---------------------------------------------------------
