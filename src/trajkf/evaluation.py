@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
-import json
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .selection import KeyframeSet
-from .trajectory import MAX_N_FRAMES, SigningInterval, float9
+from .trajectory import MAX_N_FRAMES, SigningInterval, float9, json_text
 
 
 @dataclass(frozen=True)
@@ -65,13 +63,15 @@ def score(pred, truth: Sequence[int], delta: int, n_frames: int) -> EvaluationRe
     if not 0 < n_frames <= MAX_N_FRAMES:
         raise ValueError(f"n_frames must be positive and at most 2**62, got {n_frames}")
     pred = _frames_of(pred)
-    frames = [*pred, *truth]
-    for k in frames:
-        if not 0 <= k < n_frames:
-            raise ValueError(f"keyframe {k} out of range [0, {n_frames})")
+    frames = np.array([*pred, *truth])   # 1-D int64 when every frame is an int that fits
+    if not (frames.dtype == np.int64 and frames.ndim == 1
+            and 0 <= frames.min(initial=0) <= frames.max(initial=0) < n_frames):
+        for k in [*pred, *truth]:   # names the first bad frame; a float or bool in range passes
+            if not 0 <= k < n_frames:
+                raise ValueError(f"keyframe {k} out of range [0, {n_frames})")
+        frames = np.asarray([*pred, *truth], dtype=np.int64)
     # no wider window covers more frames; this one keeps every end below 2**63
     width = min(delta, n_frames - 1)
-    frames = np.asarray(frames, dtype=np.int64)
     pred_pos, truth_pos = (_covered(f, width, n_frames) for f in np.split(frames, [len(pred)]))
     tp = pred_pos + truth_pos - _covered(frames, width, n_frames)
 
@@ -230,55 +230,19 @@ def sweep(
     return reports
 
 
-_SIGN_KEYS = ("start", "end", "l_x", "l_s")
-# one per_sign row as json.dumps(reports, indent=2) lays it out
-_SIGN_ROW = "      {\n" + ",\n".join(f'        "{k}": %s' for k in _SIGN_KEYS) + "\n      }"
-
-
-def _per_sign_json(rows: Sequence[dict]) -> str:
-    """A report's per_sign list, spelled by the C encoder and laid out by one % pass."""
-    if not rows:
-        return "[]"
-    if set(map(tuple, rows)) != {_SIGN_KEYS}:
-        raise ValueError(f"per_sign rows must hold exactly the keys {', '.join(_SIGN_KEYS)}")
-    values = list(itertools.chain.from_iterable(map(dict.values, rows)))
-    if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values))):
-        raise ValueError("per_sign values must be JSON scalars")
-    # no spelled scalar holds a newline (strings escape it), so it splits them apart
-    spelled = json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
-    return "[\n" + ",\n".join([_SIGN_ROW] * len(rows)) % tuple(spelled) + "\n    ]"
-
-
 def reports_to_json(reports: Sequence[EvaluationReport]) -> str:
-    """The reports as JSON, byte for byte ``json.dumps(rows, indent=2) + "\\n"``.
-
-    Each row holds r_c, delta, recall, precision, f2, c_s (floats at 9
-    significant digits, null when unset) and degenerate, then per_sign when
-    the report has one.  ``indent`` would run the pure-Python encoder over
-    every per_sign row, so the C encoder spells the values and a fixed
-    template lays them out: each per_sign row must hold exactly the keys
-    start, end, l_x and l_s, in that order, with scalar values, as ``sweep``
-    builds them; otherwise ValueError.
-    """
-    items = []
-    blocks: dict[int, str] = {}   # sweep shares one per_sign tuple across a ratio's deltas
+    """The reports as JSON rows, laid out as ``json.dumps(rows, indent=2)`` writes them, plus
+    a newline.  Each row holds r_c, delta, recall, precision, f2, c_s (floats at 9
+    significant digits, null when unset) and degenerate, then per_sign when set."""
+    rows = []
     for r in reports:
-        head = {
-            "r_c": float9(r.r_c) if r.r_c is not None else None,
-            "delta": r.delta,
-            "recall": float9(r.recall),
-            "precision": float9(r.precision),
-            "f2": float9(r.f2),
-            "c_s": float9(r.c_s) if r.c_s is not None else None,
-            "degenerate": r.degenerate,
-        }
-        item = "  " + json.dumps(head, indent=2).replace("\n", "\n  ")
+        row = {"r_c": None if r.r_c is None else float9(r.r_c), "delta": r.delta,
+               "recall": float9(r.recall), "precision": float9(r.precision), "f2": float9(r.f2),
+               "c_s": None if r.c_s is None else float9(r.c_s), "degenerate": r.degenerate}
         if r.per_sign is not None:
-            if id(r.per_sign) not in blocks:
-                blocks[id(r.per_sign)] = _per_sign_json(r.per_sign)
-            item = item[:-4] + ',\n    "per_sign": ' + blocks[id(r.per_sign)] + "\n  }"
-        items.append(item)
-    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
+            row["per_sign"] = r.per_sign   # sweep shares one tuple across a ratio's deltas
+        rows.append(row)
+    return json_text(rows) + "\n"
 
 
 def reports_to_csv(reports: Sequence[EvaluationReport]) -> str:

@@ -8,7 +8,6 @@ exists) and the strongest ones across all intervals become the keyframes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,10 +21,11 @@ from .trajectory import (
     SigningInterval,
     TimedTrajectory,
     differentiate,
-    float9,
+    float9s,
     json_finite_number,
     json_list,
     json_n_frames,
+    json_text,
     parse_json,
     read_text,
     speed,
@@ -179,35 +179,17 @@ def select_keyframes(frames, prominences, count: int,
                        shortfall=len(first) < count)
 
 
-# ---------------------------------------------------------------------------
-# Keyframe JSON:
-#   {"method": str, "frames": [int], "scores": [float], "shortfall": bool,
-#    "n_frames": int (optional)}
-# frames are video frame indices (trajectory start_frame already added).
-# ---------------------------------------------------------------------------
-
-
-def _json_block(values: list) -> str:
-    """A list of JSON scalars as json.dumps(..., indent=2) lays it out one level deep."""
-    if not values:
-        return "[]"
-    return "[\n    " + json.dumps(values, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
-
-
 def keyframes_to_json(ks: KeyframeSet, start_frame: int = 0, n_frames: int | None = None) -> str:
-    """The keyframe file, byte for byte ``json.dumps(obj, indent=2) + "\\n"``.
+    """The keyframe file, laid out as ``json.dumps(obj, indent=2)`` writes it, plus a newline.
 
-    ``indent`` would run the pure-Python encoder over every frame and score,
-    so the C encoder spells the values and one template lays them out.
+    Its frames are video frame indices (``start_frame`` added); "n_frames" is optional.
     """
-    tail = "" if n_frames is None else ',\n  "n_frames": %d' % n_frames
-    return '{\n  "method": %s,\n  "frames": %s,\n  "scores": %s,\n  "shortfall": %s%s\n}\n' % (
-        json.dumps(ks.method.value if ks.method else None),
-        _json_block([start_frame + f for f in ks.frames]),
-        _json_block([float9(s) for s in ks.scores]),
-        json.dumps(ks.shortfall),
-        tail,
-    )
+    obj = {"method": ks.method.value if ks.method else None,
+           "frames": [start_frame + f for f in ks.frames],
+           "scores": float9s(ks.scores), "shortfall": ks.shortfall}
+    if n_frames is not None:
+        obj["n_frames"] = int(n_frames)
+    return json_text(obj) + "\n"
 
 
 def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:

@@ -34,6 +34,11 @@ def float9(x: float) -> float:
     return float(format(float(x), ".9g"))
 
 
+def float9s(xs) -> list[float]:
+    """``[float9(x) for x in xs]``, formatted by one % pass."""
+    return list(map(float, ("%.9g " * len(xs) % tuple(xs)).split()))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -452,19 +457,16 @@ def _load_json(text: str) -> TimedTrajectory:
 
 
 def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:
-    """Write a trajectory as CSV or JSON (floats at 9 significant digits)."""
+    """Write a trajectory as CSV or JSON (floats at 9 significant digits); the JSON
+    is laid out as ``json.dumps(obj, indent=2)`` writes it."""
     if format == "csv":
         row = "%d" + ",%.9g" * traj.dim
         lines = [row % (n, *p) for n, p in enumerate(traj.points.tolist(), traj.start_frame)]
         text = "\n".join(["frame," + ",".join("xyz"[: traj.dim]), *lines]) + "\n"
     elif format == "json":
-        # the bytes of json.dumps(..., indent=2), whose pure-Python encoder is slow:
-        # the C encoder spells each value, one % pass lays them out one per line
-        head = {"fps": float9(traj.frame_rate), "start_frame": traj.start_frame}
-        values = json.dumps(list(map(float9, traj.points.ravel().tolist())))[1:-1].split(", ")
-        row = "    [\n" + ",\n".join(["      %s"] * traj.dim) + "\n    ]"
-        points = ",\n".join([row] * traj.n_samples) % tuple(values)
-        text = json.dumps(head, indent=2)[:-2] + ',\n  "points": [\n' + points + "\n  ]\n}\n"
+        flat = float9s(traj.points.ravel().tolist())
+        text = json_text({"fps": float9(traj.frame_rate), "start_frame": traj.start_frame,
+                          "points": list(zip(*[iter(flat)] * traj.dim))}) + "\n"
     else:
         raise ValueError(f"unknown trajectory format {format!r}")
     write_text(dest, text)
@@ -501,6 +503,60 @@ def parse_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, spelled by one C-encoder call per list of scalars
+    or of equal-shaped rows of scalars (laid out by one % template).  Anything else
+    recurses down to a leaf's ``json.dumps``, so an odd type gives the same bytes or
+    TypeError.  A container met twice at one depth is laid out once; ``obj`` holds no cycle."""
+    out, memo = [], {}   # the pieces, joined once; each container's pieces by (id, nl)
+
+    def layout(obj, nl: str) -> None:   # append obj's pieces, met where a line starts with nl
+        inner, start, is_dict = nl + "  ", len(out), isinstance(obj, dict)
+        if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+            out.append(json.dumps(obj))
+        elif (id(obj), nl) in memo:
+            out.extend(memo[id(obj), nl])
+        else:
+            if rows := None if is_dict else _json_rows(obj, inner):
+                out.extend((",", inner, rows))
+            else:
+                keys = _spelled(dict.fromkeys(obj, 0)) if is_dict else ["0"] * len(obj)
+                for key, x in zip(keys, obj.values() if is_dict else obj):
+                    out.extend((",", inner, key[:-1]))   # '"key": 0' less the 0 ("" in a list)
+                    layout(x, inner)
+            out[start] = "{" if is_dict else "["   # in place of the first ","
+            out.append(nl + ("}" if is_dict else "]"))
+            memo[id(obj), nl] = out[start:]
+
+    layout(obj, "\n")
+    return "".join(out)
+
+
+def _spelled(values) -> list[str]:
+    """A non-empty list's items, or a dict's '"key": value' pairs, as the C encoder spells them."""
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")   # strings escape "\n"
+
+
+def _json_rows(xs: list, nl: str) -> str | None:
+    """The items of ``xs`` laid out, each starting a line with ``nl``, if one C-encoder
+    call spells them all: scalars, or equal-shaped rows of scalars; otherwise None."""
+    types, inner, scalars = set(map(type, xs)), nl + "  ", {str, int, float, bool, type(None)}
+    if types <= scalars:
+        return json.dumps(xs, separators=("," + nl, ": "))[1:-1]
+    if types == {dict} and set(map(type, xs[0])) == {str} \
+            and [*itertools.chain.from_iterable(xs)] == [*xs[0]] * len(xs):
+        heads = [p[:-1].replace("%", "%%") + "%s" for p in _spelled(dict.fromkeys(xs[0], 0))]
+        row, values = "{" + inner + ("," + inner).join(heads) + nl + "}", map(dict.values, xs)
+    elif types <= {list, tuple} and len(set(map(len, xs))) == 1 and xs[0]:
+        row, values = "[" + inner + ("," + inner).join(["%s"] * len(xs[0])) + nl + "]", xs
+    else:
+        return None
+    values = [*itertools.chain.from_iterable(values)]
+    if not set(map(type, values)) <= scalars:
+        return None
+    return ("," + nl).join([row] * len(xs)) % tuple(_spelled(values))
+
+
 def json_list(obj: dict, field: str) -> list:
     """The list under ``field`` of a JSON object (empty when absent)."""
     value = obj.get(field, [])
@@ -522,12 +578,10 @@ def json_n_frames(obj: dict) -> int | None:
 
 
 def save_annotations(ann: Annotations, dest, extra: dict | None = None) -> None:
-    obj: dict = {
-        "intervals": [{"start": i.start, "end": i.end} for i in ann.intervals],
-        "keyframes": list(ann.keyframes),
-    }
+    """Write an annotation file, ``extra``'s fields last, as ``json.dumps(obj, indent=2)``."""
+    obj: dict = {"intervals": [{"start": i.start, "end": i.end} for i in ann.intervals],
+                 "keyframes": list(ann.keyframes)}
     if ann.n_frames is not None:
         obj["n_frames"] = ann.n_frames
-    if extra:
-        obj.update(extra)
-    write_text(dest, json.dumps(obj, indent=2) + "\n")
+    obj.update(extra or {})
+    write_text(dest, json_text(obj) + "\n")

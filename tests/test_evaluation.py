@@ -1,5 +1,6 @@
 """Tests for proximity scoring, the complexity metric, and sweeps."""
 
+import re
 import time
 import tracemalloc
 
@@ -57,6 +58,19 @@ class TestProximityWindows:
         # the first bad frame in input order, pred before truth, and no OverflowError
         with pytest.raises(ValueError, match=f"keyframe {10**30} out of range"):
             score([3, 10**30, -1], [-2], delta=5, n_frames=30)
+        # frames that miss the int64 array's range check meet the loop all the same
+        for bad in (2**62, 2**63, 2**64, -2**63 - 1, float("nan"), float("inf"), -0.5, 30.5):
+            for pred, truth in (([3, bad, 40], [4]), ([3], [4, bad, -1])):
+                with pytest.raises(ValueError, match=rf"keyframe {re.escape(str(bad))} out"):
+                    score(pred, truth, delta=5, n_frames=30)
+
+    def test_in_range_floats_and_bools_scored_as_ints(self):
+        assert score([3.5], [6.0], 1, 30) == score([3], [6], 1, 30)   # windows of 3, not 3.5
+        assert score([True, 2.0], [2], 1, 30) == score([1, 2], [2], 1, 30)
+
+    def test_nested_frames_rejected(self):
+        with pytest.raises(TypeError):   # as ``0 <= [1]`` raises
+            score([[1], [2]], [[3]], 1, 30)
 
     @pytest.mark.parametrize("n_frames", [0, -3, 2**62 + 1])
     def test_video_length_outside_1_to_2_62_rejected(self, n_frames):
@@ -429,10 +443,10 @@ class TestReportsToJson:
         {"start": 0, "end": 9, "l_x": [1], "l_s": 1},
         {"start": 0, "end": 9, "l_x": 1, "l_s": {"n": 1}},
     ])
-    def test_rows_other_than_sweeps_rejected(self, row):
+    def test_rows_other_than_sweeps_equal_indent_encoder(self, row):
         good = {"start": 0, "end": 9, "l_x": 1, "l_s": 1}
-        with pytest.raises(ValueError, match="per_sign"):
-            reports_to_json([EvaluationReport(1.0, 1.0, 1.0, 0, per_sign=(good, row))])
+        reports = [EvaluationReport(1.0, 1.0, 1.0, 0, per_sign=(good, row))]
+        assert reports_to_json(reports) == brute_reports_json(reports)
 
     def test_memory_stays_within_five_times_the_output(self):
         # 1500 signs of 90 frames, 3 ratios by 3 deltas: the signing clip's sweep

@@ -4,11 +4,15 @@ The round-trip tests check that each writer's output, read back by its
 loader, gives the same data (coordinates and scores at the 9 significant
 digits the writers emit).  The mutation fuzz runs ``cli.main`` in-process
 on byte-level mutations of small valid files: each run must succeed, or
-exit 2 with a message that names the mutated file.
+exit 2 with a message that names the mutated file.  ``json_text``, the one
+layout every JSON writer uses, is checked against ``json.dumps(obj, indent=2)``.
 """
 
 import contextlib
+import enum
 import io
+import json
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from trajkf import (
 )
 from trajkf.cli import main
 from trajkf.selection import keyframes_from_json, keyframes_to_json
-from trajkf.trajectory import MAX_N_FRAMES, float9
+from trajkf.trajectory import MAX_N_FRAMES, float9, float9s, json_text
 from oracles import ODD_FLOATS, brute_keyframes_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -59,14 +63,27 @@ def test_trajectory_round_trip(fmt, dim, start, fps, data):
 frame = st.integers(0, 2**62)
 
 
+# the fields `trajkf synth` adds: the frame rate, and for some curves their constants
+synth_extra = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({"fps": finite}),
+    st.fixed_dictionaries({"fps": finite, "analytic": st.fixed_dictionaries(
+        {"kappa": finite, "tau_abs": st.one_of(st.none(), finite)})}),
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(intervals=st.lists(st.tuples(frame, frame).map(sorted), max_size=5),
        keyframes=st.lists(frame, max_size=8),
-       n_frames=st.one_of(st.none(), st.integers(1, MAX_N_FRAMES)))
-def test_annotations_round_trip(intervals, keyframes, n_frames):
+       n_frames=st.one_of(st.none(), st.integers(1, MAX_N_FRAMES)), extra=synth_extra)
+def test_annotations_round_trip(intervals, keyframes, n_frames, extra):
     ann = Annotations(tuple(SigningInterval(*itv) for itv in intervals), tuple(keyframes),
                       n_frames)
-    assert load_annotations(written(lambda out: save_annotations(ann, out))) == ann
+    text = written(lambda out: save_annotations(ann, out, extra=extra))
+    assert load_annotations(text) == ann
+    obj = {"intervals": [{"start": a, "end": b} for a, b in intervals], "keyframes": keyframes,
+           **({} if n_frames is None else {"n_frames": n_frames}), **(extra or {})}
+    assert text.decode() == json.dumps(obj, indent=2) + "\n"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -89,6 +106,92 @@ def test_keyframes_json_equals_indent_encoder(frames, method, start_frame, n_fra
     ks = KeyframeSet(frames, tuple(ODD_FLOATS[:len(frames)]), method, shortfall)
     assert keyframes_to_json(ks, start_frame, n_frames) == \
         brute_keyframes_json(ks, start_frame, n_frames)
+
+
+# --- the one JSON layout ----------------------------------------------------
+
+# strings the encoder escapes, and the % and newline a template or a split could misread
+strings = st.one_of(st.text(max_size=6),
+                    st.lists(st.sampled_from(['a', '%', '%s', '\n', '"', '\\', '\t', '\x00', 'é',
+                                              '\u2028', '\U0001f600', ',', ': ']), max_size=4)
+                    .map("".join))
+scalar = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                   st.sampled_from(ODD_FLOATS), st.floats(), strings)
+
+
+def rows_of(values, n_min=1):
+    """Equal-shaped rows: dicts with one key order, or lists and tuples of one length."""
+    keyed = st.lists(strings, min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.lists(values, min_size=len(keys), max_size=len(keys))
+                              .map(lambda vs: dict(zip(keys, vs))), min_size=n_min, max_size=5))
+    listed = st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(values, min_size=k, max_size=k)
+                           .flatmap(lambda row: st.sampled_from([row, tuple(row)])),
+                           min_size=n_min, max_size=5))
+    return st.one_of(keyed, listed)
+
+
+# rows that are nearly equal-shaped: dicts of few keys, so often one length in another
+# order, and lists of one to three scalars
+near_rows = st.one_of(
+    st.lists(st.dictionaries(st.sampled_from(["a", "b", "c"]), scalar, max_size=3),
+             min_size=2, max_size=4),
+    st.lists(st.lists(scalar, min_size=1, max_size=3), min_size=2, max_size=4))
+
+
+def containers(children):
+    return st.one_of(st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+                     st.dictionaries(strings, children, max_size=5),
+                     rows_of(scalar), rows_of(children), near_rows)
+
+
+tree = st.recursive(st.one_of(scalar, rows_of(scalar)), containers, max_leaves=25)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(obj=tree, shared=st.lists(st.one_of(scalar, tree), max_size=4))
+def test_json_text_equals_indent_encoder(obj, shared):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+    # one list at two places of one depth, and at a third place one level deeper
+    obj = [shared, obj, shared, {"again": shared}]
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+class Color(enum.IntEnum):
+    RED = 1
+    BLUE = 3
+
+
+class Tenth(float):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    [np.float64(0.5), Tenth(0.1), Color.RED, True],
+    {1: "int", 2.5: "float", None: "null", False: "bool", Color.BLUE: "enum"},
+    [{1: 0}, {True: 0}],
+    [{"k": Color.RED}, {"k": 2}],
+    [object()],
+    {"a": [1, {2, 3}]},
+    {(1, 2): "tuple key"},
+    [[1, np.int64(2)], [3, 4]],
+])
+def test_json_text_odd_types_as_json_dumps(obj):
+    try:
+        want = json.dumps(obj, indent=2)
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=re.escape(str(exc))):
+            json_text(obj)
+    else:
+        assert json_text(obj) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(xs=st.lists(st.one_of(st.floats(), st.sampled_from(ODD_FLOATS),
+                             st.integers(-2**60, 2**60)), max_size=20))
+def test_float9s_rounds_each_as_float9(xs):
+    want = [float9(x) for x in xs]
+    assert list(map(repr, float9s(xs))) == list(map(repr, want))
 
 
 # --- mutation fuzz ---------------------------------------------------------

@@ -74,6 +74,45 @@ def test_checker_sees_both_forms(tmp_path):
     ]
 
 
+# One JSON layout rule: only json_text and its private workers lay JSON out
+JSON_LAYOUT = {("trajectory.py", name) for name in ("json_text", "_spelled", "_json_rows")}
+
+
+def json_layout_calls(path: Path) -> list[tuple[str, str, int]]:
+    """(file, top-level definition, line) of each ``json.dumps`` or ``json.dump``
+    call, in either spelling, given ``indent=`` or ``separators=``."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("json.dumps", "json.dump", "dumps", "dump")
+                    and {kw.arg for kw in node.keywords} & {"indent", "separators"}):
+                found.append((path.name, owner, node.lineno))
+    return found
+
+
+def test_json_is_laid_out_by_one_helper():
+    found = [call for path in sorted(SRC.glob("*.py")) for call in json_layout_calls(path)]
+    assert found   # the helper's own calls: the checker sees them
+    assert [call for call in found if call[:2] not in JSON_LAYOUT] == []
+
+
+def test_layout_checker_sees_both_forms(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import json\n"
+                   "from json import dumps\n"
+                   "TEXT = json.dumps({}, indent=2)\n"
+                   "def write(obj, fh):\n"
+                   "    json.dump(obj, fh, separators=(',', ':'))\n"
+                   "    return dumps(obj, indent=None) + json.dumps(obj)\n"
+                   "class Writer:\n"
+                   "    def text(self, obj):\n"
+                   "        return json.dumps(obj, sort_keys=True, indent=4)\n")
+    assert json_layout_calls(src) == [("mod.py", "<module>", 3), ("mod.py", "write", 5),
+                                      ("mod.py", "write", 6), ("mod.py", "Writer", 9)]
+
+
 def imported_packages(path: Path) -> set[str]:
     """Top-level names of the absolute imports in one source file, at any depth."""
     found = set()
