@@ -8,7 +8,7 @@ for perfectly flat clouds and 1/3 for isotropic ones.  Motions below the
 import numpy as np
 
 from trajkf import fit_plane, project_to_plane, TimedTrajectory
-from trajkf.planarity import DEFAULT_F_ERROR
+from trajkf.merit import DEFAULT_F_ERROR
 
 
 def classify(name, points):

@@ -28,8 +28,8 @@ from .geometry import (
     torsion_t,
 )
 from .merit import MeritMethod, harmonic_mean_curve, merit_curves
+from .merit import PlanarityResult, fit_plane, project_to_plane
 from .pipeline import extract_keyframes
-from .planarity import PlanarityResult, fit_plane, project_to_plane
 from .selection import (
     KeyframeSet,
     Peak,

@@ -12,9 +12,8 @@ import sys
 from pathlib import Path
 
 from .evaluation import budget_for_ratio, reports_to_csv, reports_to_json, sweep
-from .merit import MeritMethod
+from .merit import DEFAULT_F_ERROR, MeritMethod
 from .pipeline import DEFAULT_SIGMA, extract_keyframes
-from .planarity import DEFAULT_F_ERROR
 from .selection import (
     DEFAULT_MIN_GAP,
     DEFAULT_MIN_LEN,
@@ -104,6 +103,9 @@ def cmd_extract(args) -> int:
         raise ValueError("--fps must lie in [%g, %g], got %r" % (*FRAME_RATES, args.fps))
     fmt = args.format or ("json" if args.input.endswith(".json") else "csv")
     traj = _read(args.input, load_trajectory, fmt, args.fps)
+    first, last = traj.start_frame, traj.start_frame + traj.n_samples - 1
+    if first < 0 or last >= MAX_N_FRAMES:   # the frames a keyframe file can hold
+        raise ValueError(f"{args.input}: frames {first} to {last} leave [0, 2**62)")
 
     intervals = None
     annotations = None

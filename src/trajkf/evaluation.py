@@ -9,14 +9,11 @@ compares per-sign keyframe counts against the annotators' counts.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .selection import KeyframeSet
 from .trajectory import MAX_N_FRAMES, SigningInterval, float9, json_text
 
 
@@ -48,7 +45,8 @@ def _covered(frames: np.ndarray, delta: int, n_frames: int) -> int:
 
 
 def _frames_of(pred) -> Sequence[int]:
-    return pred.frames if isinstance(pred, KeyframeSet) else pred
+    """The frames of a KeyframeSet (or anything with ``frames``); else ``pred`` itself."""
+    return getattr(pred, "frames", pred)
 
 
 def score(pred, truth: Sequence[int], delta: int, n_frames: int) -> EvaluationReport:
@@ -182,7 +180,7 @@ def sweep(
     each interval takes the first ``count`` of those inside it, all intervals
     of a ratio in one ``per_gloss_picker`` pass.  Both forms give the same
     reports for ``pred(count, interval) = [f for f in ranked if
-    interval.contains(f)][:count]``.  When intervals are given, per-sign
+    interval.start <= f <= interval.end][:count]``.  When intervals are given, per-sign
     counts and the complexity metric are attached to each report.
     """
     if per_gloss and not intervals:
@@ -200,7 +198,7 @@ def sweep(
         if not per_gloss:
             budget = budget_for_ratio(r_c, len(truth))
             frames = sorted(_frames_of(pred(budget)) if callable(pred) else pred[:budget])
-        elif callable(pred):
+        elif callable(pred):   # kept for perfbench/workloads.py
             frames: list[int] = []
             for itv, l_s in zip(intervals, truth_counts):
                 if l_s == 0:
@@ -246,16 +244,11 @@ def reports_to_json(reports: Sequence[EvaluationReport]) -> str:
 
 
 def reports_to_csv(reports: Sequence[EvaluationReport]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["r_c", "delta", "recall", "precision", "f2", "c_s"])
+    """The reports as CSV rows under the header r_c,delta,recall,precision,f2,c_s, one
+    % template per row: floats at 9 significant digits, an unset r_c or c_s left empty."""
+    lines = ["r_c,delta,recall,precision,f2,c_s\n"]
     for r in reports:
-        writer.writerow([
-            format(r.r_c, ".9g") if r.r_c is not None else "",
-            r.delta,
-            format(r.recall, ".9g"),
-            format(r.precision, ".9g"),
-            format(r.f2, ".9g"),
-            format(r.c_s, ".9g") if r.c_s is not None else "",
-        ])
-    return out.getvalue()
+        r_c = "" if r.r_c is None else format(r.r_c, ".9g")
+        c_s = "" if r.c_s is None else format(r.c_s, ".9g")
+        lines.append("%s,%s,%.9g,%.9g,%.9g,%s\n" % (r_c, r.delta, r.recall, r.precision, r.f2, c_s))
+    return "".join(lines)

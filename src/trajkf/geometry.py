@@ -79,9 +79,9 @@ class DescriptorCurve:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def selection_values(self) -> np.ndarray:
-        """Values with masked samples forced to 0, for peak finding."""
-        return np.where(self.valid_mask, self.values, 0.0)
+    def selection_values(self) -> np.ndarray:   # kept for perfbench/driver.py
+        """Values with masked samples at 0, for peak finding: ``values`` already is."""
+        return self.values
 
 
 def _masked_ratio(num: np.ndarray, den: np.ndarray, mask: np.ndarray,

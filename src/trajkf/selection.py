@@ -23,6 +23,7 @@ from .trajectory import (
     differentiate,
     float9s,
     json_finite_number,
+    json_frames,
     json_list,
     json_n_frames,
     json_text,
@@ -197,11 +198,7 @@ def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
     obj = parse_json(read_text(source))
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ParseError('keyframe file must hold an object with a "frames" list')
-    frames = json_list(obj, "frames")
-    if not set(map(type, frames)) <= {int}:   # the loop only names the first bad one
-        for i, f in enumerate(frames):
-            if type(f) is not int:
-                raise ParseError(f"frames[{i}]: must be an integer frame index")
+    frames = json_frames(obj, "frames")
     scores = json_list(obj, "scores") if "scores" in obj else [0.0] * len(frames)
     if len(scores) != len(frames):
         raise ParseError('"scores" and "frames" lengths differ')

@@ -102,7 +102,7 @@ class SigningInterval:
     def length(self) -> int:
         return self.end - self.start + 1
 
-    def contains(self, frame: int) -> bool:
+    def contains(self, frame: int) -> bool:   # kept for perfbench/tracing.py
         return self.start <= frame <= self.end
 
 
@@ -487,10 +487,7 @@ def load_annotations(source) -> Annotations:
             intervals.append(SigningInterval(itv["start"], itv["end"]))
         except ValueError as exc:
             raise ParseError(f"intervals[{i}]: {exc}") from None
-    keyframes = json_list(obj, "keyframes")
-    for i, k in enumerate(keyframes):
-        if type(k) is not int:
-            raise ParseError(f"keyframes[{i}]: must be an integer frame index")
+    keyframes = json_frames(obj, "keyframes")
     return Annotations(tuple(intervals), tuple(keyframes), json_n_frames(obj))
 
 
@@ -563,6 +560,15 @@ def json_list(obj: dict, field: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f'"{field}" must be a list')
     return value
+
+
+def json_frames(obj: dict, field: str) -> list:
+    """The list of integer frame indices under ``field`` of a JSON object (empty when absent)."""
+    frames = json_list(obj, field)
+    if not set(map(type, frames)) <= {int}:   # the scan only names the first bad one
+        i = next(i for i, f in enumerate(frames) if type(f) is not int)
+        raise ParseError(f"{field}[{i}]: must be an integer frame index")
+    return frames
 
 
 MAX_N_FRAMES = 2**62   # longest scorable video: frame windows stay inside int64

@@ -163,7 +163,7 @@ def brute_score(pred, truth, delta, n_frames):
 
 def brute_sweep(pred_fn, truth_keyframes, n_frames, r_c_values, delta_values,
                 intervals=None, per_gloss=False):
-    """``trajkf.sweep`` with every per-sign count taken by SigningInterval.contains.
+    """``trajkf.sweep`` with every per-sign count taken frame by frame.
 
     Budgets, scores and the complexity metric come from the library; only the
     counting differs, so the reports must be equal under ==.
@@ -176,7 +176,7 @@ def brute_sweep(pred_fn, truth_keyframes, n_frames, r_c_values, delta_values,
         if per_gloss:
             frames = []
             for itv in intervals:
-                l_s = sum(1 for k in truth if itv.contains(k))
+                l_s = sum(1 for k in truth if itv.start <= k <= itv.end)
                 if l_s == 0:
                     continue
                 frames.extend(pred_fn(budget_for_ratio(r_c, l_s), itv))
@@ -189,8 +189,8 @@ def brute_sweep(pred_fn, truth_keyframes, n_frames, r_c_values, delta_values,
         if intervals:
             rows = []
             for itv in intervals:
-                l_s = sum(1 for k in truth if itv.contains(k))
-                l_x = sum(1 for f in frames if itv.contains(f))
+                l_s = sum(1 for k in truth if itv.start <= k <= itv.end)
+                l_x = sum(1 for f in frames if itv.start <= f <= itv.end)
                 rows.append({"start": itv.start, "end": itv.end, "l_x": l_x, "l_s": l_s})
             per_sign = tuple(rows)
             counted = [(r["l_x"], r["l_s"]) for r in rows if r["l_s"] >= 1]
@@ -224,6 +224,23 @@ def brute_reports_json(reports) -> str:
             row["per_sign"] = list(r.per_sign)
         rows.append(row)
     return json.dumps(rows, indent=2) + "\n"
+
+
+def brute_reports_csv(reports) -> str:
+    """The report CSV ``reports_to_csv`` must write, each row through ``csv.writer``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["r_c", "delta", "recall", "precision", "f2", "c_s"])
+    for r in reports:
+        writer.writerow([
+            format(r.r_c, ".9g") if r.r_c is not None else "",
+            r.delta,
+            format(r.recall, ".9g"),
+            format(r.precision, ".9g"),
+            format(r.f2, ".9g"),
+            format(r.c_s, ".9g") if r.c_s is not None else "",
+        ])
+    return out.getvalue()
 
 
 def brute_keyframes_json(ks: KeyframeSet, start_frame: int = 0, n_frames=None) -> str:

@@ -409,12 +409,12 @@ class TestEvaluate:
 
     @staticmethod
     def reference_json(pred, truth, r_cs, deltas):
-        """Per-gloss reports with each pick taken by the ``contains`` comprehension."""
+        """Per-gloss reports with each pick taken by a comprehension over the ranked frames."""
         keys, _ = keyframes_from_json(pred)
         ranked = [f for f, _ in sorted(zip(keys.frames, keys.scores),
                                        key=lambda fs: (-fs[1], fs[0]))]
         ann = load_annotations(truth)
-        reports = sweep(lambda count, itv: [f for f in ranked if itv.contains(f)][:count],
+        reports = sweep(lambda count, itv: [f for f in ranked if itv.start <= f <= itv.end][:count],
                         ann.keyframes, 100, r_cs, deltas,
                         intervals=ann.intervals, per_gloss=True)
         return reports_to_json(reports)
@@ -601,6 +601,37 @@ def test_video_length_of_2_62_is_accepted(tmp_path):
     truth.write_text(json.dumps({"keyframes": [5], "n_frames": 2**62}))
     assert run("evaluate", "--pred", str(pred), "--truth", str(truth),
                "-o", str(tmp_path / "r.json")) == 0
+
+
+def zigzag_clip(start_frame):
+    """200 samples of a 2-D zigzag of rising amplitude, from ``start_frame``."""
+    t = np.arange(200) / 60.0
+    return trajkf.TimedTrajectory(np.column_stack([t, (1 + t) * np.abs((t * 6) % 2 - 1)]),
+                                  60.0, start_frame)
+
+
+@pytest.mark.parametrize("start,fmt", [(-50, "csv"), (2**62 - 100, "json")])
+def test_frames_a_keyframe_file_cannot_hold_exit_2_naming_file(tmp_path, capsys, start, fmt):
+    # the loaders accept these frames; extract must not write a file evaluate refuses
+    path, out = tmp_path / f"clip.{fmt}", tmp_path / "kf.json"
+    trajkf.save_trajectory(zigzag_clip(start), path, fmt)
+    assert run("extract", str(path), "--count", "3", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"frames {start} to {start + 199}" in err
+    assert not out.exists()
+
+
+def test_frames_up_to_2_62_extract_and_evaluate(tmp_path):
+    clip, keys, truth = tmp_path / "clip.json", tmp_path / "kf.json", tmp_path / "truth.json"
+    start = 2**62 - 200   # the last frame is 2**62 - 1
+    trajkf.save_trajectory(zigzag_clip(start), clip, "json")
+    assert run("extract", str(clip), "--count", "3", "-o", str(keys)) == 0
+    pred = json.loads(keys.read_text())
+    assert pred["n_frames"] == 2**62 and len(pred["frames"]) == 3
+    truth.write_text(json.dumps({"keyframes": pred["frames"]}))
+    report = tmp_path / "r.json"
+    assert run("evaluate", "--pred", str(keys), "--truth", str(truth), "-o", str(report)) == 0
+    assert json.loads(report.read_text())[0]["recall"] == 1.0
 
 
 def numpy_ma_loaded_after(argv) -> bool:

@@ -15,12 +15,13 @@ from trajkf import (
     SigningInterval,
     budget_for_ratio,
     complexity_metric,
+    reports_to_csv,
     reports_to_json,
     score,
     sweep,
 )
 from trajkf.evaluation import per_gloss_picker
-from oracles import ODD_FLOATS, brute_reports_json, brute_score, brute_sweep
+from oracles import ODD_FLOATS, brute_reports_csv, brute_reports_json, brute_score, brute_sweep
 
 
 def covered_share(frames, delta, n):
@@ -264,7 +265,7 @@ class TestSweep:
 
         def pred_fn(count, interval):
             calls.append((count, interval.start))
-            return [f for f in truth if interval.contains(f)][:count]
+            return [f for f in truth if interval.start <= f <= interval.end][:count]
 
         reports = sweep(pred_fn, truth, 100, r_c_values=[1.0], delta_values=[5],
                         intervals=intervals, per_gloss=True)
@@ -302,7 +303,7 @@ class TestSweepAgainstBruteForce:
         n, intervals, truth, ranked, r_cs, deltas = case
         if per_gloss:
             def pred_fn(count, interval):
-                return [f for f in ranked if interval.contains(f)][:count]
+                return [f for f in ranked if interval.start <= f <= interval.end][:count]
         else:
             def pred_fn(count):
                 return ranked[:count]
@@ -312,9 +313,11 @@ class TestSweepAgainstBruteForce:
         assert got == brute_sweep(*args)
         assert all(type(v) is int for r in got for row in r.per_sign for v in row.values())
         assert reports_to_json(got) == brute_reports_json(got)
+        assert reports_to_csv(got) == brute_reports_csv(got)
         if not per_gloss:
             plain = sweep(pred_fn, truth, n, r_cs, deltas)
             assert reports_to_json(plain) == brute_reports_json(plain)
+            assert reports_to_csv(plain) == brute_reports_csv(plain)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=sweep_cases(), per_gloss=st.booleans())
@@ -323,7 +326,7 @@ class TestSweepAgainstBruteForce:
         n, intervals, truth, ranked, r_cs, deltas = case
         if per_gloss:
             def pred_fn(count, interval):
-                return [f for f in ranked if interval.contains(f)][:count]
+                return [f for f in ranked if interval.start <= f <= interval.end][:count]
         else:
             def pred_fn(count):
                 return ranked[:count]
@@ -337,7 +340,7 @@ def union_of_picks(ranked, intervals, counts):
     """The reference per-gloss union: each interval's first ``count`` ranked frames."""
     picked = set()
     for interval, count in zip(intervals, counts):
-        picked.update([f for f in ranked if interval.contains(f)][:count])
+        picked.update([f for f in ranked if interval.start <= f <= interval.end][:count])
     return sorted(picked)
 
 
@@ -466,3 +469,18 @@ class TestReportsToJson:
         finally:
             tracemalloc.stop()
         assert peak < 5 * len(text)
+
+
+class TestReportsToCsv:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(reports=report_lists())
+    @example(reports=[EvaluationReport(0.5, 0.25, 0.125, 5, c_s=0.75),
+                      EvaluationReport(1.0, 1.0, 1.0, 0, r_c=2.0)])
+    @example(reports=[EvaluationReport(0.5, 0.25, 0.125, 5.5),
+                      EvaluationReport(1.0, 1.0, 1.0, True, r_c=2.0)])
+    def test_equals_csv_writer(self, reports):
+        assert reports_to_csv(reports) == brute_reports_csv(reports)
+
+    def test_every_odd_float(self):
+        reports = [EvaluationReport(x, x, x, 10, r_c=x, c_s=x) for x in ODD_FLOATS]
+        assert reports_to_csv(reports) == brute_reports_csv(reports)

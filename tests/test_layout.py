@@ -9,6 +9,7 @@ still stay out of ``trajkf.__all__``).
 
 import ast
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -149,8 +150,43 @@ def test_import_checker_sees_nested_and_relative_imports(tmp_path):
 
 
 def test_plane_fit_reads_laid_out_points_not_intervals():
-    # merit.segment_layout lays the intervals out once; planarity fits what it is given
-    assert "SigningInterval" not in (SRC / "planarity.py").read_text()
+    # merit.segment_layout lays the intervals out once; fit_planes fits what it is given
+    assert "SigningInterval" not in inspect.getsource(trajkf.merit.fit_planes)
+
+
+def trajkf_modules(path: Path) -> set[str]:
+    """The trajkf modules one source file imports, in any form and at any depth;
+    ``trajkf`` for the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [alias.name for alias in node.names]
+            for name in names:
+                head, _, rest = name.partition(".")
+                if head == "trajkf":
+                    found.add(rest.split(".")[0] or "trajkf")
+    return found
+
+
+def test_evaluation_imports_only_trajectory():
+    # scoring reads frame indices, not keyframe sets or curves
+    assert trajkf_modules(SRC / "evaluation.py") == {"trajectory"}
+
+
+def test_module_checker_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import os\n"
+                   "from .trajectory import speed\n"
+                   "from . import geometry\n"
+                   "import trajkf.merit\n"
+                   "def f():\n"
+                   "    from trajkf.selection.sub import KeyframeSet\n"
+                   "    from trajkf import sweep\n")
+    assert trajkf_modules(src) == {"trajectory", "geometry", "merit", "selection", "trajkf"}
 
 
 # The benchmark (perfbench/) wraps and patches these names; a refactor of

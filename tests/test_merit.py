@@ -86,7 +86,7 @@ class TestMeritCurve:
                                  duration=4.0, fps=60.0,
                                  orientation=(0.4, 0.3, 0.1)), seed=0)
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
-        m = merit_curve(res.trajectory, itv, MeritMethod.MT)
+        m = merit_curves(res.trajectory, [itv], MeritMethod.MT)[0]
         assert m.kind is CurveKind.M_T
         assert m.branch == BRANCH_PLANAR
         assert np.max(np.abs(m.values[5:-5] - 1.0)) < 1e-3
@@ -94,7 +94,7 @@ class TestMeritCurve:
     def test_nonplanar_helix_takes_harmonic_branch(self):
         (res, pitch, rate), = [balanced_helix()]
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
-        m = merit_curve(res.trajectory, itv, MeritMethod.MT)
+        m = merit_curves(res.trajectory, [itv], MeritMethod.MT)[0]
         assert m.branch == BRANCH_NONPLANAR
         c2 = 1.0 + pitch**2
         v = rate * np.sqrt(c2)
@@ -106,8 +106,8 @@ class TestMeritCurve:
     def test_branch_follows_f_error_threshold(self):
         (res, _, _), = [balanced_helix()]
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
-        loose = merit_curve(res.trajectory, itv, MeritMethod.MT, f_error=0.33)
-        tight = merit_curve(res.trajectory, itv, MeritMethod.MT, f_error=1e-4)
+        loose = merit_curves(res.trajectory, [itv], MeritMethod.MT, f_error=0.33)[0]
+        tight = merit_curves(res.trajectory, [itv], MeritMethod.MT, f_error=1e-4)[0]
         assert loose.branch == BRANCH_PLANAR
         assert tight.branch == BRANCH_NONPLANAR
 
@@ -116,14 +116,14 @@ class TestMeritCurve:
         traj = TimedTrajectory(np.column_stack([t, 2 * t, -t]), 60.0)
         itv = SigningInterval(0, 59)
         for method in MeritMethod:
-            m = merit_curve(traj, itv, method)
+            m = merit_curves(traj, [itv], method)[0]
             assert np.max(np.abs(m.values)) < 1e-9
 
     def test_2d_trajectory_uses_planar_branch_directly(self):
         res = generate(CurveSpec(kind="circle", radius=1.0, rate=2.0, duration=3.0,
                                  fps=60.0, embed=2), seed=0)
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
-        m = merit_curve(res.trajectory, itv, MeritMethod.MT)
+        m = merit_curves(res.trajectory, [itv], MeritMethod.MT)[0]
         assert m.branch == BRANCH_PLANAR
         assert np.max(np.abs(m.values[5:-5] - 2.0)) < 1e-2
 
@@ -132,7 +132,7 @@ class TestMeritCurve:
         res = generate(CurveSpec(kind="helix", radius=1.0, pitch=0.8, rate=1.5,
                                  duration=4.0, fps=60.0), seed=0)
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
-        m = merit_curve(res.trajectory, itv, MeritMethod.K2DT)
+        m = merit_curves(res.trajectory, [itv], MeritMethod.K2DT)[0]
         assert m.kind is CurveKind.K_T_2D
         assert np.max(np.abs(m.values[5:-5] - 1.5)) < 1e-3
 
@@ -142,21 +142,39 @@ class TestMeritCurve:
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
         for method in (MeritMethod.K3DT, MeritMethod.KAPPA3DS):
             with pytest.raises(ValueError, match="3-D"):
-                merit_curve(res.trajectory, itv, method)
+                merit_curves(res.trajectory, [itv], method)[0]
 
     def test_baseline_kinds(self):
         res = generate(CurveSpec(kind="helix", radius=1.0, pitch=1.0,
                                  duration=4.0, fps=60.0), seed=0)
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
-        assert merit_curve(res.trajectory, itv, MeritMethod.K3DT).kind is CurveKind.K_T_3D
-        assert merit_curve(res.trajectory, itv, MeritMethod.KAPPA3DS).kind is CurveKind.KAPPA_S_3D
-        assert merit_curve(res.trajectory, itv, MeritMethod.KAPPA2DS).kind is CurveKind.KAPPA_S_2D
+        for method, kind in [(MeritMethod.K3DT, CurveKind.K_T_3D),
+                             (MeritMethod.KAPPA3DS, CurveKind.KAPPA_S_3D),
+                             (MeritMethod.KAPPA2DS, CurveKind.KAPPA_S_2D)]:
+            assert merit_curves(res.trajectory, [itv], method)[0].kind is kind
 
     def test_interval_alignment(self):
         res = generate(CurveSpec(kind="circle", radius=1.0, duration=4.0, fps=60.0), seed=0)
         itv = SigningInterval(20, 99)
-        m = merit_curve(res.trajectory, itv, MeritMethod.MT)
+        m = merit_curves(res.trajectory, [itv], MeritMethod.MT)[0]
         assert len(m) == itv.length
+
+    def test_merit_curve_is_merit_curves_on_one_interval(self):
+        # merit_curve is kept only for the benchmark: it must stay the one-interval case
+        planar = generate(CurveSpec(kind="circle", radius=2.0, rate=1.0, duration=4.0,
+                                    fps=60.0, orientation=(0.4, 0.3, 0.1)), seed=0)
+        flat = generate(CurveSpec(kind="circle", radius=1.0, rate=2.0, duration=3.0,
+                                  fps=60.0, embed=2), seed=0)
+        branches = []
+        for res in (planar, balanced_helix()[0], flat):
+            itv = SigningInterval(10, res.trajectory.n_samples - 20)
+            one = merit_curve(res.trajectory, itv, MeritMethod.MT)
+            many = merit_curves(res.trajectory, [itv], MeritMethod.MT)[0]
+            assert np.array_equal(one.values, many.values)
+            assert np.array_equal(one.valid_mask, many.valid_mask)
+            assert (one.kind, one.branch) == (many.kind, many.branch)
+            branches.append(one.branch)
+        assert branches == [BRANCH_PLANAR, BRANCH_NONPLANAR, BRANCH_PLANAR]
 
 
 class TestKinematicSensitivity:
@@ -164,12 +182,12 @@ class TestKinematicSensitivity:
         res = generate(CurveSpec(kind="circle", radius=2.0, phase="quadratic",
                                  rate=0.1, duration=5.0, fps=60.0), seed=0)
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
-        m = merit_curve(res.trajectory, itv, MeritMethod.MT)
+        m = merit_curves(res.trajectory, [itv], MeritMethod.MT)[0]
         sl = slice(40, -6)
         diffs = np.diff(m.values[sl])
         assert np.all(diffs > 0)
 
-        kappa = merit_curve(res.trajectory, itv, MeritMethod.KAPPA3DS)
+        kappa = merit_curves(res.trajectory, [itv], MeritMethod.KAPPA3DS)[0]
         vals = kappa.values[sl]
         assert np.max(np.abs(vals - 0.5)) < 1e-3
 
@@ -180,8 +198,8 @@ class TestKinematicSensitivity:
         traj = res.trajectory
         scaled = TimedTrajectory(traj.points * 7.0, traj.frame_rate, traj.start_frame)
         for itv in res.intervals:
-            m0 = merit_curve(traj, itv, MeritMethod.MT)
-            m1 = merit_curve(scaled, itv, MeritMethod.MT)
+            m0 = merit_curves(traj, [itv], MeritMethod.MT)[0]
+            m1 = merit_curves(scaled, [itv], MeritMethod.MT)[0]
             assert m0.branch == m1.branch
             assert np.allclose(m0.values, m1.values, atol=1e-9)
             assert np.argmax(m0.values) == np.argmax(m1.values)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from trajkf import SigningInterval, TimedTrajectory, fit_plane, project_to_plane
-from trajkf.merit import segment_layout
-from trajkf.planarity import fit_planes
+from trajkf.merit import fit_planes, segment_layout
 from oracles import random_rotation
 
 

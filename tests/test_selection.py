@@ -302,7 +302,7 @@ class TestPipelineInvariants:
         smoothed = gaussian_smooth(traj, 2.0)
         intervals = detect_intervals(smoothed, default_speed_threshold(smoothed))
         for frame in selected.frames:
-            home = [itv for itv in intervals if itv.contains(frame)]
+            home = [itv for itv in intervals if itv.start <= frame <= itv.end]
             assert len(home) == 1
             curve, = merit_curves(smoothed, home, MeritMethod.MT)
             k = frame - home[0].start
@@ -470,7 +470,6 @@ class TestMotionProfile:
         # merit lays the intervals out once; the plane fit and the pipeline read that layout
         import trajkf.merit
         import trajkf.pipeline
-        import trajkf.planarity
 
         calls = []
         layout = trajkf.merit.segment_layout
@@ -479,7 +478,7 @@ class TestMotionProfile:
             calls.append(len(intervals))
             return layout(intervals)
 
-        for module in (trajkf.pipeline, trajkf.merit, trajkf.planarity):   # wherever it is read
+        for module in (trajkf.pipeline, trajkf.merit):   # wherever it is read
             if getattr(module, "segment_layout", None) is layout:
                 monkeypatch.setattr(module, "segment_layout", counting)
         keys = self.extract(clip, case)

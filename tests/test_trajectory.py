@@ -82,6 +82,12 @@ class TestContainerChecks:
         with pytest.raises(ValueError, match=rf"invalid interval \[{start}, {end}\]"):
             SigningInterval(start, end)
 
+    def test_contains_holds_both_ends(self):
+        # contains is kept only for the benchmark: it must stay the closed span
+        for start, end in [(0, 0), (3, 7)]:
+            itv = SigningInterval(start, end)
+            assert [f for f in range(10) if itv.contains(f)] == list(range(start, end + 1))
+
     @pytest.mark.parametrize("name", ["d2", "d3"])
     def test_derivative_shapes_must_match(self, name):
         d1 = np.zeros((5, 3))
