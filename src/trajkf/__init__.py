@@ -20,7 +20,6 @@ from .evaluation import (
 from .geometry import (
     BRANCH_NONPLANAR,
     BRANCH_PLANAR,
-    CurveKind,
     DescriptorCurve,
     curvature_s,
     curvature_t,
@@ -62,7 +61,6 @@ __all__ = [
     "Annotations",
     "BRANCH_NONPLANAR",
     "BRANCH_PLANAR",
-    "CurveKind",
     "CurveSpec",
     "DerivativeStack",
     "DescriptorCurve",

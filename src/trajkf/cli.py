@@ -147,6 +147,8 @@ def cmd_extract(args) -> int:
     except FloatingPointError as exc:   # derivatives scale as powers of the frame rate
         raise ValueError(f"{args.input}: coordinates too large for its frame rate of "
                          f"{traj.frame_rate!r} fps ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     n_frames = traj.start_frame + traj.n_samples
     _write_output(args.output, keyframes_to_json(result, traj.start_frame, n_frames))
     return EXIT_OK

@@ -19,7 +19,6 @@ than emitted as NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,19 +29,6 @@ CROSS_EPS = 1e-9   # below this |d1 x d2| torsion is undefined
 
 BRANCH_PLANAR = "planar_curvature"
 BRANCH_NONPLANAR = "harmonic_mean"
-
-
-class CurveKind(str, Enum):
-    """What a per-sample descriptor curve measures."""
-
-    KAPPA_S_2D = "kappa_s_2d"
-    KAPPA_S_3D = "kappa_s_3d"
-    TAU_S = "tau_s"
-    K_T_2D = "K_t_2d"
-    K_T_3D = "K_t_3d"
-    T_T = "T_t"
-    H_T = "H_t"
-    M_T = "M_t"
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +43,6 @@ class DescriptorCurve:
     """
 
     values: np.ndarray
-    kind: CurveKind
     valid_mask: np.ndarray
     branch: str | None = None
     offsets: np.ndarray = (0,)
@@ -84,11 +69,11 @@ class DescriptorCurve:
         return self.values
 
 
-def _masked_ratio(num: np.ndarray, den: np.ndarray, mask: np.ndarray,
-                  kind: CurveKind) -> DescriptorCurve:
+def masked_ratio(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> DescriptorCurve:
+    """num / den where ``mask`` holds; elsewhere masked, and stored as 0."""
     vals = np.zeros_like(num)
     np.divide(num, den, out=vals, where=mask)
-    return DescriptorCurve(vals, kind, mask)
+    return DescriptorCurve(vals, mask)
 
 
 def descriptor_kernel(d: DerivativeStack, v: np.ndarray, rate: bool, torsion: bool = False
@@ -111,16 +96,13 @@ def descriptor_kernel(d: DerivativeStack, v: np.ndarray, rate: bool, torsion: bo
         cross_vec = np.cross(d.d1, d.d2)
         cross_mag = np.linalg.norm(cross_vec, axis=1)
     moving = v >= SPEED_EPS
-    kind = (CurveKind.K_T_3D if d.dim == 3 else CurveKind.K_T_2D) if rate \
-        else (CurveKind.KAPPA_S_3D if d.dim == 3 else CurveKind.KAPPA_S_2D)
-    curvature = _masked_ratio(cross_mag, v**2 if rate else v**3, moving, kind)
+    curvature = masked_ratio(cross_mag, v**2 if rate else v**3, moving)
     if not torsion:
         return curvature, None
     num = np.abs(np.einsum("ij,ij->i", cross_vec, d.d3))
     if rate:
         num = num * v
-    tau = _masked_ratio(num, cross_mag**2, moving & (cross_mag >= CROSS_EPS),
-                        CurveKind.T_T if rate else CurveKind.TAU_S)
+    tau = masked_ratio(num, cross_mag**2, moving & (cross_mag >= CROSS_EPS))
     return curvature, tau
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry
-from .geometry import BRANCH_NONPLANAR, BRANCH_PLANAR, CurveKind, DescriptorCurve
+from .geometry import BRANCH_NONPLANAR, BRANCH_PLANAR, DescriptorCurve
 from .trajectory import MIN_SAMPLES, DerivativeStack, SigningInterval, TimedTrajectory
 from .trajectory import differentiate, speed
 
@@ -123,10 +123,8 @@ def harmonic_mean_curve(k: DescriptorCurve, t_abs: DescriptorCurve) -> Descripto
         raise ValueError(f"curve length mismatch: {len(k)} vs {len(t_abs)}")
     a = k.values
     b = t_abs.values
-    mask = k.valid_mask & t_abs.valid_mask & (a + b >= HARMONIC_EPS)
-    vals = np.zeros_like(a)
-    np.divide(2 * a * b, a + b, out=vals, where=mask)
-    return DescriptorCurve(vals, CurveKind.H_T, mask)
+    return geometry.masked_ratio(2 * a * b, a + b,
+                                 k.valid_mask & t_abs.valid_mask & (a + b >= HARMONIC_EPS))
 
 
 def segment_layout(intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,11 +169,11 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
         if itv.end >= n:
             raise ValueError(
                 f"interval [{itv.start}, {itv.end}] outside trajectory of {n} samples")
-    offsets, lengths, rows = segment_layout(intervals)
-    if not intervals:   # an empty curve; its kind is moot
-        return DescriptorCurve(np.zeros(0), CurveKind.M_T, np.zeros(0, dtype=bool)), [], rows
     if method in (MeritMethod.K3DT, MeritMethod.KAPPA3DS) and traj.dim != 3:
         raise ValueError(f"method {method.value} needs a 3-D trajectory")
+    offsets, lengths, rows = segment_layout(intervals)
+    if not intervals:
+        return DescriptorCurve(np.zeros(0), np.zeros(0, dtype=bool)), [], rows
 
     fit = method is MeritMethod.MT and traj.dim == 3
     d = differentiate(traj, merit_order(method, traj)) if d is None else d
@@ -209,8 +207,7 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
             values[~flat] = h.values
             mask[~flat] = h.valid_mask & (v[hr] >= np.repeat(cut, lengths[~planar]))
     mask = mask & (v[rows] >= speed_threshold) if speed_threshold > 0 else mask
-    kind = CurveKind.M_T if method is MeritMethod.MT else base.kind
-    return DescriptorCurve(values, kind, mask, offsets=offsets), branches, rows
+    return DescriptorCurve(values, mask, offsets=offsets), branches, rows
 
 
 def merit_curves(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
@@ -220,7 +217,7 @@ def merit_curves(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     ``branch``: one pass over all intervals laid end to end, O(N log N)."""
     curve, branches, _ = segmented_merit(traj, intervals, method, f_error, speed_threshold)
     bounds = [*curve.offsets.tolist(), len(curve)]
-    return [DescriptorCurve(curve.values[a:b], curve.kind, curve.valid_mask[a:b], branch)
+    return [DescriptorCurve(curve.values[a:b], curve.valid_mask[a:b], branch)
             for a, b, branch in zip(bounds, bounds[1:], branches)]
 
 

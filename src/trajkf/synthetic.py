@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import SPEED_EPS, CurveKind, DescriptorCurve
+from .geometry import SPEED_EPS, DescriptorCurve
 from .trajectory import FRAME_RATES, SigningInterval, TimedTrajectory
 
 CURVE_KINDS = ("circle", "helix", "line", "planar_polynomial", "piecewise_signing")
@@ -242,12 +242,10 @@ def _result(spec, rng, points, v, kappa, tau, keyframes, intervals, position_fn,
     three_d = spec.embed == 3
     return SyntheticResult(
         trajectory=TimedTrajectory(points, spec.fps, 0),
-        curvature_s=DescriptorCurve(
-            kappa, CurveKind.KAPPA_S_3D if three_d else CurveKind.KAPPA_S_2D, moving),
-        torsion_s=DescriptorCurve(tau, CurveKind.TAU_S, tau_mask) if three_d else None,
-        curvature_t=DescriptorCurve(kappa * v if k_vals is None else k_vals,
-                                    CurveKind.K_T_3D if three_d else CurveKind.K_T_2D, moving),
-        torsion_t=DescriptorCurve(tau * v, CurveKind.T_T, tau_mask) if three_d else None,
+        curvature_s=DescriptorCurve(kappa, moving),
+        torsion_s=DescriptorCurve(tau, tau_mask) if three_d else None,
+        curvature_t=DescriptorCurve(kappa * v if k_vals is None else k_vals, moving),
+        torsion_t=DescriptorCurve(tau * v, tau_mask) if three_d else None,
         keyframes=tuple(keyframes),
         intervals=tuple(intervals),
         position_fn=position_fn,

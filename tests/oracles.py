@@ -299,8 +299,7 @@ def padded_window_merit(traj, interval, method, f_error=0.05, torsion_speed_frac
                 v = speed(d)
                 t_abs = torsion_t(d)
                 guard = t_abs.valid_mask & (v >= torsion_speed_fraction * np.percentile(v, 95))
-                h = harmonic_mean_curve(curvature_t(d),
-                                        DescriptorCurve(t_abs.values, t_abs.kind, guard))
+                h = harmonic_mean_curve(curvature_t(d), DescriptorCurve(t_abs.values, guard))
                 return h.values, h.valid_mask, BRANCH_NONPLANAR
             window = project_to_plane(window, plane)
         k = curvature_t(derivatives(window, 2))

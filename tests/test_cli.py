@@ -150,7 +150,29 @@ class TestExtract:
         ann.write_text(json.dumps({"intervals": [{"start": 0, "end": 4}]}))
         assert run("extract", str(path), "--annotations", str(ann), "--count", "1",
                    "--sigma", "0") == 2
-        assert "need at least 7 samples" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}: need at least 7 samples" in err
+
+    @pytest.mark.parametrize("case,message", [
+        ("resting_2d", "method k3dt needs a 3-D trajectory"),
+        ("moving_2d", "method k3dt needs a 3-D trajectory"),
+        ("three_samples", "need at least 4 samples for order 2, got 3"),
+    ])
+    def test_extraction_error_names_input(self, tmp_path, capsys, case, message):
+        # a 3-D method fails on 2-D input whether or not the clip moves
+        a = np.arange(60) / 30
+        points = {"resting_2d": np.full((60, 2), 0.5),
+                  "moving_2d": np.column_stack([np.cos(a), np.sin(a)]),
+                  "three_samples": np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0]])}[case]
+        path = tmp_path / f"{case}.csv"
+        rows = [",".join([str(i), *(f"{x:.17g}" for x in p)]) for i, p in enumerate(points)]
+        header = ",".join(["frame", *"xyz"[:points.shape[1]]])
+        path.write_text("\n".join([header, *rows]) + "\n")
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({"intervals": [{"start": 0, "end": 2}]}))
+        argv = ["--annotations", str(ann)] if case == "three_samples" else ["--method", "k3dt"]
+        assert run("extract", str(path), "--count", "1", *argv) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload,where", [
         ({"fps": "60"}, '"fps"'),

@@ -393,9 +393,9 @@ class TestRankedPicker:
             counts = np.full(m, 3)
             best = np.inf
             for _ in range(3):
-                begin = time.perf_counter()
+                begin = time.process_time()   # CPU time: a busy neighbour does not count
                 per_gloss_picker(ranked, starts, 2 * m - 1 - starts)(counts)
-                best = min(best, time.perf_counter() - begin)
+                best = min(best, time.process_time() - begin)
             return best
 
         assert best_time(16000) < 8 * best_time(4000)   # quadratic would be 16x

@@ -10,7 +10,6 @@ import pytest
 
 import trajkf.geometry
 from trajkf import (
-    CurveKind,
     CurveSpec,
     DescriptorCurve,
     TimedTrajectory,
@@ -45,7 +44,6 @@ class TestCurvatureS:
     def test_circle_curvature_is_inverse_radius(self):
         d = differentiate(circle_traj(radius=2.0, omega=1.5).trajectory, 2)
         kappa = curvature_s(d)
-        assert kappa.kind is CurveKind.KAPPA_S_3D
         assert np.max(np.abs(interior(kappa.values) - 0.5)) < 1e-3
 
     def test_straight_line_curvature_zero(self):
@@ -119,7 +117,6 @@ class TestCurvatureT:
         t = np.arange(40) / 60.0
         traj = TimedTrajectory(np.column_stack([3 * t, 4 * t]), 60.0)
         k = curvature_t(differentiate(traj, 2))
-        assert k.kind is CurveKind.K_T_2D
         assert np.max(np.abs(k.values)) < 1e-9
 
 
@@ -265,4 +262,4 @@ class TestDescriptorKernel:
 ])
 def test_descriptor_curve_needs_equal_1d_values_and_mask(values, mask):
     with pytest.raises(ValueError, match="values and valid_mask must be 1-D arrays of equal len"):
-        DescriptorCurve(values, CurveKind.M_T, mask)
+        DescriptorCurve(values, mask)

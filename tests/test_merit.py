@@ -9,12 +9,15 @@ from oracles import padded_window_merit, random_rotation
 from trajkf import (
     BRANCH_NONPLANAR,
     BRANCH_PLANAR,
-    CurveKind,
     CurveSpec,
+    DerivativeStack,
     DescriptorCurve,
     MeritMethod,
     SigningInterval,
     TimedTrajectory,
+    curvature_s,
+    curvature_t,
+    differentiate,
     extract_keyframes,
     generate,
     harmonic_mean_curve,
@@ -23,11 +26,11 @@ from trajkf import (
 from trajkf.merit import merit_curve, segment_percentile
 
 
-def curve(values, mask=None, kind=CurveKind.K_T_3D):
+def curve(values, mask=None):
     values = np.asarray(values, dtype=float)
     if mask is None:
         mask = np.ones_like(values, dtype=bool)
-    return DescriptorCurve(values, kind, mask)
+    return DescriptorCurve(values, mask)
 
 
 def balanced_helix(duration=8.0, fps=60.0, turns=3.0):
@@ -41,39 +44,39 @@ def balanced_helix(duration=8.0, fps=60.0, turns=3.0):
 
 class TestHarmonicMean:
     def test_equal_inputs(self):
-        h = harmonic_mean_curve(curve([3.0, 3.0]), curve([3.0, 3.0], kind=CurveKind.T_T))
+        h = harmonic_mean_curve(curve([3.0, 3.0]), curve([3.0, 3.0]))
         assert np.allclose(h.values, 3.0)
 
     def test_zero_annihilates(self):
-        h = harmonic_mean_curve(curve([4.0]), curve([0.0], kind=CurveKind.T_T))
+        h = harmonic_mean_curve(curve([4.0]), curve([0.0]))
         assert h.values[0] == 0.0
         assert h.valid_mask[0]
 
     def test_direct_formula(self):
-        h = harmonic_mean_curve(curve([2.0]), curve([6.0], kind=CurveKind.T_T))
+        h = harmonic_mean_curve(curve([2.0]), curve([6.0]))
         assert h.values[0] == pytest.approx(3.0)  # 2*2*6/8
 
     def test_masked_inputs_mask_output(self):
         k = curve([1.0, 2.0], mask=[True, False])
-        t = curve([1.0, 2.0], kind=CurveKind.T_T)
+        t = curve([1.0, 2.0])
         h = harmonic_mean_curve(k, t)
         assert h.valid_mask.tolist() == [True, False]
         assert h.values[1] == 0.0
 
     def test_tiny_sum_masked(self):
-        h = harmonic_mean_curve(curve([1e-15]), curve([1e-15], kind=CurveKind.T_T))
+        h = harmonic_mean_curve(curve([1e-15]), curve([1e-15]))
         assert not h.valid_mask[0]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            harmonic_mean_curve(curve([1.0]), curve([1.0, 2.0], kind=CurveKind.T_T))
+            harmonic_mean_curve(curve([1.0]), curve([1.0, 2.0]))
 
     def test_algebraic_identity_and_bounds(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             a = rng.uniform(0, 10, size=64)
             b = rng.uniform(0, 10, size=64)
-            h = harmonic_mean_curve(curve(a), curve(b, kind=CurveKind.T_T))
+            h = harmonic_mean_curve(curve(a), curve(b))
             m = h.valid_mask
             assert np.allclose(h.values[m] * (a + b)[m], (2 * a * b)[m], atol=1e-10)
             assert np.all(h.values[m] <= 2 * np.minimum(a, b)[m] + 1e-12)
@@ -87,7 +90,6 @@ class TestMeritCurve:
                                  orientation=(0.4, 0.3, 0.1)), seed=0)
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
         m = merit_curves(res.trajectory, [itv], MeritMethod.MT)[0]
-        assert m.kind is CurveKind.M_T
         assert m.branch == BRANCH_PLANAR
         assert np.max(np.abs(m.values[5:-5] - 1.0)) < 1e-3
 
@@ -133,7 +135,6 @@ class TestMeritCurve:
                                  duration=4.0, fps=60.0), seed=0)
         itv = SigningInterval(0, res.trajectory.n_samples - 1)
         m = merit_curves(res.trajectory, [itv], MeritMethod.K2DT)[0]
-        assert m.kind is CurveKind.K_T_2D
         assert np.max(np.abs(m.values[5:-5] - 1.5)) < 1e-3
 
     def test_3d_methods_reject_2d_input(self):
@@ -143,15 +144,24 @@ class TestMeritCurve:
         for method in (MeritMethod.K3DT, MeritMethod.KAPPA3DS):
             with pytest.raises(ValueError, match="3-D"):
                 merit_curves(res.trajectory, [itv], method)[0]
+            with pytest.raises(ValueError, match="3-D"):   # also with no interval to score
+                merit_curves(res.trajectory, [], method)
 
-    def test_baseline_kinds(self):
+    def test_baselines_are_their_descriptors(self):
         res = generate(CurveSpec(kind="helix", radius=1.0, pitch=1.0,
                                  duration=4.0, fps=60.0), seed=0)
-        itv = SigningInterval(0, res.trajectory.n_samples - 1)
-        for method, kind in [(MeritMethod.K3DT, CurveKind.K_T_3D),
-                             (MeritMethod.KAPPA3DS, CurveKind.KAPPA_S_3D),
-                             (MeritMethod.KAPPA2DS, CurveKind.KAPPA_S_2D)]:
-            assert merit_curves(res.trajectory, [itv], method)[0].kind is kind
+        itv = SigningInterval(10, res.trajectory.n_samples - 20)
+        d = differentiate(res.trajectory, 2)
+        xy = DerivativeStack(d.d1[:, :2], d.d2[:, :2])
+        for method, want in [(MeritMethod.K3DT, curvature_t(d)),
+                             (MeritMethod.KAPPA3DS, curvature_s(d)),
+                             (MeritMethod.KAPPA2DS, curvature_s(xy)),
+                             (MeritMethod.K2DT, curvature_t(xy))]:
+            got = merit_curves(res.trajectory, [itv], method)[0]
+            span = slice(itv.start, itv.end + 1)
+            assert np.array_equal(got.values, want.values[span])
+            assert np.array_equal(got.valid_mask, want.valid_mask[span])
+            assert got.branch is None
 
     def test_interval_alignment(self):
         res = generate(CurveSpec(kind="circle", radius=1.0, duration=4.0, fps=60.0), seed=0)
@@ -172,7 +182,7 @@ class TestMeritCurve:
             many = merit_curves(res.trajectory, [itv], MeritMethod.MT)[0]
             assert np.array_equal(one.values, many.values)
             assert np.array_equal(one.valid_mask, many.valid_mask)
-            assert (one.kind, one.branch) == (many.kind, many.branch)
+            assert one.branch == many.branch
             branches.append(one.branch)
         assert branches == [BRANCH_PLANAR, BRANCH_NONPLANAR, BRANCH_PLANAR]
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajkf import (
-    CurveKind,
     CurveSpec,
     DescriptorCurve,
     KeyframeSet,
@@ -185,7 +184,7 @@ def segmented(segments):
     """One curve holding the given value lists as its segments."""
     lengths = [len(seg) for seg in segments]
     values = np.array([v for seg in segments for v in seg], dtype=float)
-    return DescriptorCurve(values, CurveKind.M_T, np.ones(values.size, dtype=bool),
+    return DescriptorCurve(values, np.ones(values.size, dtype=bool),
                            offsets=np.cumsum([0, *lengths[:-1]]))
 
 
@@ -224,7 +223,7 @@ class TestSegmentedPeaks:
     @pytest.mark.parametrize("offsets", [[1], [0, 0], [0, 5, 3], [0, 10], [[0]]])
     def test_bad_offsets_rejected(self, offsets):
         with pytest.raises(ValueError, match="offsets"):
-            DescriptorCurve(np.zeros(10), CurveKind.M_T, np.ones(10, dtype=bool), offsets=offsets)
+            DescriptorCurve(np.zeros(10), np.ones(10, dtype=bool), offsets=offsets)
 
 
 class TestSelectKeyframes:

@@ -8,7 +8,11 @@ inputs with `workloads.make_inputs` for seeds 1, 2 and 3, then the CLI runs
 `extract` and `evaluate` on them with the arguments `workloads.Inputs`
 builds.  Each workload and seed leaves five files: the trajectory, the truth
 (annotation) file, the keyframe JSON, the report JSON and the report CSV.
-The files of the two checkouts are compared byte for byte; each one that
+Then `trajkf synth --a 0.7 --b 0.3 --seed 4` writes each curve kind in
+`synthetic.CURVE_KINDS` as CSV and as JSON: a trajectory and an annotation
+file each.  That radius and pitch give analytic curvature and torsion with
+more than 9 significant digits, so their rounding in the file shows.  The
+files of the two checkouts are compared byte for byte; each one that
 differs, or exists on one side only, is printed.  Exits 0 when none differs
 and 1 otherwise, or when a run fails.  Everything is written to a temporary
 directory, removed at the end; the checkouts are only read.
@@ -30,6 +34,7 @@ import sys
 from pathlib import Path
 
 from trajkf.cli import main
+from trajkf.synthetic import CURVE_KINDS
 from workloads import WORKLOADS, make_inputs
 
 out = Path(sys.argv[1])
@@ -43,6 +48,13 @@ for name in WORKLOADS:
                      inp.evaluate_argv(keys, work / "report.json", work / "report.csv")):
             if main(argv) != 0:
                 sys.exit(f"{name} seed {seed}: trajkf {argv[0]} failed")
+for fmt in ("csv", "json"):
+    (out / "synth" / fmt).mkdir(parents=True)
+    for kind in CURVE_KINDS:
+        argv = ["synth", "--kind", kind, "--a", "0.7", "--b", "0.3", "--seed", "4",
+                "--format", fmt, "--out", str(out / "synth" / fmt / kind)]
+        if main(argv) != 0:
+            sys.exit(f"trajkf synth --kind {kind} --format {fmt} failed")
 """
 
 
@@ -51,8 +63,8 @@ def write_outputs(checkout: Path, out: Path) -> bool:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(checkout / "src"), str(checkout / "perfbench")])}
     out.mkdir()
-    return subprocess.run([sys.executable, "-c", CHILD, str(out)],
-                          env=env, cwd=out).returncode == 0
+    return subprocess.run([sys.executable, "-c", CHILD, str(out)], env=env, cwd=out,
+                          stdout=subprocess.DEVNULL).returncode == 0
 
 
 def files_under(root: Path) -> set[Path]:
