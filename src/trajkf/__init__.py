@@ -8,99 +8,44 @@ prominence-ranked merit maxima as keyframes, and scores selections against
 ground-truth annotations.
 """
 
-from .evaluation import (
-    EvaluationReport,
-    budget_for_ratio,
-    complexity_metric,
-    reports_to_csv,
-    reports_to_json,
-    score,
-    sweep,
-)
-from .geometry import (
-    BRANCH_NONPLANAR,
-    BRANCH_PLANAR,
-    DescriptorCurve,
-    curvature_s,
-    curvature_t,
-    torsion_s,
-    torsion_t,
-)
-from .merit import MeritMethod, harmonic_mean_curve, merit_curves
-from .merit import PlanarityResult, fit_plane, project_to_plane
-from .pipeline import extract_keyframes
-from .selection import (
-    KeyframeSet,
-    Peak,
-    default_speed_threshold,
-    detect_intervals,
-    find_peaks,
-    keyframes_from_json,
-    keyframes_to_json,
-    select_keyframes,
-)
-from .synthetic import CurveSpec, SyntheticResult, generate, warp_time
-from .trajectory import (
-    Annotations,
-    DerivativeStack,
-    ParseError,
-    SigningInterval,
-    TimedTrajectory,
-    differentiate,
-    gaussian_smooth,
-    load_annotations,
-    load_trajectory,
-    save_annotations,
-    save_trajectory,
-    speed,
-)
+import importlib
+
+# each public name under the module that defines it; nothing is imported until
+# first use, so a caller that needs no numpy (``trajkf evaluate``) loads none
+_HOMES = {
+    "evaluation": ("EvaluationReport", "budget_for_ratio", "complexity_metric",
+                   "reports_to_csv", "reports_to_json", "score", "sweep"),
+    "formats": ("Annotations", "KeyframeSet", "MeritMethod", "ParseError", "SigningInterval",
+                "keyframes_from_json", "keyframes_to_json", "load_annotations",
+                "save_annotations"),
+    "geometry": ("BRANCH_NONPLANAR", "BRANCH_PLANAR", "DescriptorCurve", "curvature_s",
+                 "curvature_t", "torsion_s", "torsion_t"),
+    "merit": ("PlanarityResult", "fit_plane", "harmonic_mean_curve", "merit_curves",
+              "project_to_plane"),
+    "pipeline": ("extract_keyframes",),
+    "selection": ("Peak", "default_speed_threshold", "detect_intervals", "find_peaks",
+                  "select_keyframes"),
+    "synthetic": ("CurveSpec", "SyntheticResult", "generate", "warp_time"),
+    "trajectory": ("DerivativeStack", "TimedTrajectory", "differentiate", "gaussian_smooth",
+                   "load_trajectory", "save_trajectory", "speed"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = (*_HOMES, "cli")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Annotations",
-    "BRANCH_NONPLANAR",
-    "BRANCH_PLANAR",
-    "CurveSpec",
-    "DerivativeStack",
-    "DescriptorCurve",
-    "EvaluationReport",
-    "KeyframeSet",
-    "MeritMethod",
-    "ParseError",
-    "Peak",
-    "PlanarityResult",
-    "SigningInterval",
-    "SyntheticResult",
-    "TimedTrajectory",
-    "budget_for_ratio",
-    "complexity_metric",
-    "curvature_s",
-    "curvature_t",
-    "default_speed_threshold",
-    "detect_intervals",
-    "differentiate",
-    "extract_keyframes",
-    "find_peaks",
-    "fit_plane",
-    "gaussian_smooth",
-    "generate",
-    "harmonic_mean_curve",
-    "keyframes_from_json",
-    "keyframes_to_json",
-    "load_annotations",
-    "load_trajectory",
-    "merit_curves",
-    "project_to_plane",
-    "reports_to_csv",
-    "reports_to_json",
-    "save_annotations",
-    "save_trajectory",
-    "score",
-    "select_keyframes",
-    "speed",
-    "sweep",
-    "torsion_s",
-    "torsion_t",
-    "warp_time",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)   # binds it on the package
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

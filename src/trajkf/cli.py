@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 input validation or I/O failure.
 """
 
+# Only extract and synth import numpy (inside their commands): evaluate and
+# usage errors run on the standard library alone.
+
 from __future__ import annotations
 
 import argparse
@@ -12,27 +15,20 @@ import sys
 from pathlib import Path
 
 from .evaluation import budget_for_ratio, reports_to_csv, reports_to_json, sweep
-from .merit import DEFAULT_F_ERROR, MeritMethod
-from .pipeline import DEFAULT_SIGMA, extract_keyframes
-from .selection import (
-    DEFAULT_MIN_GAP,
-    DEFAULT_MIN_LEN,
-    keyframes_from_json,
-    keyframes_to_json,
-    rank_order,
-)
-from .synthetic import CURVE_KINDS, PHASE_KINDS, CurveSpec, generate
-from .trajectory import (
-    FRAME_RATES,
+from .formats import (
+    CURVE_KINDS,
     MAX_N_FRAMES,
+    PHASE_KINDS,
     Annotations,
+    MeritMethod,
     ParseError,
     SigningInterval,
     float9,
+    keyframes_from_json,
+    keyframes_to_json,
     load_annotations,
-    load_trajectory,
+    rank_order,
     save_annotations,
-    save_trajectory,
     write_text,
 )
 
@@ -90,15 +86,23 @@ def _parse_float_list(text: str, flag: str, positive: bool = False) -> list[floa
 
 
 def cmd_extract(args) -> int:
+    from .pipeline import extract_keyframes
+    from .trajectory import FRAME_RATES, load_trajectory
+
     if (args.count is None) == (args.r_c is None):
         raise ValueError("exactly one of --count and --r-c must be given")
+    tuning = {dest: getattr(args, dest)
+              for dest in ("sigma", "f_error", "speed_threshold", "min_gap", "min_len")
+              if dest in args}
     for flag, value, positive in [("--count", args.count, True), ("--r-c", args.r_c, True),
-                                  ("--sigma", args.sigma, False),
-                                  ("--f-error", args.f_error, False),
-                                  ("--speed-threshold", args.speed_threshold, False),
-                                  ("--min-gap", args.min_gap, True),
-                                  ("--min-len", args.min_len, True)]:
+                                  ("--sigma", tuning.get("sigma"), False),
+                                  ("--f-error", tuning.get("f_error"), False),
+                                  ("--speed-threshold", tuning.get("speed_threshold"), False),
+                                  ("--min-gap", tuning.get("min_gap"), True),
+                                  ("--min-len", tuning.get("min_len"), True)]:
         _check(flag, value, positive)
+    if "method" in args:
+        tuning["method"] = MeritMethod(args.method)
     if not FRAME_RATES[0] <= args.fps <= FRAME_RATES[1]:
         raise ValueError("--fps must lie in [%g, %g], got %r" % (*FRAME_RATES, args.fps))
     fmt = args.format or ("json" if args.input.endswith(".json") else "csv")
@@ -133,17 +137,7 @@ def cmd_extract(args) -> int:
         count = args.count
 
     try:
-        result = extract_keyframes(
-            traj,
-            method=MeritMethod(args.method),
-            count=count,
-            sigma=args.sigma,
-            f_error=args.f_error,
-            intervals=intervals,
-            speed_threshold=args.speed_threshold,
-            min_gap=args.min_gap,
-            min_len=args.min_len,
-        )
+        result = extract_keyframes(traj, count=count, intervals=intervals, **tuning)
     except FloatingPointError as exc:   # derivatives scale as powers of the frame rate
         raise ValueError(f"{args.input}: coordinates too large for its frame rate of "
                          f"{traj.frame_rate!r} fps ({exc})") from None
@@ -196,7 +190,7 @@ def cmd_evaluate(args) -> int:
     if args.per_gloss and not truth.intervals:
         raise ValueError(f"{args.truth}: --per-gloss needs annotated intervals")
     reports = sweep(
-        [pred.frames[i] for i in rank_order(pred.frames, pred.scores).tolist()],
+        [pred.frames[i] for i in rank_order(pred.frames, pred.scores)],
         truth.keyframes,
         n_frames,
         r_cs,
@@ -211,6 +205,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synthetic import CurveSpec, generate
+    from .trajectory import save_trajectory
+
     _check("--seed", args.seed)
     try:
         # the flags given, each under the CurveSpec field it sets; CurveSpec fills in the rest
@@ -247,19 +244,20 @@ def build_parser() -> _Parser:
     p_ext.add_argument("input", help="trajectory CSV or JSON file")
     p_ext.add_argument("--format", choices=["csv", "json"], default=None)
     p_ext.add_argument("--fps", type=float, default=60.0, help="frame rate for CSV input")
-    p_ext.add_argument("--sigma", type=float, default=DEFAULT_SIGMA,
+    # a tuning flag left out sets no attribute, so extract_keyframes' default holds
+    p_ext.add_argument("--sigma", type=float, default=argparse.SUPPRESS,
                        help="Gaussian smoothing width in frames")
-    p_ext.add_argument("--f-error", type=float, default=DEFAULT_F_ERROR,
+    p_ext.add_argument("--f-error", type=float, default=argparse.SUPPRESS,
                        help="planarity threshold on the PCA fitting error")
-    p_ext.add_argument("--method", choices=METHOD_CHOICES, default="mt")
+    p_ext.add_argument("--method", choices=METHOD_CHOICES, default=argparse.SUPPRESS)
     p_ext.add_argument("--count", type=int, default=None, help="number of keyframes")
     p_ext.add_argument("--r-c", type=float, default=None,
                        help="keyframe budget as a ratio of the annotated count")
     p_ext.add_argument("--annotations", default=None,
                        help="annotation JSON supplying intervals and/or truth counts")
-    p_ext.add_argument("--speed-threshold", type=float, default=None)
-    p_ext.add_argument("--min-gap", type=int, default=DEFAULT_MIN_GAP)
-    p_ext.add_argument("--min-len", type=int, default=DEFAULT_MIN_LEN)
+    p_ext.add_argument("--speed-threshold", type=float, default=argparse.SUPPRESS)
+    p_ext.add_argument("--min-gap", type=int, default=argparse.SUPPRESS)
+    p_ext.add_argument("--min-len", type=int, default=argparse.SUPPRESS)
     p_ext.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     p_ext.set_defaults(func=cmd_extract)
 

@@ -9,12 +9,13 @@ compares per-sign keyframe counts against the annotators' counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
+from operator import sub
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .trajectory import MAX_N_FRAMES, SigningInterval, float9, json_text
+from .formats import MAX_N_FRAMES, SigningInterval, float9, json_text
 
 
 @dataclass(frozen=True)
@@ -31,17 +32,67 @@ class EvaluationReport:
     degenerate: bool = False   # a zero denominator forced some rate to 0
 
 
-def _covered(frames: np.ndarray, delta: int, n_frames: int) -> int:
-    """How many frames of [0, n_frames) lie within ``delta`` of one of ``frames``.
+def _checked(frames, n_frames: int) -> list[int]:
+    """``frames`` as sorted ints, if each lies in [0, n_frames); else a ValueError
+    naming the first that does not.  A float or bool in range passes as its int."""
+    frames = list(frames)
+    if not (set(map(type, frames)) <= {int}
+            and 0 <= min(frames, default=0) and max(frames, default=0) < n_frames):
+        for k in frames:
+            if not 0 <= k < n_frames:
+                raise ValueError(f"keyframe {k} out of range [0, {n_frames})")
+        frames = list(map(int, frames))
+    frames.sort()
+    return frames
 
-    The windows share one width, so over sorted frames both clipped ends
-    ascend and each window adds the frames past the previous window's end
-    (a repeat adds none).
+
+def _check_setting(delta: int, n_frames: int) -> None:
+    """Raise unless ``delta`` >= 0 and 0 < ``n_frames`` <= MAX_N_FRAMES."""
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0 < n_frames <= MAX_N_FRAMES:
+        raise ValueError(f"n_frames must be positive and at most 2**62, got {n_frames}")
+
+
+def _windows(frames: list[int]) -> tuple | None:
+    """What ``_covered`` needs of sorted ``frames`` for every delta: the first and
+    last frame, the gaps between neighbours in ascending order and their running sums."""
+    if not frames:
+        return None
+    gaps = sorted(map(sub, frames[1:], frames))
+    return frames[0], frames[-1], gaps, [0, *accumulate(gaps)]
+
+
+def _covered(windows: tuple | None, delta: int, n_frames: int) -> int:
+    """How many frames of [0, n_frames) lie within ``delta`` of one of the frames.
+
+    The windows share one width, so each adds its gap to the one before, at
+    most the width (a repeat adds none): a shorter gap adds itself, a longer
+    one the width.  The first window's part below 0 and the last one's part
+    past the video are cut off.
     """
-    frames = np.sort(frames)
-    lo = np.maximum(frames - delta, 0)
-    hi = np.minimum(frames + (delta + 1), n_frames)
-    return int(np.sum(hi - np.maximum(lo, np.concatenate([lo[:1], hi[:-1]]))))
+    if windows is None:
+        return 0
+    first, last, gaps, sums = windows
+    width = 2 * delta + 1
+    short = bisect_left(gaps, width)
+    return (width + sums[short] + width * (len(gaps) - short)
+            - max(delta - first, 0) - max(last + delta + 1 - n_frames, 0))
+
+
+def _scored(pred: tuple | None, truth: tuple | None, both: tuple | None, delta: int,
+            n_frames: int) -> EvaluationReport:
+    """``score`` from the ``_windows`` of the predicted, the true and both frames."""
+    width = min(delta, n_frames - 1)   # no wider window covers more frames
+    pred_pos, truth_pos = (_covered(f, width, n_frames) for f in (pred, truth))
+    tp = pred_pos + truth_pos - _covered(both, width, n_frames)
+
+    recall = tp / truth_pos if truth_pos > 0 else 0.0     # positives: tp + fn
+    precision = tp / pred_pos if pred_pos > 0 else 0.0    # positives: tp + fp
+    f2_den = 4 * precision + recall
+    f2 = 5 * precision * recall / f2_den if f2_den > 0 else 0.0
+    degenerate = truth_pos == 0 or pred_pos == 0 or f2_den == 0
+    return EvaluationReport(recall, precision, f2, int(delta), degenerate=degenerate)
 
 
 def _frames_of(pred) -> Sequence[int]:
@@ -56,29 +107,9 @@ def score(pred, truth: Sequence[int], delta: int, n_frames: int) -> EvaluationRe
     Zero-denominator rates come back as 0 with the report's degenerate flag
     set.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if not 0 < n_frames <= MAX_N_FRAMES:
-        raise ValueError(f"n_frames must be positive and at most 2**62, got {n_frames}")
-    pred = _frames_of(pred)
-    frames = np.array([*pred, *truth])   # 1-D int64 when every frame is an int that fits
-    if not (frames.dtype == np.int64 and frames.ndim == 1
-            and 0 <= frames.min(initial=0) <= frames.max(initial=0) < n_frames):
-        for k in [*pred, *truth]:   # names the first bad frame; a float or bool in range passes
-            if not 0 <= k < n_frames:
-                raise ValueError(f"keyframe {k} out of range [0, {n_frames})")
-        frames = np.asarray([*pred, *truth], dtype=np.int64)
-    # no wider window covers more frames; this one keeps every end below 2**63
-    width = min(delta, n_frames - 1)
-    pred_pos, truth_pos = (_covered(f, width, n_frames) for f in np.split(frames, [len(pred)]))
-    tp = pred_pos + truth_pos - _covered(frames, width, n_frames)
-
-    recall = tp / truth_pos if truth_pos > 0 else 0.0     # positives: tp + fn
-    precision = tp / pred_pos if pred_pos > 0 else 0.0    # positives: tp + fp
-    f2_den = 4 * precision + recall
-    f2 = 5 * precision * recall / f2_den if f2_den > 0 else 0.0
-    degenerate = truth_pos == 0 or pred_pos == 0 or f2_den == 0
-    return EvaluationReport(recall, precision, f2, int(delta), degenerate=degenerate)
+    _check_setting(delta, n_frames)
+    pred, truth = _checked(_frames_of(pred), n_frames), _checked(truth, n_frames)
+    return _scored(*map(_windows, (pred, truth, sorted(pred + truth))), delta, n_frames)
 
 
 def complexity_metric(per_sign_counts: Sequence[tuple[int, int]]) -> float:
@@ -98,14 +129,14 @@ def budget_for_ratio(r_c: float, total_truth: int) -> int:
     return int(r_c * total_truth + 0.5)
 
 
-def _counts_in(frames: Sequence[int], starts: np.ndarray, ends: np.ndarray) -> list[int]:
-    """How many of ``frames`` (repeats included) lie in each [start, end] span."""
-    ordered = np.sort(np.asarray(frames))
-    hi = np.searchsorted(ordered, ends, side="right")
-    return (hi - np.searchsorted(ordered, starts, side="left")).tolist()
+def _counts_in(frames: list[int], starts: Sequence[int], ends: Sequence[int]) -> list[int]:
+    """How many of the sorted ``frames`` (repeats included) lie in each [start, end] span."""
+    return list(map(sub, map(bisect_right, repeat(frames), ends),
+                    map(bisect_left, repeat(frames), starts)))
 
 
-def per_gloss_picker(ranked: Sequence[int], starts: np.ndarray, ends: np.ndarray) -> Callable:
+def per_gloss_picker(ranked: Sequence[int], starts: Sequence[int],
+                     ends: Sequence[int]) -> Callable:
     """Per-gloss picks over frames listed best first, for many intervals at once.
 
     ``pick(counts)`` returns the sorted distinct frames of
@@ -116,46 +147,42 @@ def per_gloss_picker(ranked: Sequence[int], starts: np.ndarray, ends: np.ndarray
     each interval splits into at most two blocks per level, and each block
     offers its first ``count`` ranks.  The tree and the blocks are built once,
     in O((K + I) log K) for K ranked frames and I intervals; a pick costs
-    O(sum of min(count, h) log K), h being the frames an interval holds, with
-    no Python loop over intervals or frames.
+    O(sum of min(count, h) log K), h being the frames an interval holds.
     """
-    ranked = np.asarray(ranked, dtype=np.int64)
-    order = np.argsort(ranked, kind="stable")   # ranks in frame order
-    by_frame = ranked[order]
-    levels = max(len(ranked) - 1, 0).bit_length()
-    size = 1 << levels
-    tree = np.full((levels + 1, size), len(ranked))   # padding ranks past every frame
-    tree[0, :len(ranked)] = order
-    for level in range(1, levels + 1):   # two sorted halves per block below
-        tree[level] = np.sort(tree[level - 1].reshape(-1, 1 << level), axis=1).ravel()
-    tree = tree.ravel()
+    ranked = list(map(int, ranked))
+    order = sorted(range(len(ranked)), key=ranked.__getitem__)   # ranks in frame order
+    by_frame = list(map(ranked.__getitem__, order))
+    tree, size = [order], 1   # tree[k]: each aligned block of 2**k positions sorted
+    while size < len(order):
+        size, below, level = 2 * size, tree[-1], []
+        for first in range(0, len(order), size):   # two sorted halves: a linear merge
+            level += sorted(below[first:first + size])
+        tree.append(level)
 
     # [lo, hi) in frame order, split into aligned blocks bottom up
-    lo = np.searchsorted(by_frame, starts, side="left")
-    hi = np.searchsorted(by_frame, ends, side="right")
-    first, width, owner = [], [], []
-    for level in range(levels + 1):
-        left, right = (lo < hi) & (lo % 2 == 1), (lo < hi) & (hi % 2 == 1)
-        for block, mask in ((lo, left), (hi - 1, right)):
-            owner.append(np.flatnonzero(mask))
-            first.append(level * size + (block[mask] << level))
-            width.append(np.full(len(owner[-1]), 1 << level))
-        lo, hi = (lo + left) >> 1, (hi - right) >> 1
-    first, width, owner = map(np.concatenate, (first, width, owner))
+    blocks = []   # per interval: (level list, first position, end position) of each block
+    for start, end in zip(starts, ends):
+        lo, hi, k, mine = bisect_left(by_frame, start), bisect_right(by_frame, end), 0, []
+        while lo < hi:
+            if lo & 1:
+                mine.append((tree[k], lo << k, (lo + 1) << k))
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                mine.append((tree[k], hi << k, (hi + 1) << k))
+            lo, hi, k = lo >> 1, hi >> 1, k + 1
+        blocks.append(mine)
 
-    def pick(counts: np.ndarray) -> list[int]:
-        take = np.minimum(counts[owner], width)
-        stop = np.cumsum(take)
-        at = np.arange(stop[-1] if stop.size else 0) + np.repeat(first - stop + take, take)
-        ranks, held_by = tree[at], np.repeat(owner, take)
-        by_owner = np.lexsort((ranks, held_by))
-        ranks, held_by = ranks[by_owner], held_by[by_owner]
-        # an interval's blocks hold distinct ranks: keep its ``count`` smallest
-        nth = np.arange(len(ranks)) - np.searchsorted(held_by, held_by)
-        frames = np.sort(ranked[ranks[nth < counts[held_by]]])
-        distinct = np.ones(len(frames), dtype=bool)
-        distinct[1:] = frames[1:] != frames[:-1]
-        return frames[distinct].tolist()
+    def pick(counts: Sequence[int]) -> list[int]:
+        chosen: list[int] = []
+        for mine, count in zip(blocks, counts):
+            if count > 0:
+                ranks = []
+                for level, first, stop in mine:   # each block's first ``count`` ranks
+                    ranks += level[first:stop if stop - first < count else first + count]
+                ranks.sort()   # an interval's blocks hold distinct ranks: keep its best
+                chosen += ranks[:count]
+        return sorted(set(map(ranked.__getitem__, chosen)))
 
     return pick
 
@@ -181,23 +208,26 @@ def sweep(
     of a ratio in one ``per_gloss_picker`` pass.  Both forms give the same
     reports for ``pred(count, interval) = [f for f in ranked if
     interval.start <= f <= interval.end][:count]``.  When intervals are given, per-sign
-    counts and the complexity metric are attached to each report.
+    counts and the complexity metric are attached to each report.  Every delta,
+    ``n_frames`` and the truth frames are checked as ``score`` checks them before
+    anything is scored, and each ratio's predicted frames once.
     """
     if per_gloss and not intervals:
         raise ValueError("per-gloss budgets need annotated intervals")
-    truth = list(truth_keyframes)
+    for delta in delta_values:
+        _check_setting(delta, n_frames)
+    truth = _checked(truth_keyframes, n_frames)
+    truth_windows = _windows(truth)
     if intervals:
-        spans = (np.array([itv.start for itv in intervals]),
-                 np.array([itv.end for itv in intervals]))
+        spans = [itv.start for itv in intervals], [itv.end for itv in intervals]
         truth_counts = _counts_in(truth, *spans)
     if per_gloss and not callable(pred):
         pick = per_gloss_picker(pred, *spans)
-        sign_truth = np.array(truth_counts, dtype=float)
     reports: list[EvaluationReport] = []
     for r_c in r_c_values:
         if not per_gloss:
             budget = budget_for_ratio(r_c, len(truth))
-            frames = sorted(_frames_of(pred(budget)) if callable(pred) else pred[:budget])
+            frames = _frames_of(pred(budget)) if callable(pred) else pred[:budget]
         elif callable(pred):   # kept for perfbench/workloads.py
             frames: list[int] = []
             for itv, l_s in zip(intervals, truth_counts):
@@ -207,8 +237,10 @@ def sweep(
             frames = sorted(set(frames))
         else:
             # budget_for_ratio per interval; a budget past len(pred) takes all of an
-            # interval, so clipping there first keeps the int64 cast in range
-            frames = pick(np.minimum(r_c * sign_truth + 0.5, len(pred)).astype(np.int64))
+            # interval, so clipping there first keeps int() finite
+            frames = pick([int(min(r_c * l_s + 0.5, len(pred))) for l_s in truth_counts])
+        frames = _checked(frames, n_frames)
+        windows = _windows(frames), truth_windows, _windows(sorted(frames + truth))
 
         per_sign = None
         c_s = None
@@ -223,7 +255,7 @@ def sweep(
                 c_s = complexity_metric(counted)
 
         for delta in delta_values:
-            reports.append(replace(score(frames, truth, delta, n_frames),
+            reports.append(replace(_scored(*windows, delta, n_frames),
                                    r_c=float(r_c), c_s=c_s, per_sign=per_sign))
     return reports
 

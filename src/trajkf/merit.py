@@ -15,15 +15,14 @@ computes their curves in one pass; ``merit_curves`` splits it per interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from . import geometry
+from .formats import MeritMethod, SigningInterval
 from .geometry import BRANCH_NONPLANAR, BRANCH_PLANAR, DescriptorCurve
-from .trajectory import MIN_SAMPLES, DerivativeStack, SigningInterval, TimedTrajectory
-from .trajectory import differentiate, speed
+from .trajectory import MIN_SAMPLES, DerivativeStack, TimedTrajectory, differentiate, speed
 
 DEFAULT_F_ERROR = 5e-2
 HARMONIC_EPS = 1e-12
@@ -32,16 +31,6 @@ HARMONIC_EPS = 1e-12
 # tails near rest boundaries are noise-dominated; they are masked (and thus
 # zeroed in the merit) below this fraction of the interval's fast speed.
 TORSION_SPEED_FRACTION = 0.25
-
-
-class MeritMethod(Enum):
-    """Descriptor used to rank frames; values match the CLI / file tags."""
-
-    MT = "mt"
-    K2DT = "k2dt"
-    K3DT = "k3dt"
-    KAPPA2DS = "k2ds"
-    KAPPA3DS = "k3ds"
 
 
 @dataclass(frozen=True, eq=False)

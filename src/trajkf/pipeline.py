@@ -6,20 +6,18 @@ from typing import Sequence
 
 import numpy as np
 
+from .formats import KeyframeSet, MeritMethod, SigningInterval
 # merit_curve stays importable here for perfbench/tracing.py
-from .merit import DEFAULT_F_ERROR, MeritMethod, merit_curve, merit_order  # noqa: F401
-from .merit import segmented_merit
+from .merit import DEFAULT_F_ERROR, merit_curve, merit_order, segmented_merit  # noqa: F401
 from .selection import (
     DEFAULT_MIN_GAP,
     DEFAULT_MIN_LEN,
-    KeyframeSet,
     default_speed_threshold,
     detect_intervals,
     find_peaks,
     select_keyframes,
 )
-from .trajectory import MIN_SAMPLES, SigningInterval, TimedTrajectory, differentiate, \
-    gaussian_smooth, speed
+from .trajectory import MIN_SAMPLES, TimedTrajectory, differentiate, gaussian_smooth, speed
 
 DEFAULT_SIGMA = 2.0
 

@@ -8,29 +8,16 @@ exists) and the strongest ones across all intervals become the keyframes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .formats import KeyframeSet, MeritMethod, SigningInterval, rank_order
+# kept for perfbench/workloads.py and driver.py
+from .formats import keyframes_from_json, keyframes_to_json  # noqa: F401
 from .geometry import DescriptorCurve
-from .merit import MeritMethod, segment_percentile
-from .trajectory import (
-    ParseError,
-    SigningInterval,
-    TimedTrajectory,
-    differentiate,
-    float9s,
-    json_finite_number,
-    json_frames,
-    json_list,
-    json_n_frames,
-    json_text,
-    parse_json,
-    read_text,
-    speed,
-)
+from .merit import segment_percentile
+from .trajectory import TimedTrajectory, differentiate, speed
 
 DEFAULT_MIN_GAP = 10
 DEFAULT_MIN_LEN = 12
@@ -47,17 +34,6 @@ class Peak(NamedTuple):
     frame: int
     value: float
     prominence: float
-
-
-@dataclass(frozen=True)
-class KeyframeSet:
-    """Selected frames with their prominence scores, sorted by frame; the frames
-    select_keyframes picks are distinct (a keyframe file's are as it lists them)."""
-
-    frames: tuple[int, ...]
-    scores: tuple[float, ...]
-    method: MeritMethod | None = None
-    shortfall: bool = False
 
 
 def default_speed_threshold(traj: TimedTrajectory, v: np.ndarray | None = None) -> float:
@@ -155,12 +131,6 @@ def _stack_bases(peak_values: list[float], lows: list[float], segment: list[int]
     return bases
 
 
-def rank_order(frames, scores) -> np.ndarray:
-    """Positions of ``frames`` by descending score, ties to the earlier frame and
-    then to the earlier position: the order in which keyframes are chosen."""
-    return np.lexsort((frames, -np.asarray(scores, dtype=float)))
-
-
 def select_keyframes(frames, prominences, count: int,
                      method: MeritMethod | None = None) -> KeyframeSet:
     """Keep the ``count`` most prominent of the distinct candidate ``frames``.
@@ -173,50 +143,10 @@ def select_keyframes(frames, prominences, count: int,
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     frames, prominences = np.asarray(frames, dtype=np.int64), np.asarray(prominences, dtype=float)
-    order = rank_order(frames, prominences)
+    order = np.array(rank_order(frames.tolist(), prominences.tolist()), dtype=np.intp)
     first = np.unique(frames[order], return_index=True)[1]   # each frame's best rank, by frame
     top = order[first[np.sort(np.argsort(first)[:count])]]   # the ``count`` best, by frame
     return KeyframeSet(tuple(frames[top].tolist()), tuple(prominences[top].tolist()), method,
                        shortfall=len(first) < count)
 
 
-def keyframes_to_json(ks: KeyframeSet, start_frame: int = 0, n_frames: int | None = None) -> str:
-    """The keyframe file, laid out as ``json.dumps(obj, indent=2)`` writes it, plus a newline.
-
-    Its frames are video frame indices (``start_frame`` added); "n_frames" is optional.
-    """
-    obj = {"method": ks.method.value if ks.method else None,
-           "frames": [start_frame + f for f in ks.frames],
-           "scores": float9s(ks.scores), "shortfall": ks.shortfall}
-    if n_frames is not None:
-        obj["n_frames"] = int(n_frames)
-    return json_text(obj) + "\n"
-
-
-def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
-    """Read a keyframe file; returns the set and its n_frames field if any."""
-    obj = parse_json(read_text(source))
-    if not isinstance(obj, dict) or "frames" not in obj:
-        raise ParseError('keyframe file must hold an object with a "frames" list')
-    frames = json_frames(obj, "frames")
-    scores = json_list(obj, "scores") if "scores" in obj else [0.0] * len(frames)
-    if len(scores) != len(frames):
-        raise ParseError('"scores" and "frames" lengths differ')
-    if not (set(map(type, scores)) <= {float} and all(map(math.isfinite, scores))):
-        for i, sc in enumerate(scores):
-            if not json_finite_number(sc):
-                raise ParseError(f"scores[{i}]: must be a finite number")
-    shortfall = obj.get("shortfall", False)
-    if type(shortfall) is not bool:
-        raise ParseError('"shortfall" must be true or false')
-    try:
-        method = None if obj.get("method") is None else MeritMethod(obj["method"])
-    except ValueError:
-        raise ParseError(f'"method": unknown method {obj["method"]!r}') from None
-    ks = KeyframeSet(
-        frames=tuple(frames),
-        scores=tuple(map(float, scores)),
-        method=method,
-        shortfall=shortfall,
-    )
-    return ks, json_n_frames(obj)

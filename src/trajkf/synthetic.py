@@ -24,11 +24,10 @@ from typing import Callable
 
 import numpy as np
 
+from .formats import CURVE_KINDS, PHASE_KINDS, SigningInterval
 from .geometry import SPEED_EPS, DescriptorCurve
-from .trajectory import FRAME_RATES, SigningInterval, TimedTrajectory
+from .trajectory import FRAME_RATES, TimedTrajectory
 
-CURVE_KINDS = ("circle", "helix", "line", "planar_polynomial", "piecewise_signing")
-PHASE_KINDS = ("linear", "quadratic", "burst")
 _SEGMENT_KINDS = ("arc", "helix")
 
 

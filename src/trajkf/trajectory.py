@@ -13,30 +13,25 @@ import csv
 import gc
 import io
 import itertools
-import json
 import math
-import os
 import re
-import sys
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-
-class ParseError(ValueError):
-    """A trajectory or annotation file violates its schema."""
-
-
-def float9(x: float) -> float:
-    """Round to 9 significant digits (canonical precision for emitted files)."""
-    return float(format(float(x), ".9g"))
-
-
-def float9s(xs) -> list[float]:
-    """``[float9(x) for x in xs]``, formatted by one % pass."""
-    return list(map(float, ("%.9g " * len(xs) % tuple(xs)).split()))
+from .formats import (
+    ParseError,
+    float9,
+    float9s,
+    json_finite_number,
+    json_text,
+    parse_json,
+    read_text,
+    write_text,
+)
+# kept for perfbench/workloads.py, driver.py, tracing.py and test_perfbench.py
+from .formats import Annotations, SigningInterval, load_annotations, save_annotations  # noqa: F401
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -87,25 +82,6 @@ class TimedTrajectory:
         return (self.start_frame + np.arange(n)) / self.frame_rate
 
 
-@dataclass(frozen=True)
-class SigningInterval:
-    """Inclusive sample-index range covering one rest-to-rest motion."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"invalid interval [{self.start}, {self.end}]")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-    def contains(self, frame: int) -> bool:   # kept for perfbench/tracing.py
-        return self.start <= frame <= self.end
-
-
 @dataclass(frozen=True, eq=False)
 class DerivativeStack:
     """Per-sample derivative estimates of a trajectory.
@@ -131,15 +107,6 @@ class DerivativeStack:
     @property
     def dim(self) -> int:
         return self.d1.shape[1]
-
-
-@dataclass(frozen=True)
-class Annotations:
-    """Ground-truth signing intervals and keyframe indices for one video."""
-
-    intervals: tuple[SigningInterval, ...] = ()
-    keyframes: tuple[int, ...] = ()
-    n_frames: int | None = None
 
 
 def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
@@ -236,54 +203,8 @@ def speed(d: DerivativeStack) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# File formats.
-#
-# Trajectory CSV:  header "frame,x,y[,z]", one row per frame, frame indices
-# consecutive and strictly increasing; frame rate supplied out of band.
-# Trajectory JSON: {"fps": number, "start_frame": int, "points": [[x,y(,z)],..]}
-# Annotations:     {"intervals": [{"start": int, "end": int}, ...],
-#                   "keyframes": [int, ...], "n_frames": int (optional)}
+# Trajectory files (the formats are described in formats.py).
 # ---------------------------------------------------------------------------
-
-
-def read_text(source) -> str:
-    """UTF-8 text of a path, bytes or stream, byte order mark removed.
-
-    All three read alike, with universal newlines as a path's text already
-    has them: CR LF and a lone CR each read as LF.
-    """
-    try:
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            data = source if isinstance(source, bytes) else source.read()
-            text = data.decode("utf-8") if isinstance(data, bytes) else data
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return text.lstrip("\ufeff")
-
-
-def write_text(dest, text: str) -> None:
-    """Write ``text`` to a stream, or atomically to a path.
-
-    A path gets a temp file in its directory, renamed over it once written,
-    so a failed write leaves any old file whole.  The temp file is created
-    with mode 0o666, which the umask narrows as for any new file.
-    """
-    if not isinstance(dest, (str, Path)):
-        dest.write(text)
-        return
-    target = Path(dest)
-    tmp = target.with_name(f".tmp-{os.urandom(8).hex()}-{target.name}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> TimedTrajectory:
@@ -417,11 +338,6 @@ def _load_csv_rows(text: str, frame_rate: float) -> TimedTrajectory:
     return TimedTrajectory(points, frame_rate, frames[0])
 
 
-def json_finite_number(v) -> bool:
-    """A JSON number inside the float range; bools and strings are not numbers."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
 def _load_json(text: str) -> TimedTrajectory:
     obj = parse_json(text)
     del text
@@ -472,122 +388,3 @@ def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:
     write_text(dest, text)
 
 
-def load_annotations(source) -> Annotations:
-    """Read an interval/keyframe annotation JSON file."""
-    obj = parse_json(read_text(source))
-    if not isinstance(obj, dict):
-        raise ParseError("annotation file must hold a JSON object")
-    intervals = []
-    for i, itv in enumerate(json_list(obj, "intervals")):
-        # type(...) is int: JSON integers only, so bools, floats and strings fail
-        if not (isinstance(itv, dict) and type(itv.get("start")) is int
-                and type(itv.get("end")) is int):
-            raise ParseError(f'intervals[{i}]: "start" and "end" must be integers')
-        try:
-            intervals.append(SigningInterval(itv["start"], itv["end"]))
-        except ValueError as exc:
-            raise ParseError(f"intervals[{i}]: {exc}") from None
-    keyframes = json_frames(obj, "keyframes")
-    return Annotations(tuple(intervals), tuple(keyframes), json_n_frames(obj))
-
-
-def parse_json(text: str):
-    """``json.loads`` with every failure as a ParseError: a JSONDecodeError, the
-    ValueError of an over-long integer literal, or deep nesting's RecursionError."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-
-
-def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, spelled by one C-encoder call per list of scalars
-    or of equal-shaped rows of scalars (laid out by one % template).  Anything else
-    recurses down to a leaf's ``json.dumps``, so an odd type gives the same bytes or
-    TypeError.  A container met twice at one depth is laid out once; ``obj`` holds no cycle."""
-    out, memo = [], {}   # the pieces, joined once; each container's pieces by (id, nl)
-
-    def layout(obj, nl: str) -> None:   # append obj's pieces, met where a line starts with nl
-        inner, start, is_dict = nl + "  ", len(out), isinstance(obj, dict)
-        if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
-            out.append(json.dumps(obj))
-        elif (id(obj), nl) in memo:
-            out.extend(memo[id(obj), nl])
-        else:
-            if rows := None if is_dict else _json_rows(obj, inner):
-                out.extend((",", inner, rows))
-            else:
-                keys = _spelled(dict.fromkeys(obj, 0)) if is_dict else ["0"] * len(obj)
-                for key, x in zip(keys, obj.values() if is_dict else obj):
-                    out.extend((",", inner, key[:-1]))   # '"key": 0' less the 0 ("" in a list)
-                    layout(x, inner)
-            out[start] = "{" if is_dict else "["   # in place of the first ","
-            out.append(nl + ("}" if is_dict else "]"))
-            memo[id(obj), nl] = out[start:]
-
-    layout(obj, "\n")
-    return "".join(out)
-
-
-def _spelled(values) -> list[str]:
-    """A non-empty list's items, or a dict's '"key": value' pairs, as the C encoder spells them."""
-    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")   # strings escape "\n"
-
-
-def _json_rows(xs: list, nl: str) -> str | None:
-    """The items of ``xs`` laid out, each starting a line with ``nl``, if one C-encoder
-    call spells them all: scalars, or equal-shaped rows of scalars; otherwise None."""
-    types, inner, scalars = set(map(type, xs)), nl + "  ", {str, int, float, bool, type(None)}
-    if types <= scalars:
-        return json.dumps(xs, separators=("," + nl, ": "))[1:-1]
-    if types == {dict} and set(map(type, xs[0])) == {str} \
-            and [*itertools.chain.from_iterable(xs)] == [*xs[0]] * len(xs):
-        heads = [p[:-1].replace("%", "%%") + "%s" for p in _spelled(dict.fromkeys(xs[0], 0))]
-        row, values = "{" + inner + ("," + inner).join(heads) + nl + "}", map(dict.values, xs)
-    elif types <= {list, tuple} and len(set(map(len, xs))) == 1 and xs[0]:
-        row, values = "[" + inner + ("," + inner).join(["%s"] * len(xs[0])) + nl + "]", xs
-    else:
-        return None
-    values = [*itertools.chain.from_iterable(values)]
-    if not set(map(type, values)) <= scalars:
-        return None
-    return ("," + nl).join([row] * len(xs)) % tuple(_spelled(values))
-
-
-def json_list(obj: dict, field: str) -> list:
-    """The list under ``field`` of a JSON object (empty when absent)."""
-    value = obj.get(field, [])
-    if not isinstance(value, list):
-        raise ParseError(f'"{field}" must be a list')
-    return value
-
-
-def json_frames(obj: dict, field: str) -> list:
-    """The list of integer frame indices under ``field`` of a JSON object (empty when absent)."""
-    frames = json_list(obj, field)
-    if not set(map(type, frames)) <= {int}:   # the scan only names the first bad one
-        i = next(i for i, f in enumerate(frames) if type(f) is not int)
-        raise ParseError(f"{field}[{i}]: must be an integer frame index")
-    return frames
-
-
-MAX_N_FRAMES = 2**62   # longest scorable video: frame windows stay inside int64
-
-
-def json_n_frames(obj: dict) -> int | None:
-    """The optional "n_frames" field of a JSON object: an integer in [1, MAX_N_FRAMES]."""
-    n_frames = obj.get("n_frames")
-    if n_frames is not None and (type(n_frames) is not int
-                                 or not 0 < n_frames <= MAX_N_FRAMES):
-        raise ParseError('"n_frames" must be a positive integer at most 2**62')
-    return n_frames
-
-
-def save_annotations(ann: Annotations, dest, extra: dict | None = None) -> None:
-    """Write an annotation file, ``extra``'s fields last, as ``json.dumps(obj, indent=2)``."""
-    obj: dict = {"intervals": [{"start": i.start, "end": i.end} for i in ann.intervals],
-                 "keyframes": list(ann.keyframes)}
-    if ann.n_frames is not None:
-        obj["n_frames"] = ann.n_frames
-    obj.update(extra or {})
-    write_text(dest, json_text(obj) + "\n")

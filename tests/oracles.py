@@ -49,7 +49,7 @@ from trajkf import (
     torsion_t,
 )
 from trajkf.merit import segmented_merit
-from trajkf.trajectory import float9, json_finite_number, parse_json
+from trajkf.formats import float9, json_finite_number, parse_json
 
 
 def arclength_of(points: np.ndarray) -> np.ndarray:
@@ -412,6 +412,12 @@ def brute_trajectory_text(traj: TimedTrajectory, fmt: str) -> str:
         "points": [[float(f"{v:.9g}") for v in row] for row in traj.points],
     }
     return json.dumps(obj, indent=2) + "\n"
+
+
+def brute_rank_order(frames, scores) -> list[int]:
+    """The ranking rule as numpy spells it: positions by descending score, then by
+    frame, then by position (``np.lexsort`` is stable)."""
+    return np.lexsort((frames, -np.asarray(scores, dtype=float))).tolist()
 
 
 def brute_select(frames, prominences, count, method=None) -> KeyframeSet:

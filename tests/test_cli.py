@@ -12,7 +12,7 @@ import pytest
 import trajkf
 from trajkf import load_annotations, reports_to_json, sweep
 from trajkf.cli import main
-from trajkf.selection import keyframes_from_json
+from trajkf.formats import keyframes_from_json
 
 
 def run(*argv):
@@ -89,6 +89,18 @@ class TestExtract:
             assert run("extract", str(traj_path), "--count", "3",
                        "--output", str(path)) == 0
             outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_left_out_flags_take_library_defaults(self, tmp_path, signing_files):
+        # extract_keyframes' own defaults, written out
+        traj_path, _ = signing_files
+        defaults = ["--method", "mt", "--sigma", "2", "--f-error", "0.05", "--min-gap", "10",
+                    "--min-len", "12"]
+        outs = []
+        for name, flags in (("left_out.json", []), ("given.json", defaults)):
+            assert run("extract", str(traj_path), "--count", "3", *flags,
+                       "--output", str(tmp_path / name)) == 0
+            outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
     def test_budget_from_ratio_and_annotations(self, tmp_path, signing_files):
@@ -656,13 +668,16 @@ def test_frames_up_to_2_62_extract_and_evaluate(tmp_path):
     assert json.loads(report.read_text())[0]["recall"] == 1.0
 
 
-def numpy_ma_loaded_after(argv) -> bool:
-    """Whether ``trajkf.cli.main(argv)`` in a fresh interpreter imports numpy.ma."""
-    code = f"import sys, trajkf.cli; trajkf.cli.main({argv!r}); print('numpy.ma' in sys.modules)"
+def fresh_main(argv) -> tuple[int, list[str]]:
+    """``trajkf.cli.main(argv)`` in a fresh interpreter: its exit code, and which of
+    numpy and numpy.ma it left in ``sys.modules``."""
+    code = (f"import sys, trajkf.cli; code = trajkf.cli.main({argv!r}); "
+            "print(code, *[m for m in ('numpy', 'numpy.ma') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(trajkf.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    return proc.stdout.strip() != "False"
+    exit_code, *loaded = proc.stdout.splitlines()[-1].split()   # after what main prints
+    return int(exit_code), loaded
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -672,13 +687,20 @@ def test_cli_extract_leaves_numpy_ma_unloaded(tmp_path, fmt):
                "--noise", "0.001", "--format", fmt, "--out", str(tmp_path / "clip")) == 0
     argv = ["extract", str(tmp_path / f"clip.{fmt}"), "--count", "2",
             "-o", str(tmp_path / "kf.json")]
-    assert not numpy_ma_loaded_after(argv)
+    assert fresh_main(argv) == (0, ["numpy"])
     assert json.loads((tmp_path / "kf.json").read_text())["frames"]
 
 
+def test_cli_synth_runs_in_a_fresh_interpreter(tmp_path):
+    # synth imports numpy inside its command, as extract does
+    argv = ["synth", "--kind", "helix", "--dur", "1", "--out", str(tmp_path / "helix")]
+    assert fresh_main(argv) == (0, ["numpy"])
+    assert load_annotations(tmp_path / "helix.annotations.json").n_frames == 60
+
+
 @pytest.mark.parametrize("budget", [[], ["--per-gloss"]], ids=["global", "per_gloss"])
-def test_cli_evaluate_leaves_numpy_ma_unloaded(tmp_path, budget):
-    # a plain np.unique imports numpy.ma on its first call; evaluate needs none
+def test_cli_evaluate_leaves_numpy_unloaded(tmp_path, budget):
+    # scoring sorts and counts frame indices: the standard library does it all
     clip = tmp_path / "clip"
     assert run("synth", "--kind", "piecewise_signing", "--segments", "2", "--dur", "1",
                "--noise", "0.001", "--out", str(clip)) == 0
@@ -686,8 +708,16 @@ def test_cli_evaluate_leaves_numpy_ma_unloaded(tmp_path, budget):
     argv = ["evaluate", "--pred", str(tmp_path / "kf.json"),
             "--truth", f"{clip}.annotations.json", "--r-c", "0.5,1", *budget,
             "-o", str(tmp_path / "r.json")]
-    assert not numpy_ma_loaded_after(argv)
+    assert fresh_main(argv) == (0, [])
     assert json.loads((tmp_path / "r.json").read_text())[0]["per_sign"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus-subcommand"], ["evaluate", "--pred", "kf.json"], ["extract"],
+    ["extract", "clip.csv", "--method", "k4dt"], ["synth", "--kind", "wavy", "--out", "x"],
+], ids=["none", "subcommand", "evaluate", "extract", "method", "synth_kind"])
+def test_cli_usage_error_leaves_numpy_unloaded(argv):
+    assert fresh_main(argv) == (1, [])
 
 
 def write_helix(path, scale):

@@ -33,8 +33,8 @@ from trajkf import (
     save_trajectory,
 )
 from trajkf.cli import main
-from trajkf.selection import keyframes_from_json, keyframes_to_json
-from trajkf.trajectory import MAX_N_FRAMES, float9, float9s, json_text
+from trajkf.formats import MAX_N_FRAMES, float9, float9s, json_text, keyframes_from_json, \
+    keyframes_to_json
 from oracles import ODD_FLOATS, brute_keyframes_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,6 +1,7 @@
 """Module layout: no trajkf module uses another module's private names, the
-package needs nothing at run time but the standard library and numpy, and
-the names the benchmark wraps and patches keep working.
+package needs nothing at run time but the standard library and numpy (and
+`trajkf evaluate` not even numpy), and the names the benchmark wraps and
+patches keep working.
 
 A name that starts with one underscore belongs to its own module.  Code that
 another module needs gets a public name in the module that owns it (it may
@@ -10,7 +11,10 @@ still stay out of ``trajkf.__all__``).
 import ast
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,7 +80,7 @@ def test_checker_sees_both_forms(tmp_path):
 
 
 # One JSON layout rule: only json_text and its private workers lay JSON out
-JSON_LAYOUT = {("trajectory.py", name) for name in ("json_text", "_spelled", "_json_rows")}
+JSON_LAYOUT = {("formats.py", name) for name in ("json_text", "_spelled", "_json_rows")}
 
 
 def json_layout_calls(path: Path) -> list[tuple[str, str, int]]:
@@ -114,10 +118,25 @@ def test_layout_checker_sees_both_forms(tmp_path):
                                       ("mod.py", "write", 6), ("mod.py", "Writer", 9)]
 
 
-def imported_packages(path: Path) -> set[str]:
-    """Top-level names of the absolute imports in one source file, at any depth."""
+def nodes_of(path: Path, at_import: bool = False):
+    """Every node of one source file or, with ``at_import``, every node that runs
+    when the file is imported: all but function bodies."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    if not at_import:
+        return list(ast.walk(tree))
+    found, todo = [], [tree]
+    while todo:
+        found.append(todo.pop())
+        todo.extend(child for child in ast.iter_child_nodes(found[-1])
+                    if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+    return found
+
+
+def imported_packages(path: Path, at_import: bool = False) -> set[str]:
+    """Top-level names of the absolute imports in one source file, at any depth
+    (only where they run on import, with ``at_import``)."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in nodes_of(path, at_import):
         if isinstance(node, ast.Import):
             found.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -147,6 +166,7 @@ def test_import_checker_sees_nested_and_relative_imports(tmp_path):
                    "def f():\n"
                    "    from scipy.interpolate import CubicSpline\n")
     assert imported_packages(src) == {"os", "scipy"}
+    assert imported_packages(src, at_import=True) == {"os"}
 
 
 def test_plane_fit_reads_laid_out_points_not_intervals():
@@ -154,11 +174,11 @@ def test_plane_fit_reads_laid_out_points_not_intervals():
     assert "SigningInterval" not in inspect.getsource(trajkf.merit.fit_planes)
 
 
-def trajkf_modules(path: Path) -> set[str]:
-    """The trajkf modules one source file imports, in any form and at any depth;
-    ``trajkf`` for the package itself."""
+def trajkf_modules(path: Path, at_import: bool = False) -> set[str]:
+    """The trajkf modules one source file imports, in any form and at any depth
+    (only where they run on import, with ``at_import``); ``trajkf`` for the package itself."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in nodes_of(path, at_import):
         if isinstance(node, ast.ImportFrom) and node.level:
             found.update([node.module.split(".")[0]] if node.module
                          else [alias.name for alias in node.names])
@@ -172,9 +192,23 @@ def trajkf_modules(path: Path) -> set[str]:
     return found
 
 
-def test_evaluation_imports_only_trajectory():
+def test_evaluation_imports_only_formats():
     # scoring reads frame indices, not keyframe sets or curves
-    assert trajkf_modules(SRC / "evaluation.py") == {"trajectory"}
+    assert trajkf_modules(SRC / "evaluation.py") == {"formats"}
+
+
+# `trajkf evaluate` imports only these, so none may import numpy when it is imported
+NUMPY_FREE = {"__init__", "cli", "evaluation", "formats"}
+
+
+def test_evaluate_imports_no_numpy_using_module():
+    numpy_users = {path.stem for path in SRC.glob("*.py") if "numpy" in imported_packages(path)}
+    assert numpy_users == {"geometry", "merit", "pipeline", "selection", "synthetic",
+                           "trajectory"}
+    for name in sorted(NUMPY_FREE):
+        path = SRC / f"{name}.py"
+        assert "numpy" not in imported_packages(path, at_import=True), name
+        assert trajkf_modules(path, at_import=True) <= NUMPY_FREE, name
 
 
 def test_module_checker_sees_every_form(tmp_path):
@@ -187,6 +221,55 @@ def test_module_checker_sees_every_form(tmp_path):
                    "    from trajkf.selection.sub import KeyframeSet\n"
                    "    from trajkf import sweep\n")
     assert trajkf_modules(src) == {"trajectory", "geometry", "merit", "selection", "trajkf"}
+    assert trajkf_modules(src, at_import=True) == {"trajectory", "geometry", "merit"}
+
+
+def defined_names(path: Path) -> set[str]:
+    """The names one source file defines at top level: classes, functions, assignments."""
+    found = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(target.id for target in targets if isinstance(target, ast.Name))
+    return found
+
+
+def test_public_names_are_their_home_modules_objects():
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in defined_names(path) & set(trajkf.__all__):
+            homes.setdefault(name, []).append(path.stem)
+    assert len(trajkf.__all__) == 45 and sorted(homes) == sorted(trajkf.__all__)
+    for name, modules in homes.items():
+        assert len(modules) == 1, (name, modules)
+        home = importlib.import_module(f"trajkf.{modules[0]}")
+        assert getattr(trajkf, name) is getattr(home, name), name
+
+
+LAZY_PACKAGE = """
+import json, sys
+import trajkf
+bare = sorted(m for m in sys.modules if m == "numpy" or m.startswith("trajkf."))
+listed = dir(trajkf)
+modules = [getattr(trajkf, name).__name__ for name in json.loads(sys.argv[1])]
+star = {}
+exec("from trajkf import *", star)
+print(json.dumps([bare, listed, modules, sorted(set(star) - {"__builtins__"})]))
+"""
+
+
+def test_package_imports_its_modules_on_first_use():
+    submodules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", LAZY_PACKAGE, json.dumps(submodules)],
+                          capture_output=True, text=True, env=env, check=True)
+    bare, listed, modules, star = json.loads(proc.stdout)
+    assert bare == []   # a bare ``import trajkf`` loads no submodule and no numpy
+    assert set(trajkf.__all__) | set(submodules) <= set(listed)
+    assert modules == [f"trajkf.{name}" for name in submodules]
+    assert star == sorted(trajkf.__all__) and len(star) == 45
 
 
 # The benchmark (perfbench/) wraps and patches these names; a refactor of

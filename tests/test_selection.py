@@ -21,7 +21,8 @@ from trajkf import (
     generate,
     select_keyframes,
 )
-from oracles import brute_peaks, extract_every_copy, random_rotation
+from trajkf.formats import rank_order
+from oracles import brute_peaks, brute_rank_order, extract_every_copy, random_rotation
 
 
 def traj_from_steps(steps, fps=60.0):
@@ -279,6 +280,28 @@ class TestSelectKeyframes:
         a = select_keyframes(*peaks, 2, method=MeritMethod.MT)
         b = select_keyframes(*peaks, 2, method=MeritMethod.MT)
         assert a == b
+
+
+class TestRankOrder:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.data())
+    @example(data=None)   # empty input
+    def test_equals_lexsort(self, data):
+        frames, scores = [], []
+        if data is not None:
+            # few frames and scores, so ties and repeats are common; 0.0 against -0.0
+            frame = st.integers(0, 6) | st.sampled_from([2**62 - 1, 2**63 - 1])
+            score = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, float("inf")]) \
+                | st.floats(allow_nan=False) | st.integers(-3, 3)
+            frames = data.draw(st.lists(frame, max_size=30))
+            scores = data.draw(st.lists(score, min_size=len(frames), max_size=len(frames)))
+        got = rank_order(frames, scores)
+        assert got == brute_rank_order(frames, scores)
+        assert all(type(i) is int for i in got)
+
+    def test_zero_ties_negative_zero(self):
+        assert rank_order([5, 3, 4], [0.0, -0.0, 0.0]) == [1, 2, 0]
+        assert rank_order([4, 4, 2], [-0.0, 0.0, 1.0]) == [2, 0, 1]
 
 
 class TestPipelineInvariants:
