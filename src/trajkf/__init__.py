@@ -13,11 +13,11 @@ import importlib
 # each public name under the module that defines it; nothing is imported until
 # first use, so a caller that needs no numpy (``trajkf evaluate``) loads none
 _HOMES = {
-    "evaluation": ("EvaluationReport", "budget_for_ratio", "complexity_metric",
-                   "reports_to_csv", "reports_to_json", "score", "sweep"),
+    "evaluation": ("EvaluationReport", "complexity_metric", "reports_to_csv",
+                   "reports_to_json", "score", "sweep"),
     "formats": ("Annotations", "KeyframeSet", "MeritMethod", "ParseError", "SigningInterval",
-                "keyframes_from_json", "keyframes_to_json", "load_annotations",
-                "save_annotations"),
+                "budget_for_ratio", "keyframes_from_json", "keyframes_to_json",
+                "load_annotations", "save_annotations"),
     "geometry": ("BRANCH_NONPLANAR", "BRANCH_PLANAR", "DescriptorCurve", "curvature_s",
                  "curvature_t", "torsion_s", "torsion_t"),
     "merit": ("PlanarityResult", "fit_plane", "harmonic_mean_curve", "merit_curves",

@@ -3,18 +3,15 @@
 Exit codes: 0 success, 1 usage error, 2 input validation or I/O failure.
 """
 
-# Only extract and synth import numpy (inside their commands): evaluate and
-# usage errors run on the standard library alone.
+# Each command imports its own modules: only extract and synth import numpy,
+# and only evaluate imports evaluation, so usage errors load neither.
 
 from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
-from pathlib import Path
 
-from .evaluation import budget_for_ratio, reports_to_csv, reports_to_json, sweep
 from .formats import (
     CURVE_KINDS,
     MAX_N_FRAMES,
@@ -23,6 +20,7 @@ from .formats import (
     MeritMethod,
     ParseError,
     SigningInterval,
+    budget_for_ratio,
     float9,
     keyframes_from_json,
     keyframes_to_json,
@@ -149,6 +147,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import reports_to_csv, reports_to_json, sweep
+
     pred, pred_n = _read(args.pred, keyframes_from_json)
     truth = _read(args.truth, load_annotations)
     if pred_n is not None and truth.n_frames is not None and pred_n != truth.n_frames:
@@ -205,6 +205,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    import re
+    from pathlib import Path
+
     from .synthetic import CurveSpec, generate
     from .trajectory import save_trajectory
 

@@ -10,16 +10,14 @@ compares per-sign keyframe counts against the annotators' counts.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
 from operator import sub
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .formats import MAX_N_FRAMES, SigningInterval, float9, json_text
+from .formats import MAX_N_FRAMES, SigningInterval, budget_for_ratio, float9, json_text
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Scores for one (prediction, truth) pair at one (delta, r_c) setting."""
 
     recall: float
@@ -122,11 +120,6 @@ def complexity_metric(per_sign_counts: Sequence[tuple[int, int]]) -> float:
             raise ValueError(f"annotated keyframe count must be >= 1, got {l_s}")
         total += abs(1.0 - l_x / l_s)
     return total / len(per_sign_counts)
-
-
-def budget_for_ratio(r_c: float, total_truth: int) -> int:
-    """Keyframe budget at ratio r_c: round half away from zero."""
-    return int(r_c * total_truth + 0.5)
 
 
 def _counts_in(frames: list[int], starts: Sequence[int], ends: Sequence[int]) -> list[int]:
@@ -255,8 +248,8 @@ def sweep(
                 c_s = complexity_metric(counted)
 
         for delta in delta_values:
-            reports.append(replace(_scored(*windows, delta, n_frames),
-                                   r_c=float(r_c), c_s=c_s, per_sign=per_sign))
+            reports.append(_scored(*windows, delta, n_frames)._replace(
+                r_c=float(r_c), c_s=c_s, per_sign=per_sign))
     return reports
 
 

@@ -1,10 +1,11 @@
 """The files trajkf reads and writes, on the standard library alone.
 
 Text I/O, the one JSON layout rule and 9-digit floats; annotation and
-keyframe files, with the one keyframe ranking rule; the method and curve
-kind tags the command line accepts.  ``trajkf evaluate`` needs nothing else,
-so it imports no numpy.  Trajectory files hold arrays: ``trajectory`` reads
-and writes them with the helpers here.
+keyframe files, read into named tuples, with the one keyframe ranking rule
+and the one budget rule; the method and curve kind tags the command line
+accepts.  ``trajkf evaluate`` needs nothing else, so it imports no numpy.
+Trajectory files hold arrays: ``trajectory`` reads and writes them with the
+helpers here.
 
 Trajectory CSV:  header "frame,x,y[,z]", one row per frame, frame indices
                  consecutive and strictly increasing; frame rate supplied out
@@ -23,10 +24,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from operator import neg
-from pathlib import Path
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -34,14 +34,16 @@ class ParseError(ValueError):
 
 
 def read_text(source) -> str:
-    """UTF-8 text of a path, bytes or stream, byte order mark removed.
+    """UTF-8 text of a path (str or any os.PathLike), bytes or stream, byte order
+    mark removed.
 
     All three read alike, with universal newlines as a path's text already
     has them: CR LF and a lone CR each read as LF.
     """
     try:
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
         else:
             data = source if isinstance(source, bytes) else source.read()
             text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -52,24 +54,26 @@ def read_text(source) -> str:
 
 
 def write_text(dest, text: str) -> None:
-    """Write ``text`` to a stream, or atomically to a path.
+    """Write ``text`` to a stream, or atomically to a path (str or any os.PathLike).
 
     A path gets a temp file in its directory, renamed over it once written,
     so a failed write leaves any old file whole.  The temp file is created
     with mode 0o666, which the umask narrows as for any new file.
     """
-    if not isinstance(dest, (str, Path)):
+    if not isinstance(dest, (str, os.PathLike)):
         dest.write(text)
         return
-    target = Path(dest)
-    tmp = target.with_name(f".tmp-{os.urandom(8).hex()}-{target.name}")
+    target = os.fsdecode(dest)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".tmp-{os.urandom(8).hex()}-{name}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
         raise
 
 
@@ -180,16 +184,24 @@ def float9s(xs) -> list[float]:
     return list(map(float, ("%.9g " * len(xs) % tuple(xs)).split()))
 
 
-@dataclass(frozen=True)
-class SigningInterval:
-    """Inclusive sample-index range covering one rest-to-rest motion."""
-
+class _Span(NamedTuple):   # a NamedTuple may not define __new__: the check is a subclass's
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"invalid interval [{self.start}, {self.end}]")
+
+class SigningInterval(_Span):
+    """Inclusive sample-index range covering one rest-to-rest motion."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int):
+        if start < 0 or end < start:
+            raise ValueError(f"invalid interval [{start}, {end}]")
+        return super().__new__(cls, start, end)
+
+    @classmethod
+    def _make(cls, iterable):   # _replace builds through _make: check as __new__ does
+        return cls(*iterable)
 
     @property
     def length(self) -> int:
@@ -199,8 +211,7 @@ class SigningInterval:
         return self.start <= frame <= self.end
 
 
-@dataclass(frozen=True)
-class Annotations:
+class Annotations(NamedTuple):
     """Ground-truth signing intervals and keyframe indices for one video."""
 
     intervals: tuple[SigningInterval, ...] = ()
@@ -247,8 +258,7 @@ class MeritMethod(Enum):
     KAPPA3DS = "k3ds"
 
 
-@dataclass(frozen=True)
-class KeyframeSet:
+class KeyframeSet(NamedTuple):
     """Selected frames with their prominence scores, sorted by frame; the frames
     select_keyframes picks are distinct (a keyframe file's are as it lists them)."""
 
@@ -268,6 +278,11 @@ def rank_order(frames, scores) -> list[int]:
     negated = list(map(neg, map(float, scores)))
     order.sort(key=negated.__getitem__)   # stable: equal scores keep frame order
     return order
+
+
+def budget_for_ratio(r_c: float, total_truth: int) -> int:
+    """Keyframe budget at ratio r_c: round half away from zero."""
+    return int(r_c * total_truth + 0.5)
 
 
 def keyframes_to_json(ks: KeyframeSet, start_frame: int = 0, n_frames: int | None = None) -> str:

@@ -355,10 +355,10 @@ def _load_json(text: str) -> TimedTrajectory:
     width = len(pts[0]) if isinstance(pts[0], list) else 0
     if width not in (2, 3):
         raise ParseError("points[0]: must be a list of 2 or 3 numbers")
-    for i, row in enumerate(pts):
-        if not isinstance(row, list) or len(row) != width:
-            raise ParseError(f"points[{i}]: mixed dimensionality")
-    # the type set is one pass in C; the per-value scan below runs only on failure
+    # the type and length sets are passes in C; the scans below run only on failure
+    if not (set(map(type, pts)) == {list} and set(map(len, pts)) == {width}):
+        i = next(i for i, row in enumerate(pts) if not isinstance(row, list) or len(row) != width)
+        raise ParseError(f"points[{i}]: mixed dimensionality")
     points = None
     if set(map(type, itertools.chain.from_iterable(pts))) <= {int, float}:
         try:

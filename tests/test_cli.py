@@ -668,39 +668,47 @@ def test_frames_up_to_2_62_extract_and_evaluate(tmp_path):
     assert json.loads(report.read_text())[0]["recall"] == 1.0
 
 
-def fresh_main(argv) -> tuple[int, list[str]]:
-    """``trajkf.cli.main(argv)`` in a fresh interpreter: its exit code, and which of
-    numpy and numpy.ma it left in ``sys.modules``."""
+# modules a command need not load: numpy, numpy.ma (np.percentile imports it on its
+# first call), pathlib, trajkf.evaluation, and dataclasses with the inspect it pulls in
+STARTUP = ("dataclasses", "inspect", "numpy", "numpy.ma", "pathlib", "trajkf.evaluation")
+
+
+def fresh_main(argv, watched=STARTUP) -> tuple[int, list[str]]:
+    """``trajkf.cli.main(argv)`` in a fresh ``python -S`` interpreter: its exit code, and
+    which of ``watched`` it left in ``sys.modules``.  ``-S`` runs no site hook that
+    imports modules first; ``sys.path`` holds the source tree and numpy's directory."""
     code = (f"import sys, trajkf.cli; code = trajkf.cli.main({argv!r}); "
-            "print(code, *[m for m in ('numpy', 'numpy.ma') if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": str(Path(trajkf.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+            f"print(code, *[m for m in {watched!r} if m in sys.modules])")
+    path = [str(Path(trajkf.__file__).parents[1]), str(Path(np.__file__).parents[1])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     exit_code, *loaded = proc.stdout.splitlines()[-1].split()   # after what main prints
     return int(exit_code), loaded
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_cli_extract_leaves_numpy_ma_unloaded(tmp_path, fmt):
+def test_cli_extract_leaves_numpy_ma_and_evaluation_unloaded(tmp_path, fmt):
     # np.percentile imports numpy.ma on its first call; no stage of extract needs it
     assert run("synth", "--kind", "piecewise_signing", "--segments", "2", "--dur", "1",
                "--noise", "0.001", "--format", fmt, "--out", str(tmp_path / "clip")) == 0
     argv = ["extract", str(tmp_path / f"clip.{fmt}"), "--count", "2",
             "-o", str(tmp_path / "kf.json")]
-    assert fresh_main(argv) == (0, ["numpy"])
+    assert fresh_main(argv, ("numpy", "numpy.ma", "trajkf.evaluation")) == (0, ["numpy"])
     assert json.loads((tmp_path / "kf.json").read_text())["frames"]
 
 
 def test_cli_synth_runs_in_a_fresh_interpreter(tmp_path):
     # synth imports numpy inside its command, as extract does
     argv = ["synth", "--kind", "helix", "--dur", "1", "--out", str(tmp_path / "helix")]
-    assert fresh_main(argv) == (0, ["numpy"])
+    assert fresh_main(argv, ("numpy", "numpy.ma", "trajkf.evaluation")) == (0, ["numpy"])
     assert load_annotations(tmp_path / "helix.annotations.json").n_frames == 60
 
 
 @pytest.mark.parametrize("budget", [[], ["--per-gloss"]], ids=["global", "per_gloss"])
-def test_cli_evaluate_leaves_numpy_unloaded(tmp_path, budget):
-    # scoring sorts and counts frame indices: the standard library does it all
+def test_cli_evaluate_leaves_numpy_and_dataclasses_unloaded(tmp_path, budget):
+    # scoring sorts and counts frame indices: the standard library does it all, and
+    # its records are named tuples, so neither dataclasses nor inspect is imported
     clip = tmp_path / "clip"
     assert run("synth", "--kind", "piecewise_signing", "--segments", "2", "--dur", "1",
                "--noise", "0.001", "--out", str(clip)) == 0
@@ -708,7 +716,7 @@ def test_cli_evaluate_leaves_numpy_unloaded(tmp_path, budget):
     argv = ["evaluate", "--pred", str(tmp_path / "kf.json"),
             "--truth", f"{clip}.annotations.json", "--r-c", "0.5,1", *budget,
             "-o", str(tmp_path / "r.json")]
-    assert fresh_main(argv) == (0, [])
+    assert fresh_main(argv) == (0, ["trajkf.evaluation"])
     assert json.loads((tmp_path / "r.json").read_text())[0]["per_sign"]
 
 
@@ -716,7 +724,7 @@ def test_cli_evaluate_leaves_numpy_unloaded(tmp_path, budget):
     [], ["bogus-subcommand"], ["evaluate", "--pred", "kf.json"], ["extract"],
     ["extract", "clip.csv", "--method", "k4dt"], ["synth", "--kind", "wavy", "--out", "x"],
 ], ids=["none", "subcommand", "evaluate", "extract", "method", "synth_kind"])
-def test_cli_usage_error_leaves_numpy_unloaded(argv):
+def test_cli_usage_error_leaves_every_command_module_unloaded(argv):
     assert fresh_main(argv) == (1, [])
 
 

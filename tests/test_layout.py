@@ -250,23 +250,32 @@ def test_public_names_are_their_home_modules_objects():
 
 LAZY_PACKAGE = """
 import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("trajkf.")
+                  or m in ("dataclasses", "inspect", "numpy", "pathlib"))
 import trajkf
-bare = sorted(m for m in sys.modules if m == "numpy" or m.startswith("trajkf."))
+bare = loaded()
+import trajkf.cli
+cli = loaded()
 listed = dir(trajkf)
 modules = [getattr(trajkf, name).__name__ for name in json.loads(sys.argv[1])]
 star = {}
 exec("from trajkf import *", star)
-print(json.dumps([bare, listed, modules, sorted(set(star) - {"__builtins__"})]))
+print(json.dumps([bare, cli, listed, modules, sorted(set(star) - {"__builtins__"})]))
 """
 
 
 def test_package_imports_its_modules_on_first_use():
+    # -S: no site hook imports modules first; the path holds src and numpy's directory
     submodules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    proc = subprocess.run([sys.executable, "-c", LAZY_PACKAGE, json.dumps(submodules)],
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(Path(np.__file__).parents[1])])}
+    proc = subprocess.run([sys.executable, "-S", "-c", LAZY_PACKAGE, json.dumps(submodules)],
                           capture_output=True, text=True, env=env, check=True)
-    bare, listed, modules, star = json.loads(proc.stdout)
+    bare, cli, listed, modules, star = json.loads(proc.stdout)
     assert bare == []   # a bare ``import trajkf`` loads no submodule and no numpy
+    # nor does ``import trajkf.cli`` load numpy, evaluation, pathlib or dataclasses
+    assert cli == ["trajkf.cli", "trajkf.formats"]
     assert set(trajkf.__all__) | set(submodules) <= set(listed)
     assert modules == [f"trajkf.{name}" for name in submodules]
     assert star == sorted(trajkf.__all__) and len(star) == 45

@@ -344,7 +344,8 @@ class TestJsonLoaderMatchesOracle:
         points = data.draw(st.lists(st.lists(number, min_size=width, max_size=width),
                                     min_size=1, max_size=6))
         bad = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
-                        st.lists(number, max_size=2), number)
+                        st.lists(number, max_size=2), number,
+                        st.dictionaries(st.text(max_size=2), number, max_size=3))
         for _ in range(data.draw(st.integers(0, 2))):
             i = data.draw(st.integers(0, len(points) - 1))
             how = data.draw(st.sampled_from(["value", "width", "row"]))
