@@ -59,28 +59,24 @@ def _read(path: str, load, *args):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _check(flag: str, value: float | None, positive: bool = False) -> float | None:
-    """``value`` if None, or finite and >= 0 (> 0 if ``positive``); else raise naming ``flag``."""
+def _check(flag: str, value: float | None, positive: bool = False, times: int = 1) -> float | None:
+    """``value`` if None, or finite and >= 0 (> 0 if ``positive``) with ``value * times``
+    finite, as a ratio's budget over ``times`` annotated keyframes; else raise naming ``flag``."""
     # compared, not converted: an int flag may be too large for a float
     if value is not None and (not 0 <= value < math.inf or (positive and value == 0)):
         kind = "positive" if positive else "non-negative"
         raise ValueError(f"{flag} must be a finite {kind} number, got {value}")
+    if value is not None and value * times == math.inf:
+        raise ValueError(f"{flag} {value:g} times {times} annotated keyframes overflows")
     return value
 
 
-def _check_ratio(r_c: float, total: int) -> float:
-    """``r_c`` if its keyframe budget over ``total`` annotated keyframes is finite."""
-    if not math.isfinite(r_c * total):
-        raise ValueError(f"--r-c {r_c:g} times {total} annotated keyframes overflows")
-    return r_c
-
-
-def _parse_float_list(text: str, flag: str, positive: bool = False) -> list[float]:
+def _parse_float_list(text: str, flag: str, positive: bool = False, times: int = 1) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise ValueError(f"{flag} expects a comma-separated list of numbers") from None
-    return [_check(flag, v, positive) for v in values]
+    return [_check(flag, v, positive, times) for v in values]
 
 
 def cmd_extract(args) -> int:
@@ -130,7 +126,7 @@ def cmd_extract(args) -> int:
             raise ValueError(f"--r-c needs --annotations with ground-truth keyframes, "
                              f"got {args.annotations}")
         total = len(annotations.keyframes)
-        count = max(1, budget_for_ratio(_check_ratio(args.r_c, total), total))
+        count = max(1, budget_for_ratio(_check("--r-c", args.r_c, True, total), total))
     else:
         count = args.count
 
@@ -160,8 +156,7 @@ def cmd_evaluate(args) -> int:
     if not all(d.is_integer() for d in deltas):
         raise ValueError("--delta expects whole numbers of frames")
     deltas = [int(d) for d in deltas]
-    r_cs = [_check_ratio(r_c, len(truth.keyframes))
-            for r_c in _parse_float_list(args.r_c, "--r-c", positive=True)]
+    r_cs = _parse_float_list(args.r_c, "--r-c", positive=True, times=len(truth.keyframes))
     if not deltas or not r_cs:
         raise ValueError("--delta and --r-c must be non-empty")
 

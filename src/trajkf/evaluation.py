@@ -9,6 +9,7 @@ compares per-sign keyframe counts against the annotators' counts.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
 from operator import sub
@@ -45,9 +46,9 @@ def _checked(frames, n_frames: int) -> list[int]:
 
 
 def _check_setting(delta: int, n_frames: int) -> None:
-    """Raise unless ``delta`` >= 0 and 0 < ``n_frames`` <= MAX_N_FRAMES."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    """Raise unless ``delta`` is a whole number >= 0 and 0 < ``n_frames`` <= MAX_N_FRAMES."""
+    if not (delta >= 0 and delta % 1 == 0):   # inf % 1 and NaN % 1 are NaN
+        raise ValueError(f"delta must be a whole number >= 0, got {delta}")
     if not 0 < n_frames <= MAX_N_FRAMES:
         raise ValueError(f"n_frames must be positive and at most 2**62, got {n_frames}")
 
@@ -201,15 +202,18 @@ def sweep(
     of a ratio in one ``per_gloss_picker`` pass.  Both forms give the same
     reports for ``pred(count, interval) = [f for f in ranked if
     interval.start <= f <= interval.end][:count]``.  When intervals are given, per-sign
-    counts and the complexity metric are attached to each report.  Every delta,
-    ``n_frames`` and the truth frames are checked as ``score`` checks them before
-    anything is scored, and each ratio's predicted frames once.
+    counts and the complexity metric are attached to each report.  Every delta, ratio
+    (>= 0, with a finite budget over the truth count), ``n_frames`` and the truth frames
+    are checked before anything is scored, and each ratio's predicted frames once.
     """
     if per_gloss and not intervals:
         raise ValueError("per-gloss budgets need annotated intervals")
     for delta in delta_values:
         _check_setting(delta, n_frames)
     truth = _checked(truth_keyframes, n_frames)
+    for r_c in r_c_values:   # every budget, global or per interval, is then a finite count
+        if not (r_c >= 0 and r_c * len(truth) < math.inf):
+            raise ValueError(f"r_c must be >= 0 with a finite budget, got {r_c}")
     truth_windows = _windows(truth)
     if intervals:
         spans = [itv.start for itv in intervals], [itv.end for itv in intervals]
@@ -229,9 +233,7 @@ def sweep(
                 frames.extend(_frames_of(pred(budget_for_ratio(r_c, l_s), itv)))
             frames = sorted(set(frames))
         else:
-            # budget_for_ratio per interval; a budget past len(pred) takes all of an
-            # interval, so clipping there first keeps int() finite
-            frames = pick([int(min(r_c * l_s + 0.5, len(pred))) for l_s in truth_counts])
+            frames = pick([budget_for_ratio(r_c, l_s) for l_s in truth_counts])
         frames = _checked(frames, n_frames)
         windows = _windows(frames), truth_windows, _windows(sorted(frames + truth))
 

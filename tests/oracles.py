@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: shape descriptors are
 computed by resampling curves to unit speed and differentiating with respect
 to arc length (np.gradient, not the library's stencils), peaks and
-prominences by exhaustive bracketing-minimum search, scores by a literal
+prominences by exhaustive bracketing-minimum search, signing intervals by
+labelling each sample of the speed profile, scores by a literal
 per-frame Python loop, keyframe selection by a dictionary of each frame's
 best prominence and one Python sort, merit curves by the per-interval route
 (re-differentiating a padded window of each interval), and per-sign counts by
@@ -30,6 +31,7 @@ from trajkf import (
     DescriptorCurve,
     MeritMethod,
     ParseError,
+    SigningInterval,
     TimedTrajectory,
     EvaluationReport,
     KeyframeSet,
@@ -139,6 +141,37 @@ def brute_peaks(values) -> list[tuple[int, float, float]]:
         hi = min(higher_right) if higher_right else n - 1
         right_min = min(values[p : hi + 1])
         out.append((p, v, v - max(left_min, right_min)))
+    return out
+
+
+def brute_intervals(v, speed_threshold, min_gap, min_len) -> list[SigningInterval]:
+    """``detect_intervals`` over the speed profile ``v``, sample by sample.
+
+    A sample is labelled when it is fast (speed >= the threshold), or when it
+    lies in a gap of fewer than ``min_gap`` slow samples with a fast sample on
+    each side.  Each maximal run of labelled samples at least ``min_len`` long
+    is an interval.  A clip of fewer than 3 samples has no speed, so none.
+    """
+    n = len(v)
+    if n < 3:
+        return []
+    fast = [float(s) >= speed_threshold for s in v]
+    labelled = []
+    for i in range(n):
+        lo = hi = i   # the slow gap around sample i, if it is slow
+        while not fast[i] and lo > 0 and not fast[lo - 1]:
+            lo -= 1
+        while not fast[i] and hi < n - 1 and not fast[hi + 1]:
+            hi += 1
+        labelled.append(fast[i] or (0 < lo and hi < n - 1 and hi - lo + 1 < min_gap))
+    out, start = [], None
+    for i, label in enumerate(labelled + [False]):
+        if label and start is None:
+            start = i
+        elif not label and start is not None:
+            if i - start >= min_len:
+                out.append(SigningInterval(start, i - 1))
+            start = None
     return out
 
 

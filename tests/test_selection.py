@@ -16,13 +16,21 @@ from trajkf import (
     SigningInterval,
     TimedTrajectory,
     detect_intervals,
+    differentiate,
     extract_keyframes,
     find_peaks,
     generate,
     select_keyframes,
+    speed,
 )
 from trajkf.formats import rank_order
-from oracles import brute_peaks, brute_rank_order, extract_every_copy, random_rotation
+from oracles import (
+    brute_intervals,
+    brute_peaks,
+    brute_rank_order,
+    extract_every_copy,
+    random_rotation,
+)
 
 
 def traj_from_steps(steps, fps=60.0):
@@ -77,6 +85,46 @@ class TestDetectIntervals:
             detect_intervals(traj, speed_threshold=1.0, min_gap=0)
         with pytest.raises(ValueError):
             detect_intervals(traj, speed_threshold=1.0, min_len=0)
+
+
+@st.composite
+def speed_profiles(draw):
+    """``min_gap``, ``min_len`` and alternating fast (True) and slow runs, drawn at
+    the lengths where merging and dropping flip; one run makes an all-slow or
+    all-fast profile."""
+    min_gap, min_len = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    edges = sorted({1, min_gap - 1, min_gap, min_len - 1, min_len} - {0})
+    length = st.sampled_from(edges) | st.integers(1, 15)
+    fast, profile = draw(st.booleans()), []
+    for _ in range(draw(st.integers(1, 8))):
+        profile += [fast] * draw(length)
+        fast = not fast
+    return min_gap, min_len, profile
+
+
+class TestDetectIntervalsAgainstOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=speed_profiles(), data=st.data())
+    def test_given_speed(self, case, data):
+        # fast samples at or above the threshold of 1, slow ones below it or NaN
+        min_gap, min_len, profile = case
+        v = np.array([data.draw(st.sampled_from([1.0, 2.0] if fast else [0.0, 0.5, np.nan]))
+                      for fast in profile])
+        traj = TimedTrajectory(np.zeros((len(v), 2)), 60.0)
+        assert detect_intervals(traj, 1.0, min_gap, min_len, v) == \
+            brute_intervals(v, 1.0, min_gap, min_len)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=speed_profiles(), fraction=st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    def test_computed_speed(self, case, fraction):
+        # unit steps where the profile is fast: central differences give full,
+        # half or no speed
+        min_gap, min_len, profile = case
+        traj = traj_from_steps(np.array(profile, dtype=float))
+        v = speed(differentiate(traj, 1)) if traj.n_samples >= 3 else []   # too short
+        threshold = fraction * 60.0
+        assert detect_intervals(traj, threshold, min_gap, min_len) == \
+            brute_intervals(v, threshold, min_gap, min_len)
 
 
 class TestFindPeaks:
