@@ -11,24 +11,24 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from itertools import accumulate, repeat
 from operator import sub
-from typing import Callable, NamedTuple, Sequence
 
 from .formats import MAX_N_FRAMES, SigningInterval, budget_for_ratio, float9, json_text
 
 
-class EvaluationReport(NamedTuple):
-    """Scores for one (prediction, truth) pair at one (delta, r_c) setting."""
+class EvaluationReport(namedtuple("EvaluationReport", "recall precision f2 delta r_c c_s "
+                                   "per_sign degenerate", defaults=(None, None, None, False))):
+    """Scores for one (prediction, truth) pair at one (delta, r_c) setting.
 
-    recall: float
-    precision: float
-    f2: float
-    delta: int
-    r_c: float | None = None
-    c_s: float | None = None
-    per_sign: tuple[dict, ...] | None = None
-    degenerate: bool = False   # a zero denominator forced some rate to 0
+    Floats ``recall``, ``precision`` and ``f2``, int ``delta``; ``r_c`` and ``c_s``
+    floats or None, ``per_sign`` a tuple of dicts or None; ``degenerate`` is True
+    when a zero denominator forced some rate to 0.
+    """
+
+    __slots__ = ()
 
 
 def _checked(frames, n_frames: int) -> list[int]:

@@ -24,9 +24,9 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from enum import Enum
 from operator import neg
-from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -184,13 +184,8 @@ def float9s(xs) -> list[float]:
     return list(map(float, ("%.9g " * len(xs) % tuple(xs)).split()))
 
 
-class _Span(NamedTuple):   # a NamedTuple may not define __new__: the check is a subclass's
-    start: int
-    end: int
-
-
-class SigningInterval(_Span):
-    """Inclusive sample-index range covering one rest-to-rest motion."""
+class SigningInterval(namedtuple("SigningInterval", "start end")):
+    """Inclusive sample-index range [start, end] (ints) covering one rest-to-rest motion."""
 
     __slots__ = ()
 
@@ -211,12 +206,12 @@ class SigningInterval(_Span):
         return self.start <= frame <= self.end
 
 
-class Annotations(NamedTuple):
-    """Ground-truth signing intervals and keyframe indices for one video."""
+class Annotations(namedtuple("Annotations", "intervals keyframes n_frames",
+                             defaults=((), (), None))):
+    """Ground-truth signing intervals and keyframe indices for one video: tuples
+    ``intervals`` of SigningInterval and ``keyframes`` of int, and ``n_frames``, int or None."""
 
-    intervals: tuple[SigningInterval, ...] = ()
-    keyframes: tuple[int, ...] = ()
-    n_frames: int | None = None
+    __slots__ = ()
 
 
 def load_annotations(source) -> Annotations:
@@ -258,14 +253,14 @@ class MeritMethod(Enum):
     KAPPA3DS = "k3ds"
 
 
-class KeyframeSet(NamedTuple):
+class KeyframeSet(namedtuple("KeyframeSet", "frames scores method shortfall",
+                             defaults=(None, False))):
     """Selected frames with their prominence scores, sorted by frame; the frames
-    select_keyframes picks are distinct (a keyframe file's are as it lists them)."""
+    select_keyframes picks are distinct (a keyframe file's are as it lists them).
+    Tuples ``frames`` of int and ``scores`` of float, ``method`` a MeritMethod or
+    None, ``shortfall`` a bool."""
 
-    frames: tuple[int, ...]
-    scores: tuple[float, ...]
-    method: MeritMethod | None = None
-    shortfall: bool = False
+    __slots__ = ()
 
 
 def rank_order(frames, scores) -> list[int]:

@@ -14,8 +14,8 @@ computes their curves in one pass; ``merit_curves`` splits it per interval.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -131,7 +131,7 @@ def merit_order(method: MeritMethod, traj: TimedTrajectory) -> int:
 
 
 def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
-                    method: MeritMethod, f_error: float = DEFAULT_F_ERROR,
+                    method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
                     speed_threshold: float = 0.0, d: DerivativeStack | None = None,
                     v: np.ndarray | None = None) -> tuple[DescriptorCurve, list, np.ndarray]:
     """All intervals' descriptor curves under ``method``, laid end to end as
@@ -153,7 +153,10 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     over a 3-D trajectory's first two coordinates.  A non-planar interval
     raises ValueError if the trajectory is too short for third derivatives.
     """
-    n = traj.n_samples
+    method, n = MeritMethod(method), traj.n_samples   # a member, or its tag
+    for name, x in [("f_error", f_error), ("speed_threshold", speed_threshold)]:
+        if not x >= 0:   # NaN fails too
+            raise ValueError(f"{name} must be >= 0, got {x}")
     for itv in intervals:
         if itv.end >= n:
             raise ValueError(
@@ -200,7 +203,7 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
 
 
 def merit_curves(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
-                 method: MeritMethod, f_error: float = DEFAULT_F_ERROR,
+                 method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
                  speed_threshold: float = 0.0) -> list[DescriptorCurve]:
     """segmented_merit's curve split into one curve per interval, each with its
     ``branch``: one pass over all intervals laid end to end, O(N log N)."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ DEFAULT_SIGMA = 2.0
 
 def extract_keyframes(
     traj: TimedTrajectory,
-    method: MeritMethod = MeritMethod.MT,
+    method: MeritMethod | str = MeritMethod.MT,
     count: int = 1,
     sigma: float = DEFAULT_SIGMA,
     f_error: float = DEFAULT_F_ERROR,
@@ -45,6 +45,7 @@ def extract_keyframes(
     frames inside annotated intervals stay excluded.  Frames in the result are
     sample indices into ``traj``.  Raises FloatingPointError on overflow.
     """
+    method = MeritMethod(method)   # a member, or its tag
     smoothed = gaussian_smooth(traj, sigma)
     with np.errstate(over="raise", invalid="raise"):
         d = v = None

@@ -8,7 +8,7 @@ exists) and the strongest ones across all intervals become the keyframes.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,16 +24,14 @@ DEFAULT_MIN_LEN = 12
 DEFAULT_THRESHOLD_FRACTION = 0.05   # of the 95th-percentile speed
 
 
-class Peak(NamedTuple):
+class Peak(namedtuple("Peak", "frame value prominence")):
     """A strict local maximum of a merit curve (a named tuple: cheap to make in bulk).
 
-    ``frame`` is the index within the curve the peak was found on, counted
-    over all of its segments.
+    Int ``frame`` is the index within the curve the peak was found on, counted
+    over all of its segments; floats ``value`` and ``prominence``.
     """
 
-    frame: int
-    value: float
-    prominence: float
+    __slots__ = ()
 
 
 def default_speed_threshold(traj: TimedTrajectory, v: np.ndarray | None = None) -> float:
@@ -140,12 +138,12 @@ def select_keyframes(frames, prominences, count: int,
     frame.  Candidates are taken in ``rank_order``; the result is sorted by
     frame and flags a shortfall when fewer distinct frames than requested exist.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if not (count >= 1 and count % 1 == 0):
+        raise ValueError(f"count must be a whole number >= 1, got {count}")
     frames, prominences = np.asarray(frames, dtype=np.int64), np.asarray(prominences, dtype=float)
     order = np.array(rank_order(frames.tolist(), prominences.tolist()), dtype=np.intp)
     first = np.unique(frames[order], return_index=True)[1]   # each frame's best rank, by frame
-    top = order[first[np.sort(np.argsort(first)[:count])]]   # the ``count`` best, by frame
+    top = order[first[np.sort(np.argsort(first)[:int(count)])]]   # the ``count`` best, by frame
     return KeyframeSet(tuple(frames[top].tolist()), tuple(prominences[top].tolist()), method,
                        shortfall=len(first) < count)
 

@@ -19,8 +19,8 @@ through, which is what makes the analytic merit maxima well defined.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 

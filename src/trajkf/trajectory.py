@@ -119,7 +119,7 @@ def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
     and so is a sigma whose square underflows to 0 (its kernel is the unit
     impulse).
     """
-    if sigma < 0:
+    if not sigma >= 0:   # NaN fails too
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     # a huge sigma squares to inf (a flat kernel); a tiny one's off-centre taps reach exp(-inf)
     with np.errstate(over="ignore"):

@@ -669,8 +669,10 @@ def test_frames_up_to_2_62_extract_and_evaluate(tmp_path):
 
 
 # modules a command need not load: numpy, numpy.ma (np.percentile imports it on its
-# first call), pathlib, trajkf.evaluation, and dataclasses with the inspect it pulls in
-STARTUP = ("dataclasses", "inspect", "numpy", "numpy.ma", "pathlib", "trajkf.evaluation")
+# first call), pathlib, trajkf.evaluation, dataclasses with the inspect it pulls in, and
+# typing (numpy imports it, so extract and synth do not watch it)
+STARTUP = ("dataclasses", "inspect", "numpy", "numpy.ma", "pathlib", "trajkf.evaluation",
+           "typing")
 
 
 def fresh_main(argv, watched=STARTUP) -> tuple[int, list[str]]:
@@ -708,7 +710,8 @@ def test_cli_synth_runs_in_a_fresh_interpreter(tmp_path):
 @pytest.mark.parametrize("budget", [[], ["--per-gloss"]], ids=["global", "per_gloss"])
 def test_cli_evaluate_leaves_numpy_and_dataclasses_unloaded(tmp_path, budget):
     # scoring sorts and counts frame indices: the standard library does it all, and
-    # its records are named tuples, so neither dataclasses nor inspect is imported
+    # its records are collections.namedtuple classes, so neither dataclasses, inspect
+    # nor typing is imported
     clip = tmp_path / "clip"
     assert run("synth", "--kind", "piecewise_signing", "--segments", "2", "--dur", "1",
                "--noise", "0.001", "--out", str(clip)) == 0

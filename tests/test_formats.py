@@ -28,6 +28,7 @@ from trajkf import (
     KeyframeSet,
     MeritMethod,
     ParseError,
+    Peak,
     SigningInterval,
     TimedTrajectory,
     generate,
@@ -126,8 +127,19 @@ def test_records_keep_what_callers_rely_on(monkeypatch):
     records = [itv, Annotations((itv,), (3,), 10),
                KeyframeSet((3,), (0.5,), MeritMethod.MT, True),
                EvaluationReport(0.5, 0.25, 0.3, 5, r_c=1.0, c_s=0.0,
-                                per_sign=({"start": 2, "end": 4, "l_x": 1, "l_s": 1},))]
-    for record, field in zip(records, ["end", "keyframes", "frames", "f2"]):
+                                per_sign=({"start": 2, "end": 4, "l_x": 1, "l_s": 1},)),
+               Peak(3, 0.5, 0.25)]
+    # field order and defaults: positional construction and _replace rely on them
+    assert [(type(r)._fields, type(r)._field_defaults) for r in records] == [
+        (("start", "end"), {}),
+        (("intervals", "keyframes", "n_frames"),
+         {"intervals": (), "keyframes": (), "n_frames": None}),
+        (("frames", "scores", "method", "shortfall"), {"method": None, "shortfall": False}),
+        (("recall", "precision", "f2", "delta", "r_c", "c_s", "per_sign", "degenerate"),
+         {"r_c": None, "c_s": None, "per_sign": None, "degenerate": False}),
+        (("frame", "value", "prominence"), {}),
+    ]
+    for record, field in zip(records, ["end", "keyframes", "frames", "f2", "value"]):
         with pytest.raises(AttributeError):   # frozen: dataclasses' error was a subclass
             setattr(record, field, None)
         back = pickle.loads(pickle.dumps(record))

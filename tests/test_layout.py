@@ -151,6 +151,13 @@ def test_package_imports_only_stdlib_and_numpy():
     assert outside == set()
 
 
+def test_no_module_imports_typing():
+    # collections.namedtuple spells the records and collections.abc the annotations;
+    # typing costs a CLI start-up milliseconds that no site hook has paid for
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "typing" in imported_packages(path)] == []
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())
@@ -252,7 +259,7 @@ LAZY_PACKAGE = """
 import json, sys
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("trajkf.")
-                  or m in ("dataclasses", "inspect", "numpy", "pathlib"))
+                  or m in ("dataclasses", "inspect", "numpy", "pathlib", "typing"))
 import trajkf
 bare = loaded()
 import trajkf.cli
@@ -273,8 +280,8 @@ def test_package_imports_its_modules_on_first_use():
     proc = subprocess.run([sys.executable, "-S", "-c", LAZY_PACKAGE, json.dumps(submodules)],
                           capture_output=True, text=True, env=env, check=True)
     bare, cli, listed, modules, star = json.loads(proc.stdout)
-    assert bare == []   # a bare ``import trajkf`` loads no submodule and no numpy
-    # nor does ``import trajkf.cli`` load numpy, evaluation, pathlib or dataclasses
+    assert bare == []   # a bare ``import trajkf`` loads no submodule, numpy or typing
+    # nor does ``import trajkf.cli`` load numpy, evaluation, pathlib, dataclasses or typing
     assert cli == ["trajkf.cli", "trajkf.formats"]
     assert set(trajkf.__all__) | set(submodules) <= set(listed)
     assert modules == [f"trajkf.{name}" for name in submodules]

@@ -20,6 +20,7 @@ from trajkf import (
     extract_keyframes,
     find_peaks,
     generate,
+    merit_curves,
     select_keyframes,
     speed,
 )
@@ -488,6 +489,44 @@ class TestRepeatedIntervals:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
         assert results[1] == results[0] and len(results[0].frames) == 120
+
+
+MIXED_CLIPS = [generate(CurveSpec(kind="piecewise_signing", radius=0.25, duration=1.0,
+                                  rest_duration=0.5, n_segments=4, noise_sigma=0.005,
+                                  segment_kinds=("arc", "arc", "helix", "arc")), seed=seed)
+               for seed in range(6)]
+
+
+ARGUMENT_CASES = [
+    *[({"method": m.value}, None) for m in MeritMethod],
+    ({"method": "k4dt"}, "'k4dt' is not a valid MeritMethod"),
+    ({"speed_threshold": -1.0}, "speed_threshold must be >= 0, got -1.0"),
+    ({"speed_threshold": float("nan")}, "speed_threshold must be >= 0, got nan"),
+    ({"sigma": float("nan")}, "sigma must be >= 0, got nan"),
+    ({"f_error": float("nan")}, "f_error must be >= 0, got nan"),
+    ({"f_error": -0.1}, "f_error must be >= 0, got -0.1"),
+    ({"count": 2.5}, "count must be a whole number >= 1, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("options, error", ARGUMENT_CASES,
+                         ids=[" ".join(f"{k}={v}" for k, v in o.items()) for o, _ in ARGUMENT_CASES])
+def test_library_resolves_and_checks_its_arguments(options, error):
+    # a method tag computes as its member, in extract_keyframes and merit_curves alike;
+    # any other bad argument raises ValueError naming it instead of a wrong or empty result
+    if error is not None:
+        with pytest.raises(ValueError) as exc:
+            extract_keyframes(SEED4_CLIP.trajectory, **{"count": 3, **options})
+        assert str(exc.value) == error
+        return
+    tag = options["method"]
+    for clip in MIXED_CLIPS:
+        traj, intervals = clip.trajectory, clip.intervals
+        got = extract_keyframes(traj, tag, count=8)
+        assert got == extract_keyframes(traj, MeritMethod(tag), count=8)
+        assert got.method is MeritMethod(tag)
+        assert [c.branch for c in merit_curves(traj, intervals, tag)] == \
+            [c.branch for c in merit_curves(traj, intervals, MeritMethod(tag))]
 
 
 class TestMotionProfile:

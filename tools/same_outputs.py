@@ -8,6 +8,10 @@ inputs with `workloads.make_inputs` for seeds 1, 2 and 3, then the CLI runs
 `extract` and `evaluate` on them with the arguments `workloads.Inputs`
 builds.  Each workload and seed leaves five files: the trajectory, the truth
 (annotation) file, the keyframe JSON, the report JSON and the report CSV.
+Those `extract` runs use the default method, mt; `extract --method` also
+writes a keyframe JSON for each of k2dt, k3dt, k2ds and k3ds on the
+`signing_csv` inputs, and for the 2-D methods k2dt and k2ds on the
+`zigzag_peaks` inputs.
 Then `trajkf synth --a 0.7 --b 0.3 --seed 4` writes each curve kind in
 `synthetic.CURVE_KINDS` as CSV and as JSON: a trajectory and an annotation
 file each.  That radius and pitch give analytic curvature and torsion with
@@ -37,6 +41,8 @@ from trajkf.cli import main
 from trajkf.synthetic import CURVE_KINDS
 from workloads import WORKLOADS, make_inputs
 
+# the other methods, beside the default mt; the zigzag is 2-D, so only the 2-D ones
+METHODS = {"signing_csv": ("k2dt", "k3dt", "k2ds", "k3ds"), "zigzag_peaks": ("k2dt", "k2ds")}
 out = Path(sys.argv[1])
 for name in WORKLOADS:
     for seed in (1, 2, 3):
@@ -48,6 +54,9 @@ for name in WORKLOADS:
                      inp.evaluate_argv(keys, work / "report.json", work / "report.csv")):
             if main(argv) != 0:
                 sys.exit(f"{name} seed {seed}: trajkf {argv[0]} failed")
+        for method in METHODS.get(name, ()):
+            if main([*inp.extract_argv(work / f"keys-{method}.json"), "--method", method]):
+                sys.exit(f"{name} seed {seed}: trajkf extract --method {method} failed")
 for fmt in ("csv", "json"):
     (out / "synth" / fmt).mkdir(parents=True)
     for kind in CURVE_KINDS:
