@@ -120,6 +120,8 @@ def cmd_extract(args) -> int:
                         f"the frame range of {args.input}"
                     )
                 intervals.append(SigningInterval(start, end))
+    if intervals is None and tuning.get("speed_threshold") == 0:   # would give no keyframes
+        raise ValueError("--speed-threshold 0 turns interval detection off: supply intervals")
 
     if args.r_c is not None:
         if annotations is None or not annotations.keyframes:

@@ -22,7 +22,7 @@ import numpy as np
 from . import geometry
 from .formats import MeritMethod, SigningInterval
 from .geometry import BRANCH_NONPLANAR, BRANCH_PLANAR, DescriptorCurve
-from .trajectory import MIN_SAMPLES, DerivativeStack, TimedTrajectory, differentiate, speed
+from .trajectory import DerivativeStack, TimedTrajectory, derivative, differentiate, frozen, speed
 
 DEFAULT_F_ERROR = 5e-2
 HARMONIC_EPS = 1e-12
@@ -124,12 +124,6 @@ def segment_layout(intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offsets, lengths, np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
 
-def merit_order(method: MeritMethod, traj: TimedTrajectory) -> int:
-    """Derivative order segmented_merit needs: 3 to plane-fit MT on 3-D input, if long enough."""
-    fit = method is MeritMethod.MT and traj.dim == 3
-    return 3 if fit and traj.n_samples >= MIN_SAMPLES[3] else 2
-
-
 def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                     method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
                     speed_threshold: float = 0.0, d: DerivativeStack | None = None,
@@ -148,10 +142,10 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     read the first two coordinates.  Samples slower than a positive
     ``speed_threshold`` are masked too; masked entries are stored as 0.
     One pass over the N laid-out samples, O(N log N) for the percentile sort.
-    ``d`` is ``differentiate(traj, merit_order(method, traj))`` and ``v`` its
-    speed, each computed when not given; the kernels read ``v``, bar the one
-    over a 3-D trajectory's first two coordinates.  A non-planar interval
-    raises ValueError if the trajectory is too short for third derivatives.
+    ``d`` is ``differentiate(traj, 1)`` and ``v`` its speed, each computed when
+    not given; the kernels read ``v``, bar the one over a 3-D trajectory's first
+    two coordinates.  d2 is evaluated at the laid-out samples only, d3 at the
+    non-planar ones; a trajectory too short for either raises ValueError.
     """
     method, n = MeritMethod(method), traj.n_samples   # a member, or its tag
     for name, x in [("f_error", f_error), ("speed_threshold", speed_threshold)]:
@@ -168,15 +162,17 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
         return DescriptorCurve(np.zeros(0), np.zeros(0, dtype=bool)), [], rows
 
     fit = method is MeritMethod.MT and traj.dim == 3
-    d = differentiate(traj, merit_order(method, traj)) if d is None else d
+    d2 = derivative(traj, 2, rows)   # first, so a short trajectory fails naming order 2
+    d = differentiate(traj, 1) if d is None else d
     v = speed(d) if v is None else v
     branches = [BRANCH_PLANAR if method is MeritMethod.MT else None] * len(intervals)
-    if not fit:   # one kernel over the whole trajectory
+    if not fit:   # one kernel over the laid-out samples
         xy = method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3
-        shape = DerivativeStack(d.d1[:, :2], d.d2[:, :2]) if xy else d   # with its own speed
+        d1 = frozen(d.d1[rows])
+        shape = DerivativeStack(d1[:, :2], d2[:, :2]) if xy else DerivativeStack(d1, d2)
         rate = method not in (MeritMethod.KAPPA2DS, MeritMethod.KAPPA3DS)
-        base = geometry.descriptor_kernel(shape, speed(shape) if xy else v, rate)[0]
-        values, mask = base.values[rows], base.valid_mask[rows]
+        base = geometry.descriptor_kernel(shape, speed(shape) if xy else v[rows], rate)[0]
+        values, mask = base.values, base.valid_mask
     else:   # one kernel over the projected planar samples, one over the rest
         errors, bases, _ = fit_planes(traj.points[rows], offsets, lengths)
         planar = errors < f_error
@@ -184,20 +180,20 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
         values, mask = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
         branches = np.where(planar, BRANCH_PLANAR, BRANCH_NONPLANAR).tolist()
         if planar.any():   # per-interval products: a batched product rounds differently
-            sl = [(slice(intervals[j].start, intervals[j].end + 1), bases[j].T)
+            sl = [(intervals[j].start, offsets[j], lengths[j], bases[j].T)
                   for j in np.flatnonzero(planar).tolist()]
             k = geometry.curvature_t(DerivativeStack(
-                *(np.concatenate([x[s] @ b for s, b in sl]) for x in (d.d1, d.d2))))
+                frozen(np.concatenate([d.d1[a:a + m] @ b for a, _, m, b in sl])),
+                frozen(np.concatenate([d2[o:o + m] @ b for _, o, m, b in sl]))))
             values[flat], mask[flat] = k.values, k.valid_mask
         if not planar.all():
-            if d.d3 is None:
-                raise ValueError(f"need at least {MIN_SAMPLES[3]} samples for order 3, got {n}")
-            hr = rows[~flat]
-            h = harmonic_mean_curve(*geometry.descriptor_kernel(
-                DerivativeStack(d.d1[hr], d.d2[hr], d.d3[hr]), v[hr], True, torsion=True))
-            cut = TORSION_SPEED_FRACTION * segment_percentile(v[hr], lengths[~planar], 95)
+            hr, d2 = rows[~flat], frozen(d2[~flat])   # the laid-out d2 goes before the kernel
+            vh = v[hr]
+            h = harmonic_mean_curve(*geometry.descriptor_kernel(DerivativeStack(
+                frozen(d.d1[hr]), d2, derivative(traj, 3, hr)), vh, True, torsion=True))
+            cut = TORSION_SPEED_FRACTION * segment_percentile(vh, lengths[~planar], 95)
             values[~flat] = h.values
-            mask[~flat] = h.valid_mask & (v[hr] >= np.repeat(cut, lengths[~planar]))
+            mask[~flat] = h.valid_mask & (vh >= np.repeat(cut, lengths[~planar]))
     mask = mask & (v[rows] >= speed_threshold) if speed_threshold > 0 else mask
     return DescriptorCurve(values, mask, offsets=offsets), branches, rows
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .formats import KeyframeSet, MeritMethod, SigningInterval
 # merit_curve stays importable here for perfbench/tracing.py
-from .merit import DEFAULT_F_ERROR, merit_curve, merit_order, segmented_merit  # noqa: F401
+from .merit import DEFAULT_F_ERROR, merit_curve, segmented_merit  # noqa: F401
 from .selection import (
     DEFAULT_MIN_GAP,
     DEFAULT_MIN_LEN,
@@ -35,10 +35,10 @@ def extract_keyframes(
 ) -> KeyframeSet:
     """Select the ``count`` most prominent merit maxima of a trajectory.
 
-    The trajectory is smoothed and differentiated once; that stack and its
-    speed feed the threshold, the interval detection (unless intervals are
-    supplied, e.g. from an annotation file) and one segmented_merit pass that
-    lays each distinct interval's merit curve end to end.  One find_peaks call
+    The trajectory is smoothed and differentiated once, to first order; that
+    stack and its speed feed the threshold, the interval detection (unless
+    intervals are supplied, e.g. from an annotation file) and one segmented_merit
+    pass that lays each distinct interval's merit curve end to end.  One find_peaks call
     takes their peaks, ranked globally by prominence; a frame where overlapping
     intervals both peak is one candidate at its best, so keyframes are distinct.
     Frames slower than the speed threshold never become candidates, so rest
@@ -49,8 +49,8 @@ def extract_keyframes(
     smoothed = gaussian_smooth(traj, sigma)
     with np.errstate(over="raise", invalid="raise"):
         d = v = None
-        if smoothed.n_samples >= MIN_SAMPLES[2]:   # shorter: each stage's own result or error
-            d = differentiate(smoothed, merit_order(method, smoothed))
+        if smoothed.n_samples >= MIN_SAMPLES[1]:   # shorter: each stage's own result or error
+            d = differentiate(smoothed, 1)
             v = speed(d)
         threshold = speed_threshold if speed_threshold is not None \
             else default_speed_threshold(smoothed, v)

@@ -35,7 +35,15 @@ from .formats import Annotations, SigningInterval, load_annotations, save_annota
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    """``a`` itself if ``frozen`` left it so (read-only over its own memory), else a copy."""
+    if type(a) is not np.ndarray or a.dtype != float or a.flags.writeable or not a.flags.owndata:
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+    return a
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A new array marked read-only, so the containers here keep it without a copy."""
     a.flags.writeable = False
     return a
 
@@ -141,12 +149,19 @@ def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
     smoothed = np.column_stack(
         [convolve(traj.points[:, j]) / coverage for j in range(traj.dim)]
     )
-    return TimedTrajectory(smoothed, traj.frame_rate, traj.start_frame)
+    return TimedTrajectory(frozen(smoothed), traj.frame_rate, traj.start_frame)
 
 
 MIN_SAMPLES = {1: 3, 2: 4, 3: 7}   # fewest samples per derivative order
 # the rates whose step h = 1/rate has a finite normal h**3 (to 3 digits), as differentiate needs
 FRAME_RATES = (1.78e-103, 3.55e102)
+# order: (reach, central stencil, one-sided stencil of the first `reach` samples) as (offset,
+# weight) pairs; the last `reach` mirror it (offsets negated, for odd orders the weights too)
+_STENCILS = {
+    1: (1, [(1, 1), (-1, -1)], [(0, -3), (1, 4), (2, -1)]),
+    2: (1, [(1, 1), (0, -2), (-1, 1)], [(0, 2), (1, -5), (2, 4), (3, -1)]),
+    3: (2, [(2, 1), (1, -2), (-1, 2), (-2, -1)], [(0, -5), (1, 18), (2, -24), (3, 14), (4, -3)]),
+}
 
 
 def differentiate(traj: TimedTrajectory, order_max: int = 3) -> DerivativeStack:
@@ -159,42 +174,46 @@ def differentiate(traj: TimedTrajectory, order_max: int = 3) -> DerivativeStack:
         d3[n] = (p[n+2] - 2 p[n+1] + 2 p[n-1] - p[n-2]) / 2h^3
 
     Boundary samples use one-sided stencils of matching (second) accuracy
-    order.  d1 and d2 are exact on polynomials of degree <= 2 at interior
-    samples.
+    order; d3's are five-point stencils for the first and last two samples.
+    d1 and d2 are exact on polynomials of degree <= 2 at interior samples.
     """
     if order_max not in (1, 2, 3):
         raise ValueError(f"order_max must be 1, 2 or 3, got {order_max}")
-    n = traj.n_samples
-    if n < MIN_SAMPLES[order_max]:
-        raise ValueError(
-            f"need at least {MIN_SAMPLES[order_max]} samples for order {order_max}, got {n}"
-        )
-    h = 1.0 / traj.frame_rate
-    p = traj.points
-
-    d1 = np.empty_like(p)
-    d1[1:-1] = (p[2:] - p[:-2]) / (2 * h)
-    d1[0] = (-3 * p[0] + 4 * p[1] - p[2]) / (2 * h)
-    d1[-1] = (3 * p[-1] - 4 * p[-2] + p[-3]) / (2 * h)
-
-    d2 = None
-    if order_max >= 2:
-        d2 = np.empty_like(p)
-        d2[1:-1] = (p[2:] - 2 * p[1:-1] + p[:-2]) / h**2
-        d2[0] = (2 * p[0] - 5 * p[1] + 4 * p[2] - p[3]) / h**2
-        d2[-1] = (2 * p[-1] - 5 * p[-2] + 4 * p[-3] - p[-4]) / h**2
-
-    d3 = None
-    if order_max >= 3:
-        d3 = np.empty_like(p)
-        d3[2:-2] = (p[4:] - 2 * p[3:-1] + 2 * p[1:-3] - p[:-4]) / (2 * h**3)
-        # one-sided five-point stencils for the first and last two samples
-        d3[:2] = (-5 * p[:2] + 18 * p[1:3] - 24 * p[2:4]
-                  + 14 * p[3:5] - 3 * p[4:6]) / (2 * h**3)
-        d3[-2:] = (5 * p[-2:] - 18 * p[-3:-1] + 24 * p[-4:-2]
-                   - 14 * p[-5:-3] + 3 * p[-6:-4]) / (2 * h**3)
-
+    # the highest order first: a trajectory too short for it fails naming it
+    d3, d2, d1 = (derivative(traj, k) if k <= order_max else None for k in (3, 2, 1))
     return DerivativeStack(d1, d2, d3)
+
+
+def derivative(traj: TimedTrajectory, order: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """differentiate's ``order``-th derivative (1, 2 or 3) at the samples ``rows`` (all by
+    default) bit for bit, evaluated only there: a read-only (len(rows), D) array."""
+    n = traj.n_samples
+    if n < MIN_SAMPLES[order]:
+        raise ValueError(f"need at least {MIN_SAMPLES[order]} samples for order {order}, got {n}")
+    p, h = traj.points, 1.0 / traj.frame_rate
+    scale = {1: 2 * h, 2: h**2, 3: 2 * h**3}[order]
+    reach, central, one_sided = _STENCILS[order]
+
+    def stencil(weights, at, out=None):   # sum of weight * at(offset), left to right, / scale
+        (offset, weight), *rest = weights
+        out = np.multiply(weight, at(offset), out=out)
+        for offset, weight in rest:
+            out += weight * at(offset)
+        return np.divide(out, scale, out=out)
+
+    if rows is None:   # the interior through slices of the points, the ends as rows
+        out = np.empty_like(p)
+        stencil(central, lambda o: p[reach + o:n - reach + o], out[reach:n - reach])
+        ends = np.r_[:reach, n - reach:n]
+        out[ends] = derivative(traj, order, ends)
+        return frozen(out)
+    out = np.empty((len(rows), p.shape[1]))
+    lead, trail = rows < reach, rows >= n - reach
+    mirrored = [(-o, -w if order % 2 else w) for o, w in one_sided]
+    for part, weights in [(~(lead | trail), central), (lead, one_sided), (trail, mirrored)]:
+        at = rows[part]
+        out[part] = stencil(weights, lambda o: p.take(at + o, axis=0))
+    return frozen(out)
 
 
 def speed(d: DerivativeStack) -> np.ndarray:
@@ -282,8 +301,9 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
             and _NOT_SPACE.search(text, end)   # no rows: loadtxt would warn
             and _lines_within(text, csv.field_size_limit())):
         dtype = np.dtype([("frame", np.int64), ("xyz", np.float64, (head.count(","),))])
+        data, text = text.encode("ascii"), None   # a StringIO would hold 4 bytes a character
         try:
-            table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None,
+            table = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
                                quotechar=None, skiprows=1, ndmin=1)
         except ValueError:
             pass
@@ -292,7 +312,9 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
             # diff 1 also holds across the int64 wrap from 2**63 - 1 to -2**63
             if ((np.diff(frames) == 1).all() and frames[-1] >= frames[0]
                     and np.isfinite(points).all()):
+                del data
                 return TimedTrajectory(points, frame_rate, frames[0])
+        text = data.decode("ascii")
     return _load_csv_rows(text, frame_rate)
 
 

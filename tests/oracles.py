@@ -303,6 +303,31 @@ def random_rotation(rng) -> np.ndarray:
     return q
 
 
+def brute_differentiate(points: np.ndarray, fps: float, order_max: int) -> list[np.ndarray]:
+    """d1 .. d(order_max) with each finite-difference stencil written out over
+    whole-array slices, in the order of operations the library's stencil
+    tables sum their terms in."""
+    h, p = 1.0 / fps, points
+    d1 = np.empty_like(p)
+    d1[1:-1] = (p[2:] - p[:-2]) / (2 * h)
+    d1[0] = (-3 * p[0] + 4 * p[1] - p[2]) / (2 * h)
+    d1[-1] = (3 * p[-1] - 4 * p[-2] + p[-3]) / (2 * h)
+    if order_max < 2:
+        return [d1]
+    d2 = np.empty_like(p)
+    d2[1:-1] = (p[2:] - 2 * p[1:-1] + p[:-2]) / h**2
+    d2[0] = (2 * p[0] - 5 * p[1] + 4 * p[2] - p[3]) / h**2
+    d2[-1] = (2 * p[-1] - 5 * p[-2] + 4 * p[-3] - p[-4]) / h**2
+    if order_max < 3:
+        return [d1, d2]
+    d3 = np.empty_like(p)
+    d3[2:-2] = (p[4:] - 2 * p[3:-1] + 2 * p[1:-3] - p[:-4]) / (2 * h**3)
+    d3[:2] = (-5 * p[:2] + 18 * p[1:3] - 24 * p[2:4] + 14 * p[3:5] - 3 * p[4:6]) / (2 * h**3)
+    d3[-2:] = (5 * p[-2:] - 18 * p[-3:-1] + 24 * p[-4:-2]
+               - 14 * p[-5:-3] + 3 * p[-6:-4]) / (2 * h**3)
+    return [d1, d2, d3]
+
+
 STENCIL_PAD = 3
 
 

@@ -165,6 +165,23 @@ class TestExtract:
         err = capsys.readouterr().err
         assert f"{path}: need at least 7 samples" in err
 
+    def test_speed_threshold_zero_needs_supplied_intervals(self, tmp_path, capsys):
+        # a threshold of 0 turns detection off, which left nothing to pick from: exit 0, no frames
+        assert run("synth", "--kind", "piecewise_signing", "--segments", "3", "--dur", "1",
+                   "--noise", "0.001", "--seed", "4", "--out", str(tmp_path / "vid")) == 0
+        clip, truth = tmp_path / "vid.csv", tmp_path / "vid.annotations.json"
+        no_intervals = tmp_path / "keyframes_only.json"
+        no_intervals.write_text(json.dumps({"keyframes": [60, 150, 240]}))
+        keys = tmp_path / "keys.json"
+        argv = ["extract", str(clip), "--count", "3", "--speed-threshold", "0", "-o", str(keys)]
+        for extra in ([], ["--annotations", str(no_intervals)]):
+            capsys.readouterr()
+            assert run(*argv, *extra) == 2
+            assert "--speed-threshold 0" in capsys.readouterr().err
+            assert not keys.exists()
+        assert run(*argv, "--annotations", str(truth)) == 0   # supplied intervals need none
+        assert json.loads(keys.read_text())["frames"] == [60, 150, 240]
+
     @pytest.mark.parametrize("case,message", [
         ("resting_2d", "method k3dt needs a 3-D trajectory"),
         ("moving_2d", "method k3dt needs a 3-D trajectory"),

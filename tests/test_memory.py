@@ -1,0 +1,51 @@
+"""Peak memory of the CSV load and of extract_keyframes on a 27k-sample signing
+clip, in multiples of what each one reads.
+
+tracemalloc counts what Python and numpy allocate, so a peak reads the
+same on a busy host as on an idle one, unlike a timing.  Each bound sits
+15-25% above the peak measured when it was set, and below the peak of the
+code before it: 5.9x the file for the load, when a StringIO held the text
+at 4 bytes a character; 7.3x and 7.6x the points for extract, when the whole
+clip was differentiated to third order and each stack was copied.
+"""
+
+import tracemalloc
+
+import pytest
+
+from trajkf import CurveSpec, extract_keyframes, generate, load_trajectory, save_trajectory
+
+
+@pytest.fixture(scope="module")
+def clip():
+    # the benchmark's signing clip with 300 segments: 30 + 300 * 90 = 27,030 samples
+    spec = CurveSpec(kind="piecewise_signing", radius=0.25, duration=1.0, rest_duration=0.5,
+                     n_segments=300, noise_sigma=0.001, fps=60.0)
+    return generate(spec, seed=7)
+
+
+def traced_peak(call) -> int:
+    call()   # warm-up: first-call allocations are not the call's
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_load_peaks_near_twice_the_file(clip, tmp_path):
+    # the decoded text and its ASCII bytes, 2.0x; the parsed table is smaller than either
+    path = tmp_path / "clip.csv"
+    save_trajectory(clip.trajectory, path)
+    assert traced_peak(lambda: load_trajectory(path)) < 2.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["detected", "supplied"])
+def test_extract_peaks_at_a_few_clips(clip, supplied):
+    # 5.4x detected and 5.6x supplied: the smoothed clip, d1 and the speed, then d2 and d3
+    # at the laid-out and the non-planar samples and the merit kernel's work arrays
+    traj = clip.trajectory
+    intervals = list(clip.intervals) if supplied else None
+    peak = traced_peak(lambda: extract_keyframes(traj, count=600, intervals=intervals))
+    assert peak < 6.5 * traj.points.nbytes

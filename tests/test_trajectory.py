@@ -28,7 +28,14 @@ from trajkf import (
     speed,
 )
 import trajkf.trajectory
-from oracles import brute_load_csv, brute_load_json, brute_trajectory_text, random_rotation
+from oracles import (
+    brute_differentiate,
+    brute_load_csv,
+    brute_load_json,
+    brute_trajectory_text,
+    random_rotation,
+)
+from trajkf.trajectory import derivative, frozen
 
 
 def make_traj(points, fps=60.0, start=0):
@@ -553,6 +560,47 @@ class TestDifferentiate:
     def test_order_max_validated(self):
         with pytest.raises(ValueError):
             differentiate(make_traj(np.zeros((10, 2))), 4)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rows_are_the_whole_stack_gathered_bit_for_bit(self, data):
+        # derivative() at some rows, each end row among them or not, in any order and
+        # with repeats, against differentiate() and the stencils written out by hand
+        n, dim = data.draw(st.integers(4, 400)), data.draw(st.sampled_from([2, 3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        traj = make_traj(scale * np.cumsum(rng.normal(size=(n, dim)), axis=0),
+                         fps=data.draw(st.sampled_from([1.0, 29.97, 60.0, 240.0])))
+        ends = data.draw(st.lists(st.sampled_from([0, 1, n - 2, n - 1]), unique=True))
+        rows = np.array([*ends, *data.draw(st.lists(st.integers(0, n - 1), max_size=40))],
+                        dtype=np.intp)
+        rng.shuffle(rows)
+        if n < 7:
+            short = f"need at least 7 samples for order 3, got {n}"
+            for call in (lambda: differentiate(traj, 3), lambda: derivative(traj, 3, rows)):
+                with pytest.raises(ValueError, match=short):
+                    call()
+        order_max = 3 if n >= 7 else 2
+        whole = differentiate(traj, order_max)
+        brute = brute_differentiate(traj.points, traj.frame_rate, order_max)
+        for order, (full, by_hand) in enumerate(zip((whole.d1, whole.d2, whole.d3), brute), 1):
+            assert full.tobytes() == by_hand.tobytes()
+            at = derivative(traj, order, rows)
+            assert at.shape == (len(rows), dim) and not at.flags.writeable
+            assert at.tobytes() == full[rows].tobytes()
+
+    def test_containers_keep_frozen_arrays_and_copy_the_rest(self):
+        built = frozen(np.ones((5, 3)))
+        assert DerivativeStack(built).d1 is built and make_traj(built).points is built
+        given_ = np.ones((5, 3))
+        view = given_[:, :]
+        view.flags.writeable = False   # read-only, but its base is not
+        for arr in (given_, view):
+            kept = DerivativeStack(arr).d1
+            assert kept is not arr and not kept.flags.writeable
+            given_[0, 0] = 7.0
+            assert kept[0, 0] == 1.0
+            given_[0, 0] = 1.0
 
 
 class TestSpeed:

@@ -12,6 +12,13 @@ Those `extract` runs use the default method, mt; `extract --method` also
 writes a keyframe JSON for each of k2dt, k3dt, k2ds and k3ds on the
 `signing_csv` inputs, and for the 2-D methods k2dt and k2ds on the
 `zigzag_peaks` inputs.
+Each workload and seed also runs `extract --annotations` with two intervals,
+the first and the last 60 samples of the clip, under mt and those methods.
+Three 7-sample clips (a helix, a parabola in a tilted plane and a 2-D
+parabola), each also run backwards, go through `extract --sigma 0` with one
+interval over the whole clip, under every method that takes their
+dimension. The one-sided stencils of the clip ends give the derivatives at
+their first and last two samples, and each pick's score reads them.
 Then `trajkf synth --a 0.7 --b 0.3 --seed 4` writes each curve kind in
 `synthetic.CURVE_KINDS` as CSV and as JSON: a trajectory and an annotation
 file each.  That radius and pitch give analytic curvature and torsion with
@@ -34,9 +41,12 @@ from pathlib import Path
 
 # run in each checkout's interpreter: argv is the output directory
 CHILD = """
+import json
+import math
 import sys
 from pathlib import Path
 
+from trajkf import load_annotations
 from trajkf.cli import main
 from trajkf.synthetic import CURVE_KINDS
 from workloads import WORKLOADS, make_inputs
@@ -57,6 +67,37 @@ for name in WORKLOADS:
         for method in METHODS.get(name, ()):
             if main([*inp.extract_argv(work / f"keys-{method}.json"), "--method", method]):
                 sys.exit(f"{name} seed {seed}: trajkf extract --method {method} failed")
+        # intervals at both ends of the clip, where the one-sided stencils serve
+        n = load_annotations(inp.truth).n_frames
+        ends = work / "ends.json"
+        ends.write_text(json.dumps({"intervals": [{"start": 0, "end": 59},
+                                                  {"start": n - 60, "end": n - 1}]}))
+        for method in ("mt", *METHODS.get(name, ())):
+            argv = ["extract", str(inp.traj), "--annotations", str(ends), "--count", "4",
+                    "--method", method, "-o", str(work / f"keys-ends-{method}.json")]
+            if main(argv) != 0:
+                sys.exit(f"{name} seed {seed}: trajkf extract on the clip ends failed")
+# 7-sample clips, the fewest third derivatives need, run unsmoothed: every sample is within
+# two of an end.  The helix peaks next to both ends; each parabola's pick has its base at
+# the first sample, or, run backwards, at the last.  So each score reads an end's stencils.
+(out / "short").mkdir()
+ann = out / "short" / "whole.json"
+ann.write_text(json.dumps({"intervals": [{"start": 0, "end": 6}]}))
+a = [1.2 * (k - 3) for k in range(7)]
+t = [(k - 2.5) / 3 for k in range(7)]
+CLIPS = {"helix": [(math.cos(x), math.sin(x), 0.4 * x) for x in a],
+         "tilted": [(x, 0.6 * x * x, 0.8 * x * x) for x in t],
+         "parabola": [(x, x * x) for x in t]}
+for kind, points in [*CLIPS.items(), *((f"{k}-backwards", p[::-1]) for k, p in CLIPS.items())]:
+    path = out / "short" / f"{kind}.csv"
+    header = "frame,x,y,z" if len(points[0]) == 3 else "frame,x,y"
+    path.write_text("\\n".join([header, *(",".join([str(i), *map(repr, p)])
+                                          for i, p in enumerate(points))]) + "\\n")
+    for method in ("mt", "k2dt", "k2ds", *(("k3dt", "k3ds") if len(points[0]) == 3 else ())):
+        argv = ["extract", str(path), "--annotations", str(ann), "--count", "2", "--sigma", "0",
+                "--method", method, "-o", str(out / "short" / f"keys-{kind}-{method}.json")]
+        if main(argv) != 0:
+            sys.exit(f"trajkf extract --method {method} on the 7-sample {kind} clip failed")
 for fmt in ("csv", "json"):
     (out / "synth" / fmt).mkdir(parents=True)
     for kind in CURVE_KINDS:
