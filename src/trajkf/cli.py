@@ -105,8 +105,7 @@ def cmd_extract(args) -> int:
     if first < 0 or last >= MAX_N_FRAMES:   # the frames a keyframe file can hold
         raise ValueError(f"{args.input}: frames {first} to {last} leave [0, 2**62)")
 
-    intervals = None
-    annotations = None
+    intervals = annotations = None
     if args.annotations:
         annotations = _read(args.annotations, load_annotations)
         if annotations.intervals:

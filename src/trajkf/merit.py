@@ -168,7 +168,7 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     branches = [BRANCH_PLANAR if method is MeritMethod.MT else None] * len(intervals)
     if not fit:   # one kernel over the laid-out samples
         xy = method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3
-        d1 = frozen(d.d1[rows])
+        d1 = d.d1[rows]
         shape = DerivativeStack(d1[:, :2], d2[:, :2]) if xy else DerivativeStack(d1, d2)
         rate = method not in (MeritMethod.KAPPA2DS, MeritMethod.KAPPA3DS)
         base = geometry.descriptor_kernel(shape, speed(shape) if xy else v[rows], rate)[0]
@@ -190,7 +190,7 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
             hr, d2 = rows[~flat], frozen(d2[~flat])   # the laid-out d2 goes before the kernel
             vh = v[hr]
             h = harmonic_mean_curve(*geometry.descriptor_kernel(DerivativeStack(
-                frozen(d.d1[hr]), d2, derivative(traj, 3, hr)), vh, True, torsion=True))
+                d.d1[hr], d2, derivative(traj, 3, hr)), vh, True, torsion=True))
             cut = TORSION_SPEED_FRACTION * segment_percentile(vh, lengths[~planar], 95)
             values[~flat] = h.values
             mask[~flat] = h.valid_mask & (vh >= np.repeat(cut, lengths[~planar]))

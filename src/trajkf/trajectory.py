@@ -16,6 +16,7 @@ import itertools
 import math
 import re
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +35,18 @@ from .formats import (
 from .formats import Annotations, SigningInterval, load_annotations, save_annotations  # noqa: F401
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if ``frozen`` left it so (read-only over its own memory), else a copy."""
-    if type(a) is not np.ndarray or a.dtype != float or a.flags.writeable or not a.flags.owndata:
-        a = np.array(a, dtype=float)
-        a.flags.writeable = False
-    return a
+_FROZEN = weakref.WeakValueDictionary()   # id -> each live array `frozen` marked
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """A new array marked read-only, so the containers here keep it without a copy."""
+    """Mark ``a``, a new float64 array, read-only; the containers copy any unmarked array."""
     a.flags.writeable = False
+    _FROZEN[id(a)] = a
     return a
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    return a if _FROZEN.get(id(a)) is a else frozen(np.array(a, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)

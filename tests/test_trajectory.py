@@ -595,12 +595,15 @@ class TestDifferentiate:
         given_ = np.ones((5, 3))
         view = given_[:, :]
         view.flags.writeable = False   # read-only, but its base is not
-        for arr in (given_, view):
-            kept = DerivativeStack(arr).d1
-            assert kept is not arr and not kept.flags.writeable
-            given_[0, 0] = 7.0
-            assert kept[0, 0] == 1.0
-            given_[0, 0] = 1.0
+        owning = np.ones((5, 3))
+        owning.flags.writeable = False   # read-only over its own memory, yet not marked
+        for arr, base in [(given_, given_), (view, given_), (owning, owning)]:
+            for kept in (DerivativeStack(arr).d1, make_traj(arr).points):
+                assert kept is not arr and not kept.flags.writeable
+                base.flags.writeable = True   # numpy allows it for an owning array
+                base[0, 0] = 7.0
+                assert kept[0, 0] == 1.0
+                base[0, 0] = 1.0
 
 
 class TestSpeed:

@@ -1,58 +1,75 @@
 """Print the memory each stage of `trajkf extract` holds, on the benchmark inputs.
 
-    python tools/stage_memory.py [--seed N] [--size N] [--workload NAME ...]
+    python tools/stage_memory.py
 
-For each benchmark workload (all by default), one fresh interpreter writes
-the workload's inputs with `perfbench/workloads.make_inputs`, and another
-runs extract on them as the benchmark's in-process mirror does
-(`workloads.extract_inprocess`). The
-stages are load (`load_trajectory`) and the steps of `extract_keyframes`:
-smooth, differentiate, threshold, detect, merit, peaks and select, each
-marked by a wrapper on the `trajkf.pipeline` attribute the pipeline looks
-up. Detect does not run when the workload supplies its intervals.
+One fresh interpreter writes every benchmark workload's inputs, at seed 7
+and the benchmark's size, with `perfbench/workloads.make_inputs`.  Then,
+for each workload, another fresh interpreter runs extract on them as the
+benchmark's in-process mirror does (`workloads.extract_inprocess`), so the
+RSS of writing the inputs stays out of it.  The stages are load
+(`load_trajectory`) and the steps of `extract_keyframes`: smooth,
+differentiate, threshold, detect, merit, peaks and select, each marked by a
+wrapper on the `trajkf.pipeline` attribute the pipeline looks up.  Detect
+does not run when the workload supplies its intervals.
 
-Extract runs twice. The first pass reads the resident set size (RSS, from
-/proc/self/statm, so Linux only) after each stage. The second runs under
+Extract runs twice.  The first pass reads the resident set size (RSS, from
+/proc/self/statm, so Linux only) after each stage.  The second runs under
 `tracemalloc` and reads the peak of traced memory within each stage; that
-peak counts what earlier stages still hold. Both are in MB of 2**20 bytes,
+peak counts what earlier stages still hold.  Both are in MB of 2**20 bytes,
 as the benchmark's `extract_rss_mb` is, and the last line of each workload
-gives the peak RSS of that interpreter over the first pass. The inputs live
+gives the peak RSS of its interpreter over the first pass.  The inputs live
 in a temporary directory, removed at the end.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import os
-import resource
 import subprocess
 import sys
 import tempfile
-import tracemalloc
-from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 7
+
+# argv is the output directory; prints one line of JSON per workload: its Inputs
+WRITE = """
+import json
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
+from workloads import WORKLOADS, make_inputs
+
+for name in WORKLOADS:
+    (Path(sys.argv[1]) / name).mkdir()
+    inp = make_inputs(name, int(sys.argv[2]), None, Path(sys.argv[1]) / name)
+    print(json.dumps(asdict(inp), default=str))
+"""
+
+# argv is one workload's line of WRITE's output and the seed; prints its table
+MEASURE = """
+import json
+import os
+import resource
+import sys
+import tracemalloc
+from contextlib import contextmanager, nullcontext
+
+import trajkf.pipeline
+from workloads import Inputs, extract_inprocess
+
 MB = 2**20
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import trajkf.pipeline  # noqa: E402
-from workloads import WORKLOADS, Inputs, extract_inprocess, make_inputs  # noqa: E402
-
 STAGES = {"smooth": "gaussian_smooth", "differentiate": "differentiate",
           "threshold": "default_speed_threshold", "detect": "detect_intervals",
           "merit": "segmented_merit", "peaks": "find_peaks", "select": "select_keyframes"}
 
 
-def rss_mb() -> float:
+def rss_mb():
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / MB
 
 
-def run(inp, enter, leave) -> None:
-    """extract_inprocess on ``inp``, calling enter() and leave(stage) around each stage."""
+def run(inp, enter, leave):
+    # extract_inprocess on inp, calling enter() and leave(stage) around each stage
     @contextmanager
     def stage(name):
         enter()
@@ -78,51 +95,36 @@ def run(inp, enter, leave) -> None:
             setattr(trajkf.pipeline, attr, fn)
 
 
-def report(inp: Inputs, seed: int) -> None:
-    """Run extract on one workload's inputs in this process and print its table."""
-    rss, peak = {}, {}
-    run(inp, lambda: None, lambda name: rss.__setitem__(name, rss_mb()))
-    max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MB
-    tracemalloc.start()
-    run(inp, tracemalloc.reset_peak,
-        lambda name: peak.__setitem__(name, tracemalloc.get_traced_memory()[1] / MB))
-    tracemalloc.stop()
-    print(f"{inp.workload} (seed {seed})")
-    print(f"  {'stage':<14}{'tracemalloc peak MB':>20}{'RSS after MB':>14}")
-    for name in ("load", *STAGES):
-        if name in rss:
-            print(f"  {name:<14}{peak[name]:>20.2f}{rss[name]:>14.2f}")
-    print(f"  peak RSS {max_rss:.2f} MB", flush=True)
+inp = Inputs(**json.loads(sys.argv[1]))
+rss, peak = {}, {}
+run(inp, lambda: None, lambda name: rss.__setitem__(name, rss_mb()))
+max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MB
+tracemalloc.start()
+run(inp, tracemalloc.reset_peak,
+    lambda name: peak.__setitem__(name, tracemalloc.get_traced_memory()[1] / MB))
+tracemalloc.stop()
+print(f"{inp.workload} (seed {sys.argv[2]})")
+print(f"  {'stage':<14}{'tracemalloc peak MB':>20}{'RSS after MB':>14}")
+for name in ("load", *STAGES):
+    if name in rss:
+        print(f"  {name:<14}{peak[name]:>20.2f}{rss[name]:>14.2f}")
+print(f"  peak RSS {max_rss:.2f} MB", flush=True)
+"""
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--size", type=int, help="workload size (default: the benchmark's)")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="a workload to run (repeatable; default: all)")
-    # the two steps each workload runs in an interpreter of its own, so that the
-    # peak RSS of writing the inputs (which a child inherits) stays out of the run's
-    parser.add_argument("--write-to", help=argparse.SUPPRESS)
-    parser.add_argument("--inputs", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.write_to:
-        inp = make_inputs(args.workload[0], args.seed, args.size, Path(args.write_to))
-        print(json.dumps(asdict(inp), default=str))
-        return 0
-    if args.inputs:
-        report(Inputs(**json.loads(args.inputs)), args.seed)
-        return 0
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
-    common = [sys.executable, __file__, "--seed", str(args.seed)]
-    common += [] if args.size is None else ["--size", str(args.size)]
+def main() -> int:
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.workload or WORKLOADS:
-            write = subprocess.run([*common, "--workload", name, "--write-to", tmp], env=env,
-                                   stdout=subprocess.PIPE, text=True)
-            if write.returncode != 0 or subprocess.run(
-                    [*common, "--inputs", write.stdout], env=env).returncode != 0:
-                print(f"{name}: run failed")
+        write = subprocess.run([sys.executable, "-c", WRITE, tmp, str(SEED)], env=env,
+                               stdout=subprocess.PIPE, text=True)
+        if write.returncode != 0:
+            print("writing the inputs failed")
+            return 1
+        for line in write.stdout.splitlines():
+            if subprocess.run([sys.executable, "-c", MEASURE, line, str(SEED)],
+                              env=env).returncode != 0:
+                print(f"run failed on {line}")
                 return 1
     return 0
 
