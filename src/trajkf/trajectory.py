@@ -234,6 +234,9 @@ def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> Ti
     JSON it comes from the file's "fps" field.  Dimensionality is inferred
     from the columns present.  Malformed rows, non-monotone or non-consecutive
     frame indices, and mixed dimensionality raise ParseError naming the row.
+    JSON whose "points" is the object's last member and holds no '"', as
+    save_trajectory writes it, is parsed about 256 KB of points at a time; any
+    other layout, or any doubt in a piece, is parsed whole, as it always was.
     """
     if format == "csv":
         return _load_csv(read_text(source), frame_rate)
@@ -362,7 +365,10 @@ def _load_csv_rows(text: str, frame_rate: float) -> TimedTrajectory:
 
 
 def _load_json(text: str) -> TimedTrajectory:
-    obj = parse_json(text)
+    try:
+        obj, points = _load_json_pieces(text)
+    except ParseError:   # any doubt: the whole document gives the result or the error
+        obj, points = parse_json(text), None
     del text
     if not isinstance(obj, dict) or "fps" not in obj or "points" not in obj:
         raise ParseError('trajectory JSON must contain "fps" and "points"')
@@ -372,27 +378,62 @@ def _load_json(text: str) -> TimedTrajectory:
     start_frame = obj.get("start_frame", 0)
     if type(start_frame) is not int or start_frame < 0:
         raise ParseError('"start_frame" must be a non-negative integer')
-    pts = obj["points"]
-    if not isinstance(pts, list) or not pts:
-        raise ParseError('"points" must be a non-empty list')
-    width = len(pts[0]) if isinstance(pts[0], list) else 0
-    if width not in (2, 3):
-        raise ParseError("points[0]: must be a list of 2 or 3 numbers")
-    # the type and length sets are passes in C; the scans below run only on failure
-    if not (set(map(type, pts)) == {list} and set(map(len, pts)) == {width}):
-        i = next(i for i, row in enumerate(pts) if not isinstance(row, list) or len(row) != width)
-        raise ParseError(f"points[{i}]: mixed dimensionality")
-    points = None
-    if set(map(type, itertools.chain.from_iterable(pts))) <= {int, float}:
-        try:
-            points = np.fromiter(itertools.chain.from_iterable(pts), float,
-                                 count=len(pts) * width).reshape(-1, width)
-        except OverflowError:   # an integer beyond the float range
-            pass
-    if points is None or not np.isfinite(points).all():
-        i = next(i for i, row in enumerate(pts) if not all(map(json_finite_number, row)))
-        raise ParseError(f"points[{i}]: non-finite or non-numeric coordinate in {pts[i]!r}")
-    return TimedTrajectory(points, fps, start_frame)
+    if points is None:
+        pts = obj["points"]
+        if not isinstance(pts, list) or not pts:
+            raise ParseError('"points" must be a non-empty list')
+        width = len(pts[0]) if isinstance(pts[0], list) else 0
+        if width not in (2, 3):
+            raise ParseError("points[0]: must be a list of 2 or 3 numbers")
+        points = _point_rows(pts, width)
+        if points is None:   # the scans name the first bad row, any width before any value
+            for i, row in enumerate(pts):
+                if not isinstance(row, list) or len(row) != width:
+                    raise ParseError(f"points[{i}]: mixed dimensionality")
+            i = next(i for i, row in enumerate(pts) if not all(map(json_finite_number, row)))
+            raise ParseError(f"points[{i}]: non-finite or non-numeric coordinate in {pts[i]!r}")
+    return TimedTrajectory(frozen(points), fps, start_frame)
+
+
+def _point_rows(pts: list, width: int) -> np.ndarray | None:
+    """``pts`` as an array if it holds rows of ``width`` JSON numbers in the float range."""
+    if not (set(map(type, pts)) == {list} and set(map(len, pts)) == {width}
+            and set(map(type, itertools.chain.from_iterable(pts))) <= {int, float}):
+        return None
+    try:
+        points = np.fromiter(itertools.chain.from_iterable(pts), float, count=len(pts) * width)
+    except OverflowError:   # an integer beyond the float range
+        return None
+    return points.reshape(-1, width) if np.isfinite(points).all() else None
+
+
+_PIECE_CHARS = 1 << 18   # "points" text parsed at a time, so the lists alive stay small
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_POINTS_KEY = re.compile(r'(?<!\\)"points"[ \t\n\r]*:[ \t\n\r]*\[')   # quote not escaped
+
+
+def _load_json_pieces(text: str) -> tuple[dict, np.ndarray]:
+    """The object, its "points" emptied, and the points, when they are its last member and
+    hold no '"': the rows parsed about _PIECE_CHARS characters at a time, cut after a row's
+    "]".  ParseError when the text is laid out otherwise or a piece is in doubt."""
+    close = text.rfind("]")
+    key = _POINTS_KEY.match(text, text.rfind('"', 0, close) - 7)   # the last '"' ends the key
+    if not (key and text[close + 1:].strip(" \t\n\r") == "}"):
+        raise ParseError('"points" is not the last member, or holds a string')
+    obj = parse_json(text[:key.start()] + '"points": []}')
+    pieces, pos = [], key.end()
+    while pos <= close:   # past close only once a piece ends with no comma after it
+        cut = text.find("]", pos + _PIECE_CHARS, close) + 1 or close
+        rows = parse_json("[" + text[pos:cut] + "]")
+        if not pieces:   # the first row sets the width
+            width = len(rows[0]) if rows and type(rows[0]) is list else 0
+        pieces.append(_point_rows(rows, width) if width in (2, 3) else None)
+        del rows   # before the next piece's lists are built
+        pos = _JSON_SPACE.match(text, cut, close).end()
+        if pieces[-1] is None or pos < close and text[pos] != ",":
+            raise ParseError("a bad row, or no comma after one")
+        pos += 1
+    return obj, np.concatenate(pieces)
 
 
 def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:

@@ -52,6 +52,7 @@ from trajkf import (
 )
 from trajkf.merit import segmented_merit
 from trajkf.formats import float9, json_finite_number, parse_json
+from trajkf.trajectory import FRAME_RATES
 
 
 def arclength_of(points: np.ndarray) -> np.ndarray:
@@ -429,8 +430,8 @@ def brute_load_json(text: str) -> TimedTrajectory:
     if not isinstance(obj, dict) or "fps" not in obj or "points" not in obj:
         raise ParseError('trajectory JSON must contain "fps" and "points"')
     fps = obj["fps"]
-    if not (json_finite_number(fps) and fps > 0):
-        raise ParseError('"fps" must be a finite positive number')
+    if not (json_finite_number(fps) and FRAME_RATES[0] <= fps <= FRAME_RATES[1]):
+        raise ParseError('"fps" must be a number in [%g, %g], got %r' % (*FRAME_RATES, fps))
     start_frame = obj.get("start_frame", 0)
     if type(start_frame) is not int or start_frame < 0:
         raise ParseError('"start_frame" must be a non-negative integer')

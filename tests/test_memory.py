@@ -1,12 +1,13 @@
-"""Peak memory of the CSV load and of extract_keyframes on a 27k-sample signing
-clip, in multiples of what each one reads.
+"""Peak memory of the CSV and JSON loads and of extract_keyframes on a 27k-sample
+signing clip, in multiples of what each one reads.
 
 tracemalloc counts what Python and numpy allocate, so a peak reads the
 same on a busy host as on an idle one, unlike a timing.  Each bound sits
 15-25% above the peak measured when it was set, and below the peak of the
-code before it: 5.9x the file for the load, when a StringIO held the text
-at 4 bytes a character; 7.3x and 7.6x the points for extract, when the whole
-clip was differentiated to third order and each stack was copied.
+code before it: 5.9x the file for the CSV load, when a StringIO held the
+text at 4 bytes a character; 3.4x for the JSON load, when json.loads built
+the lists of every row at once; 7.3x and 7.6x the points for extract, when
+the whole clip was differentiated to third order and each stack was copied.
 """
 
 import tracemalloc
@@ -39,6 +40,13 @@ def test_csv_load_peaks_near_twice_the_file(clip, tmp_path):
     path = tmp_path / "clip.csv"
     save_trajectory(clip.trajectory, path)
     assert traced_peak(lambda: load_trajectory(path)) < 2.5 * path.stat().st_size
+
+
+def test_json_load_peaks_near_twice_the_file(clip, tmp_path):
+    # the file's bytes and its text, 2.0x; then the text, one piece's lists and the points
+    path = tmp_path / "clip.json"
+    save_trajectory(clip.trajectory, path, "json")
+    assert traced_peak(lambda: load_trajectory(path, "json")) < 2.5 * path.stat().st_size
 
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["detected", "supplied"])

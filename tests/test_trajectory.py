@@ -5,13 +5,14 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trajkf import (
@@ -341,10 +342,26 @@ EDGE_NUMBERS = [0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, 2**53 + 1, -
                 2**1024 - 2**970 - 1, 2**1024 - 2**970, -(10**400), float("nan"), float("inf")]
 
 
+# header values: in range, out of range, of the wrong type, too long an integer to parse
+FPS_TEXTS = ["30", "29.97", "1e-100", "1e-200", "1e200", "0", "-5", "true", '"30"',
+             "1" + "0" * 400, "1" + "0" * 5000]
+START_FRAME_TEXTS = [None, "4", "0", "-1", "true", "1.5"]
+# members with "points" in them that are not the trajectory's points
+DECOY_MEMBERS = ['"meta": {"points": [[1, 2]]}', '"name": "points"', '"points": [[7, 8]]',
+                 '"a\\"points": [[5, 6]]', '"a\\"points": []']
+# how each layout writes a value, and the text between two members
+LAYOUTS = {"compact": ({"separators": (",", ":")}, ","),
+           "indent": ({"indent": 2}, ",\n  "),
+           "spaced": ({"separators": (" \t,\n ", " : ")}, " ,\n  ")}
+
+
 class TestJsonLoaderMatchesOracle:
-    @settings(max_examples=500, deadline=None, derandomize=True)
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_same_points_or_same_error(self, data):
+    def test_same_points_or_same_error(self, data, monkeypatch):
+        # pieces of a few characters: a piece ends at every row's "]", or every few
+        monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", data.draw(st.integers(1, 16)))
         number = st.one_of(st.floats(), st.integers(-(2**70), 2**70),
                            st.sampled_from(EDGE_NUMBERS))
         width = data.draw(st.sampled_from([2, 3]))
@@ -362,11 +379,30 @@ class TestJsonLoaderMatchesOracle:
                 points[i] = data.draw(st.lists(number, max_size=4))
             elif isinstance(points[i], list) and points[i]:
                 points[i][data.draw(st.integers(0, len(points[i]) - 1))] = data.draw(bad)
-        text = json.dumps({"fps": 30, "start_frame": 4, "points": points})
+        dumps, between = LAYOUTS[data.draw(st.sampled_from(sorted(LAYOUTS)))]
+        body = json.dumps(points, **dumps)
+        defect = data.draw(st.sampled_from([None] * 6 + ["trailing comma", " ", ";", "]"]))
+        if defect == "trailing comma":
+            body = body[:-1] + ",]"
+        elif defect:   # the comma after the first row in its place
+            body = re.sub(r"(\][ \t\n]*),", lambda m: m[1] + defect, body, count=1)
+        members = [f'"fps": {data.draw(st.sampled_from(FPS_TEXTS))}']
+        if (start_frame := data.draw(st.sampled_from(START_FRAME_TEXTS))) is not None:
+            members.append(f'"start_frame": {start_frame}')
+        members += data.draw(st.lists(st.sampled_from(DECOY_MEMBERS), max_size=2))
+        place = data.draw(st.sampled_from(["first", "middle", "last"]))
+        members.insert({"first": 0, "middle": len(members) // 2, "last": len(members)}[place],
+                       f'"points": {body}')
+        text = "{" + between.join(members) + "}"
         assert json_outcome(lambda t: load_trajectory(io.StringIO(t), "json"), text) \
             == json_outcome(brute_load_json, text)
 
-    def test_collector_paused_while_the_lists_live(self, monkeypatch):
+    # a piece per row, a piece per row and then the whole document, the whole document alone
+    @pytest.mark.parametrize("text, calls", [
+        ('{"fps": 60, "points": [[1, 2], [3, 4]]}', 3),
+        ('{"fps": 60, "points": [[1, 2], [3, 4], ]}', 5),
+        ('{"points": [[1, 2], [3, 4]], "fps": 60, "tags": [1]}', 1)])
+    def test_collector_paused_while_the_lists_live(self, monkeypatch, text, calls):
         states = []
         parse = trajkf.trajectory.parse_json
 
@@ -375,8 +411,12 @@ class TestJsonLoaderMatchesOracle:
             return parse(text)
 
         monkeypatch.setattr(trajkf.trajectory, "parse_json", recording)
-        load_trajectory(io.StringIO('{"fps": 60, "points": [[1, 2], [3, 4]]}'), "json")
-        assert states == [False] and gc.isenabled()
+        monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", 1)
+        try:
+            load_trajectory(io.StringIO(text), "json")
+        except ParseError:
+            pass
+        assert states == [False] * calls and gc.isenabled()
 
     @pytest.mark.parametrize("text", ['{"fps": 60, "points": [[1, 2], [3, 4], [5, 6]]}',
                                       '{"fps": 60, "points": [[1, 2], [3, "x"]]}',

@@ -12,6 +12,9 @@ Those `extract` runs use the default method, mt; `extract --method` also
 writes a keyframe JSON for each of k2dt, k3dt, k2ds and k3ds on the
 `signing_csv` inputs, and for the 2-D methods k2dt and k2ds on the
 `zigzag_peaks` inputs.
+The JSON clip of `signing_json_pergloss` is also rewritten compact with
+`"points"` as its first member, which the loader parses whole rather than in
+pieces, and `extract` runs on that copy too.
 Each workload and seed also runs `extract --annotations` with two intervals,
 the first and the last 60 samples of the clip, under mt and those methods.
 Three 7-sample clips (a helix, a parabola in a tilted plane and a 2-D
@@ -41,6 +44,7 @@ from pathlib import Path
 
 # run in each checkout's interpreter: argv is the output directory
 CHILD = """
+import dataclasses
 import json
 import math
 import sys
@@ -67,6 +71,14 @@ for name in WORKLOADS:
         for method in METHODS.get(name, ()):
             if main([*inp.extract_argv(work / f"keys-{method}.json"), "--method", method]):
                 sys.exit(f"{name} seed {seed}: trajkf extract --method {method} failed")
+        if inp.fmt == "json":   # the clip compact with "points" first, which loads whole
+            obj = json.loads(inp.traj.read_text())
+            first = work / "clip-points-first.json"
+            first.write_text(json.dumps({"points": obj.pop("points"), **obj},
+                                        separators=(",", ":")))
+            keys_first = work / "keys-points-first.json"
+            if main(dataclasses.replace(inp, traj=first).extract_argv(keys_first)) != 0:
+                sys.exit(f"{name} seed {seed}: trajkf extract on the points-first clip failed")
         # intervals at both ends of the clip, where the one-sided stencils serve
         n = load_annotations(inp.truth).n_frames
         ends = work / "ends.json"
