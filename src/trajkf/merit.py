@@ -9,7 +9,8 @@ curvature in 2-D/3-D) share the same curve representation so one selection
 stage serves all of them.
 
 ``segmented_merit`` lays all intervals end to end (``segment_layout``) and
-computes their curves in one pass; ``merit_curves`` splits it per interval.
+computes their curves in batches of whole intervals; ``merit_curves`` splits
+the result per interval.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .trajectory import DerivativeStack, TimedTrajectory, derivative, differenti
 
 DEFAULT_F_ERROR = 5e-2
 HARMONIC_EPS = 1e-12
+_BATCH_ROWS = 8192   # most laid-out samples in a segmented_merit batch of whole intervals
 
 # Twist-rate estimates divide by |d1 x d2|^2 ~ v^6, so samples in the slow
 # tails near rest boundaries are noise-dominated; they are masked (and thus
@@ -141,7 +143,9 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     Baseline methods skip the classification (branch None); the 2-D ones
     read the first two coordinates.  Samples slower than a positive
     ``speed_threshold`` are masked too; masked entries are stored as 0.
-    One pass over the N laid-out samples, O(N log N) for the percentile sort.
+    Only the outputs span the N laid-out samples; the rest runs in batches of
+    consecutive whole intervals of at most _BATCH_ROWS samples (a longer one
+    alone), O(N log N) for the percentile sort.
     ``d`` is ``differentiate(traj, 1)`` and ``v`` its speed, each computed when
     not given; the kernels read ``v``, bar the one over a 3-D trajectory's first
     two coordinates.  d2 is evaluated at the laid-out samples only, d3 at the
@@ -161,26 +165,41 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     if not intervals:
         return DescriptorCurve(np.zeros(0), np.zeros(0, dtype=bool)), [], rows
 
-    fit = method is MeritMethod.MT and traj.dim == 3
-    d2 = derivative(traj, 2, rows)   # first, so a short trajectory fails naming order 2
+    derivative(traj, 2, rows[:0])   # first, so a short trajectory fails naming order 2
     d = differentiate(traj, 1) if d is None else d
     v = speed(d) if v is None else v
-    branches = [BRANCH_PLANAR if method is MeritMethod.MT else None] * len(intervals)
-    if not fit:   # one kernel over the laid-out samples
+    values, mask = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
+    branches, first, size = [], 0, 0
+    for j, m in enumerate([*lengths.tolist(), _BATCH_ROWS + 1]):   # the sentinel ends the last
+        if size and size + m > _BATCH_ROWS:
+            s = slice(offsets[first], offsets[first] + size)
+            branches += _merit_batch(traj, method, f_error, speed_threshold, d, v, rows[s],
+                                     lengths[first:j], values[s], mask[s])
+            first, size = j, 0
+        size += m
+    return DescriptorCurve(values, mask, offsets=offsets), branches, rows
+
+
+def _merit_batch(traj, method, f_error, speed_threshold, d, v, rows, lengths, values, mask):
+    """segmented_merit on one batch of whole intervals laid out at ``rows``: writes their
+    ``values`` and ``mask`` and returns their branches."""
+    d2 = derivative(traj, 2, rows)
+    branches = [BRANCH_PLANAR if method is MeritMethod.MT else None] * len(lengths)
+    if method is not MeritMethod.MT or traj.dim == 2:   # one kernel over the laid-out samples
         xy = method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3
         d1 = d.d1[rows]
         shape = DerivativeStack(d1[:, :2], d2[:, :2]) if xy else DerivativeStack(d1, d2)
         rate = method not in (MeritMethod.KAPPA2DS, MeritMethod.KAPPA3DS)
         base = geometry.descriptor_kernel(shape, speed(shape) if xy else v[rows], rate)[0]
-        values, mask = base.values, base.valid_mask
+        values[:], mask[:] = base.values, base.valid_mask
     else:   # one kernel over the projected planar samples, one over the rest
+        offsets = np.cumsum(lengths) - lengths
         errors, bases, _ = fit_planes(traj.points[rows], offsets, lengths)
         planar = errors < f_error
         flat = np.repeat(planar, lengths)
-        values, mask = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
         branches = np.where(planar, BRANCH_PLANAR, BRANCH_NONPLANAR).tolist()
         if planar.any():   # per-interval products: a batched product rounds differently
-            sl = [(intervals[j].start, offsets[j], lengths[j], bases[j].T)
+            sl = [(rows[offsets[j]], offsets[j], lengths[j], bases[j].T)
                   for j in np.flatnonzero(planar).tolist()]
             k = geometry.curvature_t(DerivativeStack(
                 frozen(np.concatenate([d.d1[a:a + m] @ b for a, _, m, b in sl])),
@@ -194,15 +213,16 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
             cut = TORSION_SPEED_FRACTION * segment_percentile(vh, lengths[~planar], 95)
             values[~flat] = h.values
             mask[~flat] = h.valid_mask & (vh >= np.repeat(cut, lengths[~planar]))
-    mask = mask & (v[rows] >= speed_threshold) if speed_threshold > 0 else mask
-    return DescriptorCurve(values, mask, offsets=offsets), branches, rows
+    if speed_threshold > 0:
+        mask &= v[rows] >= speed_threshold
+    return branches
 
 
 def merit_curves(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                  method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
                  speed_threshold: float = 0.0) -> list[DescriptorCurve]:
     """segmented_merit's curve split into one curve per interval, each with its
-    ``branch``: one pass over all intervals laid end to end, O(N log N)."""
+    ``branch``: all intervals laid end to end, in batches of whole intervals."""
     curve, branches, _ = segmented_merit(traj, intervals, method, f_error, speed_threshold)
     bounds = [*curve.offsets.tolist(), len(curve)]
     return [DescriptorCurve(curve.values[a:b], curve.valid_mask[a:b], branch)

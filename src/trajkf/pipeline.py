@@ -38,7 +38,7 @@ def extract_keyframes(
     The trajectory is smoothed and differentiated once, to first order; that
     stack and its speed feed the threshold, the interval detection (unless
     intervals are supplied, e.g. from an annotation file) and one segmented_merit
-    pass that lays each distinct interval's merit curve end to end.  One find_peaks call
+    call that lays each distinct interval's merit curve end to end.  One find_peaks call
     takes their peaks, ranked globally by prominence; a frame where overlapping
     intervals both peak is one candidate at its best, so keyframes are distinct.
     Frames slower than the speed threshold never become candidates, so rest

@@ -147,9 +147,9 @@ def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
         return np.convolve(x, kernel, mode="full")[radius : radius + n]
 
     coverage = convolve(np.ones(n))
-    smoothed = np.column_stack(
-        [convolve(traj.points[:, j]) / coverage for j in range(traj.dim)]
-    )
+    smoothed = np.empty((n, traj.dim))
+    for j in range(traj.dim):   # a list of columns and their stack would hold the clip twice
+        np.divide(convolve(traj.points[:, j]), coverage, out=smoothed[:, j])
     return TimedTrajectory(frozen(smoothed), traj.frame_rate, traj.start_frame)
 
 

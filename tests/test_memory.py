@@ -6,15 +6,23 @@ same on a busy host as on an idle one, unlike a timing.  Each bound sits
 15-25% above the peak measured when it was set, and below the peak of the
 code before it: 5.9x the file for the CSV load, when a StringIO held the
 text at 4 bytes a character; 3.4x for the JSON load, when json.loads built
-the lists of every row at once; 7.3x and 7.6x the points for extract, when
-the whole clip was differentiated to third order and each stack was copied.
+the lists of every row at once; 5.34x and 5.63x the points for extract, and
+188 bytes per laid-out sample for 25 nested intervals, when the merit's work
+arrays spanned every interval at once.
 """
 
 import tracemalloc
 
 import pytest
 
-from trajkf import CurveSpec, extract_keyframes, generate, load_trajectory, save_trajectory
+from trajkf import (
+    CurveSpec,
+    SigningInterval,
+    extract_keyframes,
+    generate,
+    load_trajectory,
+    save_trajectory,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +59,18 @@ def test_json_load_peaks_near_twice_the_file(clip, tmp_path):
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["detected", "supplied"])
 def test_extract_peaks_at_a_few_clips(clip, supplied):
-    # 5.4x detected and 5.6x supplied: the smoothed clip, d1 and the speed, then d2 and d3
-    # at the laid-out and the non-planar samples and the merit kernel's work arrays
+    # 4.2x: the smoothed clip, d1 and the speed, the merit outputs, and one batch of intervals'
+    # d2, d3 and kernel work arrays
     traj = clip.trajectory
     intervals = list(clip.intervals) if supplied else None
     peak = traced_peak(lambda: extract_keyframes(traj, count=600, intervals=intervals))
-    assert peak < 6.5 * traj.points.nbytes
+    assert peak < 5.0 * traj.points.nbytes
+
+
+def test_nested_intervals_cost_a_few_bytes_per_laid_out_sample(clip):
+    # 25 intervals [i, n - 1 - i]: 675,150 laid-out samples, 47 bytes each, for the sample
+    # index, the merit values and mask and their copies in the curve, and the peak search
+    n = clip.trajectory.n_samples
+    nested = [SigningInterval(i, n - 1 - i) for i in range(25)]
+    peak = traced_peak(lambda: extract_keyframes(clip.trajectory, count=600, intervals=nested))
+    assert peak < 56 * sum(itv.length for itv in nested)

@@ -23,7 +23,8 @@ from trajkf import (
     harmonic_mean_curve,
     merit_curves,
 )
-from trajkf.merit import merit_curve, segment_percentile
+import trajkf.merit
+from trajkf.merit import merit_curve, segment_percentile, segmented_merit
 
 
 def curve(values, mask=None):
@@ -313,6 +314,78 @@ class TestSuppliedIntervals:
             assert len(curves) == len(intervals)
             for itv, curve in zip(intervals, curves):
                 assert_matches_reference(curve, padded_window_merit(traj, itv, method, f_error))
+
+
+@st.composite
+def clip_and_layout(draw):
+    """A 2-D or 3-D random walk of 1-80 samples, flat to fully spatial, with 1-8
+    intervals: anywhere, touching either end, nested in or overlapping the one
+    before, or repeating an earlier one."""
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.normal(size=(n, 3)) * rng.exponential(size=(n, 1)) ** 2
+    steps[:, 2] *= draw(st.sampled_from([0.0, 0.05, 1.0]))
+    points = np.cumsum(steps, axis=0) @ random_rotation(rng).T
+    intervals = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["any", "first", "last", "nested", "overlap", "repeat"]))
+        prev = intervals[-1] if intervals else SigningInterval(0, n - 1)
+        if kind == "repeat" and intervals:
+            intervals.append(draw(st.sampled_from(intervals)))
+            continue
+        if kind in ("nested", "overlap"):
+            start = draw(st.integers(prev.start, prev.end))
+        else:
+            start = 0 if kind == "first" else draw(st.integers(0, n - 1))
+        end = n - 1 if kind == "last" else draw(
+            st.integers(start, prev.end if kind == "nested" else n - 1))
+        intervals.append(SigningInterval(start, end))
+    return TimedTrajectory(points[:, : draw(st.sampled_from([2, 3]))], 60.0), intervals
+
+
+def batched(size, call):
+    """``call()`` with segmented_merit's batch size set to ``size``, or its ValueError's text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajkf.merit, "_BATCH_ROWS", size)
+        try:
+            return call()
+        except ValueError as err:
+            return f"ValueError: {err}"
+
+
+def merit_bytes(result):
+    if isinstance(result, str):
+        return result
+    curve, branches, rows = result
+    return (curve.values.tobytes(), curve.valid_mask.tobytes(), curve.offsets.tobytes(),
+            branches, rows.tobytes())
+
+
+def keyframe_bytes(result):
+    if isinstance(result, str):
+        return result
+    return (result.frames, np.array(result.scores, dtype=float).tobytes(), result.method,
+            result.shortfall)
+
+
+class TestBatches:
+    """segmented_merit gives the same bytes one interval per batch as with all in one batch."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=clip_and_layout(), method=st.sampled_from(list(MeritMethod)),
+           threshold=st.sampled_from([0.0, None]), f_error=st.sampled_from([0.005, 0.05]))
+    def test_one_interval_per_batch_is_one_batch(self, case, method, threshold, f_error):
+        traj, intervals = case
+        whole = 10 * sum(itv.length for itv in intervals)
+        merit = [batched(size, lambda: segmented_merit(traj, intervals, method, f_error,
+                                                       threshold or 0.0)) for size in (1, whole)]
+        assert merit_bytes(merit[0]) == merit_bytes(merit[1])
+        if traj.n_samples < 4:   # too short for d2, whatever the method
+            assert "order 2" in merit[0] or "3-D" in merit[0]
+        keys = [batched(size, lambda: extract_keyframes(
+            traj, method, count=len(traj.points), f_error=f_error, intervals=intervals,
+            speed_threshold=threshold)) for size in (1, whole)]
+        assert keyframe_bytes(keys[0]) == keyframe_bytes(keys[1])
 
 
 EXTREME = [0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308,

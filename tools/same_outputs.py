@@ -17,6 +17,11 @@ The JSON clip of `signing_json_pergloss` is also rewritten compact with
 pieces, and `extract` runs on that copy too.
 Each workload and seed also runs `extract --annotations` with two intervals,
 the first and the last 60 samples of the clip, under mt and those methods.
+It runs `extract --annotations` once more, under the same methods, with
+intervals that cross the merit's batches of laid-out samples: one of 10,000
+samples (longer than a batch), five nested around the middle of the clip,
+one of them listed twice, and about 300 short ones, many to a batch, which
+the longer ones overlap; all are listed out of order.
 Three 7-sample clips (a helix, a parabola in a tilted plane and a 2-D
 parabola), each also run backwards, go through `extract --sigma 0` with one
 interval over the whole clip, under every method that takes their
@@ -89,6 +94,20 @@ for name in WORKLOADS:
                     "--method", method, "-o", str(work / f"keys-ends-{method}.json")]
             if main(argv) != 0:
                 sys.exit(f"{name} seed {seed}: trajkf extract on the clip ends failed")
+        # intervals across the merit's batches of laid-out samples, listed out of order:
+        # one longer than a batch, five nested around the middle (one repeated), and
+        # about 300 short ones, many to a batch, which the longer ones overlap
+        mid = n // 2
+        nested = [(max(0, mid - 400 * j), min(n - 1, mid + 400 * j)) for j in range(1, 6)]
+        short = [(a, min(n - 1, a + 40 + a % 23)) for a in range(50, n - 1, n // 300)]
+        spans = [*short[::2], *nested, (0, min(n - 1, 9999)), *short[1::2], nested[0]]
+        batches = work / "batches.json"
+        batches.write_text(json.dumps({"intervals": [{"start": a, "end": b} for a, b in spans]}))
+        for method in ("mt", *METHODS.get(name, ())):
+            argv = ["extract", str(inp.traj), "--annotations", str(batches), "--count", "20",
+                    "--method", method, "-o", str(work / f"keys-batches-{method}.json")]
+            if main(argv) != 0:
+                sys.exit(f"{name} seed {seed}: trajkf extract across merit batches failed")
 # 7-sample clips, the fewest third derivatives need, run unsmoothed: every sample is within
 # two of an end.  The helix peaks next to both ends; each parabola's pick has its base at
 # the first sample, or, run backwards, at the last.  So each score reads an end's stencils.
