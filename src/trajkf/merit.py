@@ -8,9 +8,9 @@ Baseline descriptors (arc-length curvature in 2-D/3-D, time-parameterized
 curvature in 2-D/3-D) share the same curve representation so one selection
 stage serves all of them.
 
-``segmented_merit`` lays all intervals end to end (``segment_layout``) and
-computes their curves in batches of whole intervals; ``merit_curves`` splits
-the result per interval.
+``merit_batches`` computes the curves in batches of whole intervals, each laid
+end to end (``segment_layout``); ``segmented_merit`` concatenates the batches,
+and ``merit_curves`` splits the result per interval.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ import numpy as np
 from . import geometry
 from .formats import MeritMethod, SigningInterval
 from .geometry import BRANCH_NONPLANAR, BRANCH_PLANAR, DescriptorCurve
-from .trajectory import DerivativeStack, TimedTrajectory, derivative, differentiate, frozen, speed
+# differentiate stays importable here: kept for perfbench/tracing.py
+from .trajectory import differentiate  # noqa: F401
+from .trajectory import DerivativeStack, TimedTrajectory, derivative, frozen, speed
 
 DEFAULT_F_ERROR = 5e-2
 HARMONIC_EPS = 1e-12
-_BATCH_ROWS = 8192   # most laid-out samples in a segmented_merit batch of whole intervals
+_BATCH_ROWS = 8192   # most samples in a block of the speed, or in a merit batch of whole intervals
 
 # Twist-rate estimates divide by |d1 x d2|^2 ~ v^6, so samples in the slow
 # tails near rest boundaries are noise-dominated; they are masked (and thus
@@ -128,29 +130,50 @@ def segment_layout(intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                     method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
-                    speed_threshold: float = 0.0, d: DerivativeStack | None = None,
-                    v: np.ndarray | None = None) -> tuple[DescriptorCurve, list, np.ndarray]:
+                    speed_threshold: float = 0.0, v: np.ndarray | None = None
+                    ) -> tuple[DescriptorCurve, list, np.ndarray]:
     """All intervals' descriptor curves under ``method``, laid end to end as
     the segments of one curve (``segment_layout``), each one's branch, and the
-    trajectory sample of every curve slot.
+    trajectory sample of every curve slot: merit_batches' batches concatenated.
 
     For MeritMethod.MT on 3-D input each interval's points are plane-fitted.
     Planar intervals are ranked by the turn rate of the motion projected onto
-    their plane (the whole-trajectory derivatives times the plane basis);
-    non-planar ones by the harmonic mean of turn and twist rates, masked
-    where the speed is below TORSION_SPEED_FRACTION of the interval's
-    95th-percentile speed.  2-D input takes the planar branch directly.
-    Baseline methods skip the classification (branch None); the 2-D ones
-    read the first two coordinates.  Samples slower than a positive
-    ``speed_threshold`` are masked too; masked entries are stored as 0.
-    Only the outputs span the N laid-out samples; the rest runs in batches of
-    consecutive whole intervals of at most _BATCH_ROWS samples (a longer one
-    alone), O(N log N) for the percentile sort.
-    ``d`` is ``differentiate(traj, 1)`` and ``v`` its speed, each computed when
-    not given; the kernels read ``v``, bar the one over a 3-D trajectory's first
-    two coordinates.  d2 is evaluated at the laid-out samples only, d3 at the
-    non-planar ones; a trajectory too short for either raises ValueError.
+    their plane (the derivatives times the plane basis); non-planar ones by
+    the harmonic mean of turn and twist rates, masked where the speed is
+    below TORSION_SPEED_FRACTION of the interval's 95th-percentile speed.
+    2-D input takes the planar branch directly.  Baseline methods skip the
+    classification (branch None); the 2-D ones read the first two
+    coordinates.  Samples slower than a positive ``speed_threshold`` are
+    masked too; masked entries are stored as 0.  ``v`` is
+    ``speed_profile(traj)``, computed when not given.
     """
+    parts = list(merit_batches(traj, intervals, method, f_error, speed_threshold, v))
+    if not parts:
+        return DescriptorCurve(np.zeros(0), np.zeros(0, dtype=bool)), [], np.zeros(0, np.intp)
+    curves, branches, rows = zip(*parts)
+    return (DescriptorCurve(np.concatenate([c.values for c in curves]),
+                            np.concatenate([c.valid_mask for c in curves]),
+                            offsets=segment_layout(intervals)[0]),
+            [b for batch in branches for b in batch], np.concatenate(rows))
+
+
+def speed_profile(traj: TimedTrajectory) -> np.ndarray:
+    """``speed(differentiate(traj, 1))`` bit for bit, d1 evaluated _BATCH_ROWS samples at a time."""
+    v = np.empty(traj.n_samples)
+    for a in range(0, len(v), _BATCH_ROWS):
+        block = range(a, min(len(v), a + _BATCH_ROWS))
+        v[a:block.stop] = speed(DerivativeStack(derivative(traj, 1, block)))
+    return v
+
+
+def merit_batches(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
+                  method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
+                  speed_threshold: float = 0.0, v: np.ndarray | None = None):
+    """segmented_merit's (curve, branches, rows) for each batch of consecutive whole
+    intervals of at most _BATCH_ROWS laid-out samples (a longer one alone), in order.
+    Each evaluates d1 and d2 at its own samples and d3 at its non-planar ones, so only ``v``
+    spans the trajectory; O(N log N) over N laid-out samples.  A trajectory too short for
+    d2 raises ValueError on the first ``next``, as do the arguments segmented_merit refuses."""
     method, n = MeritMethod(method), traj.n_samples   # a member, or its tag
     for name, x in [("f_error", f_error), ("speed_threshold", speed_threshold)]:
         if not x >= 0:   # NaN fails too
@@ -161,61 +184,52 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                 f"interval [{itv.start}, {itv.end}] outside trajectory of {n} samples")
     if method in (MeritMethod.K3DT, MeritMethod.KAPPA3DS) and traj.dim != 3:
         raise ValueError(f"method {method.value} needs a 3-D trajectory")
-    offsets, lengths, rows = segment_layout(intervals)
     if not intervals:
-        return DescriptorCurve(np.zeros(0), np.zeros(0, dtype=bool)), [], rows
-
-    derivative(traj, 2, rows[:0])   # first, so a short trajectory fails naming order 2
-    d = differentiate(traj, 1) if d is None else d
-    v = speed(d) if v is None else v
-    values, mask = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
-    branches, first, size = [], 0, 0
-    for j, m in enumerate([*lengths.tolist(), _BATCH_ROWS + 1]):   # the sentinel ends the last
-        if size and size + m > _BATCH_ROWS:
-            s = slice(offsets[first], offsets[first] + size)
-            branches += _merit_batch(traj, method, f_error, speed_threshold, d, v, rows[s],
-                                     lengths[first:j], values[s], mask[s])
+        return
+    derivative(traj, 2, range(0))   # first, so a short trajectory fails naming order 2
+    v = speed_profile(traj) if v is None else v
+    first, size = 0, 0
+    for j, m in enumerate([*(itv.length for itv in intervals), _BATCH_ROWS + 1]):
+        if size and size + m > _BATCH_ROWS:   # the sentinel ends the last
+            yield _merit_batch(traj, method, f_error, speed_threshold, v, intervals[first:j])
             first, size = j, 0
         size += m
-    return DescriptorCurve(values, mask, offsets=offsets), branches, rows
 
 
-def _merit_batch(traj, method, f_error, speed_threshold, d, v, rows, lengths, values, mask):
-    """segmented_merit on one batch of whole intervals laid out at ``rows``: writes their
-    ``values`` and ``mask`` and returns their branches."""
+def _merit_batch(traj, method, f_error, speed_threshold, v, intervals):
+    """merit_batches' (curve, branches, rows) for one batch of whole intervals."""
+    offsets, lengths, rows = segment_layout(intervals)
     d2 = derivative(traj, 2, rows)
+    d1, vb = derivative(traj, 1, rows), v[rows]
     branches = [BRANCH_PLANAR if method is MeritMethod.MT else None] * len(lengths)
     if method is not MeritMethod.MT or traj.dim == 2:   # one kernel over the laid-out samples
         xy = method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3
-        d1 = d.d1[rows]
         shape = DerivativeStack(d1[:, :2], d2[:, :2]) if xy else DerivativeStack(d1, d2)
         rate = method not in (MeritMethod.KAPPA2DS, MeritMethod.KAPPA3DS)
-        base = geometry.descriptor_kernel(shape, speed(shape) if xy else v[rows], rate)[0]
-        values[:], mask[:] = base.values, base.valid_mask
+        base = geometry.descriptor_kernel(shape, speed(shape) if xy else vb, rate)[0]
+        values, mask = base.values, base.valid_mask
     else:   # one kernel over the projected planar samples, one over the rest
-        offsets = np.cumsum(lengths) - lengths
+        values, mask = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
         errors, bases, _ = fit_planes(traj.points[rows], offsets, lengths)
         planar = errors < f_error
         flat = np.repeat(planar, lengths)
         branches = np.where(planar, BRANCH_PLANAR, BRANCH_NONPLANAR).tolist()
         if planar.any():   # per-interval products: a batched product rounds differently
-            sl = [(rows[offsets[j]], offsets[j], lengths[j], bases[j].T)
-                  for j in np.flatnonzero(planar).tolist()]
+            sl = [(offsets[j], lengths[j], bases[j].T) for j in np.flatnonzero(planar).tolist()]
             k = geometry.curvature_t(DerivativeStack(
-                frozen(np.concatenate([d.d1[a:a + m] @ b for a, _, m, b in sl])),
-                frozen(np.concatenate([d2[o:o + m] @ b for _, o, m, b in sl]))))
+                frozen(np.concatenate([d1[o:o + m] @ b for o, m, b in sl])),
+                frozen(np.concatenate([d2[o:o + m] @ b for o, m, b in sl]))))
             values[flat], mask[flat] = k.values, k.valid_mask
-        if not planar.all():
-            hr, d2 = rows[~flat], frozen(d2[~flat])   # the laid-out d2 goes before the kernel
-            vh = v[hr]
+        if not planar.all():   # rebound, the batch-long d1 and d2 are freed before the kernel
+            d1, d2, vh = frozen(d1[~flat]), frozen(d2[~flat]), vb[~flat]
             h = harmonic_mean_curve(*geometry.descriptor_kernel(DerivativeStack(
-                d.d1[hr], d2, derivative(traj, 3, hr)), vh, True, torsion=True))
+                d1, d2, derivative(traj, 3, rows[~flat])), vh, True, torsion=True))
             cut = TORSION_SPEED_FRACTION * segment_percentile(vh, lengths[~planar], 95)
             values[~flat] = h.values
             mask[~flat] = h.valid_mask & (vh >= np.repeat(cut, lengths[~planar]))
     if speed_threshold > 0:
-        mask &= v[rows] >= speed_threshold
-    return branches
+        mask = mask & (vb >= speed_threshold)
+    return DescriptorCurve(values, mask, offsets=offsets), branches, rows
 
 
 def merit_curves(traj: TimedTrajectory, intervals: Sequence[SigningInterval],

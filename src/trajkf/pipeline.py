@@ -7,8 +7,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .formats import KeyframeSet, MeritMethod, SigningInterval
-# merit_curve stays importable here for perfbench/tracing.py
-from .merit import DEFAULT_F_ERROR, merit_curve, segmented_merit  # noqa: F401
+# merit_curve and differentiate stay importable here: kept for perfbench/tracing.py
+from .merit import DEFAULT_F_ERROR, merit_batches, merit_curve, speed_profile  # noqa: F401
 from .selection import (
     DEFAULT_MIN_GAP,
     DEFAULT_MIN_LEN,
@@ -17,7 +17,7 @@ from .selection import (
     find_peaks,
     select_keyframes,
 )
-from .trajectory import MIN_SAMPLES, TimedTrajectory, differentiate, gaussian_smooth, speed
+from .trajectory import MIN_SAMPLES, TimedTrajectory, differentiate, gaussian_smooth  # noqa: F401
 
 DEFAULT_SIGMA = 2.0
 
@@ -35,12 +35,13 @@ def extract_keyframes(
 ) -> KeyframeSet:
     """Select the ``count`` most prominent merit maxima of a trajectory.
 
-    The trajectory is smoothed and differentiated once, to first order; that
-    stack and its speed feed the threshold, the interval detection (unless
-    intervals are supplied, e.g. from an annotation file) and one segmented_merit
-    call that lays each distinct interval's merit curve end to end.  One find_peaks call
-    takes their peaks, ranked globally by prominence; a frame where overlapping
-    intervals both peak is one candidate at its best, so keyframes are distinct.
+    The trajectory is smoothed, and its speed is computed once, in blocks of
+    samples, for the threshold, the interval detection (unless intervals are
+    supplied, e.g. from an annotation file) and the merit.  merit_batches scores
+    the distinct intervals in batches of whole intervals, and find_peaks takes
+    each batch's peaks; all the candidates are ranked by prominence, and a frame
+    where overlapping intervals both peak is one candidate at its best, so
+    keyframes are distinct.  Only the clip, its smoothing and the speed span it.
     Frames slower than the speed threshold never become candidates, so rest
     frames inside annotated intervals stay excluded.  Frames in the result are
     sample indices into ``traj``.  Raises FloatingPointError on overflow.
@@ -48,17 +49,19 @@ def extract_keyframes(
     method = MeritMethod(method)   # a member, or its tag
     smoothed = gaussian_smooth(traj, sigma)
     with np.errstate(over="raise", invalid="raise"):
-        d = v = None
-        if smoothed.n_samples >= MIN_SAMPLES[1]:   # shorter: each stage's own result or error
-            d = differentiate(smoothed, 1)
-            v = speed(d)
+        # a shorter clip: each stage's own result or error
+        v = speed_profile(smoothed) if smoothed.n_samples >= MIN_SAMPLES[1] else None
         threshold = speed_threshold if speed_threshold is not None \
             else default_speed_threshold(smoothed, v)
         if intervals is None:
             intervals = detect_intervals(smoothed, threshold, min_gap, min_len, v) \
                 if threshold > 0 else []
         distinct = list(dict.fromkeys(intervals))   # a repeat adds no candidate, only memory
-        curve, _, rows = segmented_merit(smoothed, distinct, method, f_error, threshold, d, v)
-    peaks = find_peaks(curve)
-    return select_keyframes(rows[[p.frame for p in peaks]], [p.prominence for p in peaks], count,
+        frames, prominences = [np.zeros(0, np.intp)], [np.zeros(0)]
+        for curve, _, rows in merit_batches(smoothed, distinct, method, f_error, threshold, v):
+            peaks = find_peaks(curve)
+            frames.append(rows[[p.frame for p in peaks]])
+            prominences.append(np.array([p.prominence for p in peaks]))
+            del curve, rows, peaks   # before the next batch is built
+    return select_keyframes(np.concatenate(frames), np.concatenate(prominences), count,
                             method=method)

@@ -16,8 +16,9 @@ from .formats import KeyframeSet, MeritMethod, SigningInterval, rank_order
 # kept for perfbench/workloads.py and driver.py
 from .formats import keyframes_from_json, keyframes_to_json  # noqa: F401
 from .geometry import DescriptorCurve
-from .merit import segment_percentile
-from .trajectory import TimedTrajectory, differentiate, speed
+from .merit import segment_percentile, speed_profile
+# differentiate stays importable here: kept for perfbench/tracing.py
+from .trajectory import TimedTrajectory, differentiate  # noqa: F401
 
 DEFAULT_MIN_GAP = 10
 DEFAULT_MIN_LEN = 12
@@ -39,7 +40,7 @@ def default_speed_threshold(traj: TimedTrajectory, v: np.ndarray | None = None) 
     when not given; np.percentile's value without its lazy numpy.ma import."""
     if traj.n_samples < 3:
         return 0.0
-    v = speed(differentiate(traj, 1)) if v is None else v
+    v = speed_profile(traj) if v is None else v
     return DEFAULT_THRESHOLD_FRACTION * float(segment_percentile(v, np.array([len(v)]), 95)[0])
 
 
@@ -63,7 +64,7 @@ def detect_intervals(
         raise ValueError("min_gap and min_len must be positive")
     if traj.n_samples < 3:
         return []
-    active = (speed(differentiate(traj, 1)) if v is None else v) >= speed_threshold
+    active = (speed_profile(traj) if v is None else v) >= speed_threshold
     edges = np.flatnonzero(np.diff(active, prepend=False, append=False))
     runs = [[int(a), int(b) - 1] for a, b in zip(edges[::2], edges[1::2])]
     merged: list[list[int]] = []

@@ -185,9 +185,9 @@ def differentiate(traj: TimedTrajectory, order_max: int = 3) -> DerivativeStack:
     return DerivativeStack(d1, d2, d3)
 
 
-def derivative(traj: TimedTrajectory, order: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """differentiate's ``order``-th derivative (1, 2 or 3) at the samples ``rows`` (all by
-    default) bit for bit, evaluated only there: a read-only (len(rows), D) array."""
+def derivative(traj: TimedTrajectory, order: int, rows=None) -> np.ndarray:
+    """differentiate's ``order``-th derivative (1, 2 or 3) at ``rows``, sample indices or a
+    step-1 range (all by default), bit for bit, evaluated only there: read-only, (len(rows), D)."""
     n = traj.n_samples
     if n < MIN_SAMPLES[order]:
         raise ValueError(f"need at least {MIN_SAMPLES[order]} samples for order {order}, got {n}")
@@ -202,13 +202,15 @@ def derivative(traj: TimedTrajectory, order: int, rows: np.ndarray | None = None
             out += weight * at(offset)
         return np.divide(out, scale, out=out)
 
-    if rows is None:   # the interior through slices of the points, the ends as rows
-        out = np.empty_like(p)
-        stencil(central, lambda o: p[reach + o:n - reach + o], out[reach:n - reach])
-        ends = np.r_[:reach, n - reach:n]
-        out[ends] = derivative(traj, order, ends)
-        return frozen(out)
+    rows = range(n) if rows is None else rows
     out = np.empty((len(rows), p.shape[1]))
+    if isinstance(rows, range):   # the interior through slices of the points, the ends as rows
+        a, b = rows.start, rows.stop
+        lo, hi = max(a, reach), max(a, reach, min(b, n - reach))
+        stencil(central, lambda o: p[lo + o:hi + o], out[lo - a:hi - a])
+        ends = np.r_[a:min(b, reach), max(a, n - reach):b]
+        out[ends - a] = derivative(traj, order, ends)
+        return frozen(out)
     lead, trail = rows < reach, rows >= n - reach
     mirrored = [(-o, -w if order % 2 else w) for o, w in one_sided]
     for part, weights in [(~(lead | trail), central), (lead, one_sided), (trail, mirrored)]:

@@ -6,9 +6,11 @@ same on a busy host as on an idle one, unlike a timing.  Each bound sits
 15-25% above the peak measured when it was set, and below the peak of the
 code before it: 5.9x the file for the CSV load, when a StringIO held the
 text at 4 bytes a character; 3.4x for the JSON load, when json.loads built
-the lists of every row at once; 5.34x and 5.63x the points for extract, and
-188 bytes per laid-out sample for 25 nested intervals, when the merit's work
-arrays spanned every interval at once.
+the lists of every row at once; 4.21x and 4.19x the points for extract, and
+47 bytes per laid-out sample for 25 nested intervals, when the velocity
+spanned the whole clip and one peak search spanned every interval.  Before
+that, 5.34x and 5.63x, and 188 bytes per laid-out sample, when the merit's
+work arrays spanned every interval at once.
 """
 
 import tracemalloc
@@ -59,18 +61,18 @@ def test_json_load_peaks_near_twice_the_file(clip, tmp_path):
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["detected", "supplied"])
 def test_extract_peaks_at_a_few_clips(clip, supplied):
-    # 4.2x: the smoothed clip, d1 and the speed, the merit outputs, and one batch of intervals'
-    # d2, d3 and kernel work arrays
+    # 3.3x: the smoothed clip and the speed, the candidates pooled so far, and one batch of
+    # intervals' derivatives, kernel work arrays, curve and peaks
     traj = clip.trajectory
     intervals = list(clip.intervals) if supplied else None
     peak = traced_peak(lambda: extract_keyframes(traj, count=600, intervals=intervals))
-    assert peak < 5.0 * traj.points.nbytes
+    assert peak < 3.9 * traj.points.nbytes
 
 
 def test_nested_intervals_cost_a_few_bytes_per_laid_out_sample(clip):
-    # 25 intervals [i, n - 1 - i]: 675,150 laid-out samples, 47 bytes each, for the sample
-    # index, the merit values and mask and their copies in the curve, and the peak search
+    # 25 intervals [i, n - 1 - i]: 675,150 laid-out samples, 9.5 bytes each; select_keyframes
+    # ranking the 28,675 pooled candidates sets the peak, a little above one interval's batch
     n = clip.trajectory.n_samples
     nested = [SigningInterval(i, n - 1 - i) for i in range(25)]
     peak = traced_peak(lambda: extract_keyframes(clip.trajectory, count=600, intervals=nested))
-    assert peak < 56 * sum(itv.length for itv in nested)
+    assert peak < 11.5 * sum(itv.length for itv in nested)

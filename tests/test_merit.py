@@ -22,9 +22,11 @@ from trajkf import (
     generate,
     harmonic_mean_curve,
     merit_curves,
+    speed,
 )
 import trajkf.merit
-from trajkf.merit import merit_curve, segment_percentile, segmented_merit
+import trajkf.pipeline
+from trajkf.merit import merit_curve, segment_percentile, segmented_merit, speed_profile
 
 
 def curve(values, mask=None):
@@ -369,7 +371,8 @@ def keyframe_bytes(result):
 
 
 class TestBatches:
-    """segmented_merit gives the same bytes one interval per batch as with all in one batch."""
+    """segmented_merit and extract_keyframes give the same bytes one interval per batch
+    as with all in one batch; extract searches each batch's curve for peaks."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=clip_and_layout(), method=st.sampled_from(list(MeritMethod)),
@@ -382,10 +385,40 @@ class TestBatches:
         assert merit_bytes(merit[0]) == merit_bytes(merit[1])
         if traj.n_samples < 4:   # too short for d2, whatever the method
             assert "order 2" in merit[0] or "3-D" in merit[0]
-        keys = [batched(size, lambda: extract_keyframes(
-            traj, method, count=len(traj.points), f_error=f_error, intervals=intervals,
-            speed_threshold=threshold)) for size in (1, whole)]
+        find_peaks, keys, segments = trajkf.pipeline.find_peaks, [], []
+        for size in (1, whole):   # the segments of each curve find_peaks is called on
+            segments.append([])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trajkf.pipeline, "find_peaks", lambda curve: (
+                    segments[-1].append(len(curve.offsets)), find_peaks(curve))[1])
+                keys.append(batched(size, lambda: extract_keyframes(
+                    traj, method, count=len(traj.points), f_error=f_error,
+                    intervals=intervals, speed_threshold=threshold)))
         assert keyframe_bytes(keys[0]) == keyframe_bytes(keys[1])
+        distinct = len(set(intervals))
+        if isinstance(keys[0], str):   # an argument or the clip refused before any batch
+            assert segments == [[], []]
+        else:   # one call per distinct interval, or one for all of them
+            assert segments == [[1] * distinct, [distinct]]
+
+
+class TestSpeedProfile:
+    """speed_profile, d1 evaluated one block of samples at a time, is the whole-clip speed."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_blocks_give_the_whole_clip_speed_bit_for_bit(self, data):
+        n, dim = data.draw(st.integers(4, 400)), data.draw(st.sampled_from([2, 3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        traj = TimedTrajectory(scale * np.cumsum(rng.normal(size=(n, dim)), axis=0),
+                               data.draw(st.sampled_from([1.0, 29.97, 60.0, 240.0])))
+        want = speed(differentiate(traj, 1)).tobytes()
+        # blocks that end one or two samples from either clip end, and one block for all
+        for block in (1, 2, 7, data.draw(st.integers(1, n)), n + data.draw(st.integers(0, 3))):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trajkf.merit, "_BATCH_ROWS", block)
+                assert speed_profile(traj).tobytes() == want
 
 
 EXTREME = [0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308,

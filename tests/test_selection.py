@@ -530,8 +530,8 @@ def test_library_resolves_and_checks_its_arguments(options, error):
 
 
 class TestMotionProfile:
-    """extract_keyframes differentiates the smoothed trajectory once; the
-    threshold, the detection and the merit share that stack and its speed."""
+    """extract_keyframes computes the smoothed trajectory's speed once, for the
+    threshold, the detection and the merit, and no derivative over the whole clip."""
 
     @pytest.fixture(scope="class")
     def clip(self):
@@ -559,20 +559,40 @@ class TestMotionProfile:
         return extract_keyframes(traj, count=5, **options)
 
     @pytest.mark.parametrize("case", CASES)
-    def test_one_differentiate_call(self, monkeypatch, clip, case):
+    def test_no_whole_clip_derivative(self, monkeypatch, clip, case):
         import trajkf.merit
         import trajkf.pipeline
         import trajkf.selection
+        import trajkf.trajectory
 
-        calls = []   # each module's own attribute, as the benchmark's tracer wraps them
-        for module in (trajkf.pipeline, trajkf.selection, trajkf.merit):
-            def counting(*args, _differentiate=module.differentiate, **kwargs):
-                calls.append(args)
-                return _differentiate(*args, **kwargs)
+        block = 32   # below the clip's 300 samples and its intervals' lengths
+        monkeypatch.setattr(trajkf.merit, "_BATCH_ROWS", block)
+        differentiated, covered, stages = [], [], {}
+        for module in (trajkf.pipeline, trajkf.selection, trajkf.merit):   # as perfbench wraps
+            monkeypatch.setattr(module, "differentiate", lambda *args, _f=module.differentiate:
+                                differentiated.append(args) or _f(*args))
+        for module in (trajkf.merit, trajkf.trajectory):   # wherever derivative is read
+            def counting(traj, order, rows=None, _derivative=module.derivative):
+                covered.append(traj.n_samples if rows is None else len(rows))
+                return _derivative(traj, order, rows)
 
-            monkeypatch.setattr(module, "differentiate", counting)
+            monkeypatch.setattr(module, "derivative", counting)
+        for name in ("speed_profile", "default_speed_threshold", "detect_intervals",
+                     "merit_batches"):
+            def recording(*args, _name=name, _fn=getattr(trajkf.pipeline, name)):
+                stages.setdefault(_name, []).append((args, _fn(*args)))
+                return stages[_name][-1][1]
+
+            monkeypatch.setattr(trajkf.pipeline, name, recording)
         keys = self.extract(clip, case)
-        assert len(calls) == 1 and len(keys.frames) == 5
+        assert differentiated == [] and len(keys.frames) == 5
+        [(_, v)], [(merit_args, _)] = stages.pop("speed_profile"), stages["merit_batches"]
+        assert max(covered) <= max(block, *(itv.length for itv in merit_args[1]))
+        # each stage takes that one speed profile as its last argument
+        skipped = {"user_threshold": "default_speed_threshold", "mt_supplied": "detect_intervals"}
+        assert sorted(stages) == sorted({"default_speed_threshold", "detect_intervals",
+                                         "merit_batches"} - {skipped.get(case)})
+        assert all(args[-1] is v for calls in stages.values() for args, _ in calls)
 
     @pytest.mark.parametrize("case", CASES)
     def test_one_segment_layout(self, monkeypatch, clip, case):

@@ -36,7 +36,7 @@ from oracles import (
     brute_trajectory_text,
     random_rotation,
 )
-from trajkf.trajectory import derivative, frozen
+from trajkf.trajectory import MIN_SAMPLES, derivative, frozen
 
 
 def make_traj(points, fps=60.0, start=0):
@@ -628,6 +628,27 @@ class TestDifferentiate:
             at = derivative(traj, order, rows)
             assert at.shape == (len(rows), dim) and not at.flags.writeable
             assert at.tobytes() == full[rows].tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_range_is_its_rows_bit_for_bit(self, data):
+        # derivative() at a range of samples, through slices, against the same rows gathered;
+        # the range may hold either end, lie in one end's one-sided stencils, or be empty
+        n, dim = data.draw(st.integers(3, 400)), data.draw(st.sampled_from([2, 3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        traj = make_traj(np.cumsum(rng.normal(size=(n, dim)), axis=0),
+                         fps=data.draw(st.sampled_from([1.0, 29.97, 60.0])))
+        start = data.draw(st.sampled_from([0, 1, 2, n - 2, n - 1, n]) | st.integers(0, n))
+        stop = data.draw(st.sampled_from([start, start + 1, start + 2, n - 1, n])
+                         .filter(lambda b: start <= b <= n) | st.integers(start, n))
+        for order in (1, 2, 3):
+            if n < MIN_SAMPLES[order]:
+                with pytest.raises(ValueError, match=f"for order {order}"):
+                    derivative(traj, order, range(start, stop))
+                continue
+            at = derivative(traj, order, range(start, stop))
+            assert at.shape == (stop - start, dim) and not at.flags.writeable
+            assert at.tobytes() == derivative(traj, order, np.arange(start, stop)).tobytes()
 
     def test_containers_keep_frozen_arrays_and_copy_the_rest(self):
         built = frozen(np.ones((5, 3)))

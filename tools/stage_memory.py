@@ -7,10 +7,12 @@ and the benchmark's size, with `perfbench/workloads.make_inputs`.  Then,
 for each workload, another fresh interpreter runs extract on them as the
 benchmark's in-process mirror does (`workloads.extract_inprocess`), so the
 RSS of writing the inputs stays out of it.  The stages are load
-(`load_trajectory`) and the steps of `extract_keyframes`: smooth,
-differentiate, threshold, detect, merit, peaks and select, each marked by a
-wrapper on the `trajkf.pipeline` attribute the pipeline looks up.  Detect
-does not run when the workload supplies its intervals.
+(`load_trajectory`) and the steps of `extract_keyframes`: smooth, speed,
+threshold, detect, merit+peaks and select, each marked by a wrapper on the
+`trajkf.pipeline` attribute the pipeline looks up.  Detect does not run when
+the workload supplies its intervals.  Merit+peaks is `merit_batches` from its
+call until it is exhausted, with the `find_peaks` call on each batch the
+pipeline makes in between, so its traced peak is the largest of any batch.
 
 Extract runs twice.  The first pass reads the resident set size (RSS, from
 /proc/self/statm, so Linux only) after each stage.  The second runs under
@@ -58,9 +60,9 @@ import trajkf.pipeline
 from workloads import Inputs, extract_inprocess
 
 MB = 2**20
-STAGES = {"smooth": "gaussian_smooth", "differentiate": "differentiate",
+STAGES = {"smooth": "gaussian_smooth", "speed": "speed_profile",
           "threshold": "default_speed_threshold", "detect": "detect_intervals",
-          "merit": "segmented_merit", "peaks": "find_peaks", "select": "select_keyframes"}
+          "merit+peaks": "merit_batches", "select": "select_keyframes"}
 
 
 def rss_mb():
@@ -82,7 +84,11 @@ def run(inp, enter, leave):
         def call(*args, **kwargs):
             with stage(name):
                 return fn(*args, **kwargs)
-        return call
+
+        def batches(*args, **kwargs):   # the stage lasts until the last batch is taken
+            with stage(name):
+                yield from fn(*args, **kwargs)
+        return batches if name == "merit+peaks" else call
 
     saved = {attr: getattr(trajkf.pipeline, attr) for attr in STAGES.values()}
     try:
