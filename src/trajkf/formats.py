@@ -33,24 +33,25 @@ class ParseError(ValueError):
     """A trajectory or annotation file violates its schema."""
 
 
-def read_text(source) -> str:
-    """UTF-8 text of a path (str or any os.PathLike), bytes or stream, byte order
-    mark removed.
+def read_bytes(source):
+    """The bytes of a path (str or any os.PathLike), bytes as given, or a stream's ``read()``
+    (str from a text stream), uncopied: load_trajectory parses ASCII with no CR from them."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            return fh.read()
+    return source if isinstance(source, bytes) else source.read()
 
-    All three read alike, with universal newlines as a path's text already
-    has them: CR LF and a lone CR each read as LF.
-    """
+
+def read_text(data) -> str:
+    """``data`` from ``read_bytes`` as text, by one rule for every source: UTF-8, with
+    universal newlines (CR LF and a lone CR each read as LF) and leading byte order
+    marks removed.  It holds the bytes and the text together, 2x an ASCII file, so
+    load_trajectory decodes only text streams and files not in ASCII or with a CR."""
     try:
-        if isinstance(source, (str, os.PathLike)):
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            data = source if isinstance(source, bytes) else source.read()
-            text = data.decode("utf-8") if isinstance(data, bytes) else data
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return text.lstrip("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n").lstrip("\ufeff")
 
 
 def write_text(dest, text: str) -> None:
@@ -216,7 +217,7 @@ class Annotations(namedtuple("Annotations", "intervals keyframes n_frames",
 
 def load_annotations(source) -> Annotations:
     """Read an interval/keyframe annotation JSON file."""
-    obj = parse_json(read_text(source))
+    obj = parse_json(read_text(read_bytes(source)))
     if not isinstance(obj, dict):
         raise ParseError("annotation file must hold a JSON object")
     intervals = []
@@ -295,7 +296,7 @@ def keyframes_to_json(ks: KeyframeSet, start_frame: int = 0, n_frames: int | Non
 
 def keyframes_from_json(source) -> tuple[KeyframeSet, int | None]:
     """Read a keyframe file; returns the set and its n_frames field if any."""
-    obj = parse_json(read_text(source))
+    obj = parse_json(read_text(read_bytes(source)))
     if not isinstance(obj, dict) or "frames" not in obj:
         raise ParseError('keyframe file must hold an object with a "frames" list')
     frames = json_frames(obj, "frames")

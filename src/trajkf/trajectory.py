@@ -28,6 +28,7 @@ from .formats import (
     json_finite_number,
     json_text,
     parse_json,
+    read_bytes,
     read_text,
     write_text,
 )
@@ -236,28 +237,37 @@ def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> Ti
     JSON it comes from the file's "fps" field.  Dimensionality is inferred
     from the columns present.  Malformed rows, non-monotone or non-consecutive
     frame indices, and mixed dimensionality raise ParseError naming the row.
-    JSON whose "points" is the object's last member and holds no '"', as
-    save_trajectory writes it, is parsed about 256 KB of points at a time; any
-    other layout, or any doubt in a piece, is parsed whole, as it always was.
+    A file in ASCII with no CR, as save_trajectory writes, loads from its bytes in
+    about 1x the file plus the points; any other, and a text stream, is decoded by
+    read_text first.  JSON whose "points" is its last member and holds no '"' is
+    parsed about 256 KB at a time; any other layout, or any doubt, is parsed whole.
     """
     if format == "csv":
-        return _load_csv(read_text(source), frame_rate)
+        return _load_csv(_plain(read_bytes(source)), frame_rate)
     if format != "json":
         raise ValueError(f"unknown trajectory format {format!r}")
     # json.loads makes no cycles: the collector would only re-walk its lists, freed on return
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load_json(read_text(source))
+        return _load_json(_plain(read_bytes(source)))
     finally:
         if enabled:
             gc.enable()
 
 
+def _plain(data) -> bytes:
+    """``data`` if it is bytes in ASCII with no CR; else its text by read_text, in _UTF8."""
+    if isinstance(data, bytes) and data.isascii() and b"\r" not in data:
+        return data
+    return read_text(data).encode(*_UTF8)
+
+
+_UTF8 = ("utf-8", "surrogatepass")   # how the loaders' bytes hold any str, lone surrogates too
 _CSV_HEADERS = (["frame", "x", "y"], ["frame", "x", "y", "z"])
 # ASCII controls numpy's number parsers skip as whitespace but int() and float() refuse
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-_NOT_SPACE = re.compile(r"\S")
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+_NOT_SPACE = re.compile(rb"\S")
 
 
 def _loadtxt_refuses_float_ints() -> bool:
@@ -278,17 +288,17 @@ def _loadtxt_refuses_float_ints() -> bool:
 _LOADTXT_EXACT_INTS = _loadtxt_refuses_float_ints()
 
 
-def _lines_within(text: str, limit: int) -> bool:
+def _lines_within(data: bytes, limit: int) -> bool:
     """No line longer than ``limit`` characters; may also say no to a shorter one.
 
     A longer line covers an aligned block of limit // 2 characters with no
     line break in it, so one ``find`` per block is all the search costs.
     """
     step = max(limit // 2, 1)
-    return all(text.find("\n", i, i + step) >= 0 for i in range(0, len(text) - step + 1, step))
+    return all(data.find(b"\n", i, i + step) >= 0 for i in range(0, len(data) - step + 1, step))
 
 
-def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
+def _load_csv(data: bytes, frame_rate: float) -> TimedTrajectory:
     """One ``np.loadtxt`` pass over the rows after a plain header line.
 
     Anything that pass refuses or cannot vouch for (quoting, a bad field, a
@@ -298,16 +308,13 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
     So does a line that may hold a field over ``csv.field_size_limit()``,
     which the row loop refuses whether or not it is quoted.
     """
-    end = text.find("\n")
-    head = text[:end]
-    if (_LOADTXT_EXACT_INTS and end >= 0
-            and [c.strip().lower() for c in head.split(",")] in _CSV_HEADERS
-            and text.isascii()
-            and not any(c in text for c in _NUMPY_ONLY_SPACE)
-            and _NOT_SPACE.search(text, end)   # no rows: loadtxt would warn
-            and _lines_within(text, csv.field_size_limit())):
-        dtype = np.dtype([("frame", np.int64), ("xyz", np.float64, (head.count(","),))])
-        data, text = text.encode("ascii"), None   # a StringIO would hold 4 bytes a character
+    end = data.find(b"\n")
+    if (_LOADTXT_EXACT_INTS and end >= 0 and data.isascii()
+            and [c.strip().lower() for c in data[:end].decode().split(",")] in _CSV_HEADERS
+            and not any(c in data for c in _NUMPY_ONLY_SPACE)
+            and _NOT_SPACE.search(data, end)   # no rows: loadtxt would warn
+            and _lines_within(data, csv.field_size_limit())):
+        dtype = np.dtype([("frame", np.int64), ("xyz", np.float64, (data.count(b",", 0, end),))])
         try:
             table = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
                                quotechar=None, skiprows=1, ndmin=1)
@@ -320,8 +327,7 @@ def _load_csv(text: str, frame_rate: float) -> TimedTrajectory:
                     and np.isfinite(points).all()):
                 del data
                 return TimedTrajectory(points, frame_rate, frames[0])
-        text = data.decode("ascii")
-    return _load_csv_rows(text, frame_rate)
+    return _load_csv_rows(data.decode(*_UTF8), frame_rate)
 
 
 def _load_csv_rows(text: str, frame_rate: float) -> TimedTrajectory:
@@ -366,12 +372,16 @@ def _load_csv_rows(text: str, frame_rate: float) -> TimedTrajectory:
     return TimedTrajectory(points, frame_rate, frames[0])
 
 
-def _load_json(text: str) -> TimedTrajectory:
+def _load_json(data: bytes) -> TimedTrajectory:
     try:
-        obj, points = _load_json_pieces(text)
+        obj, pieces = _load_json_pieces(data)
     except ParseError:   # any doubt: the whole document gives the result or the error
-        obj, points = parse_json(text), None
-    del text
+        obj = pieces = None
+    if pieces is None:   # out of the handler, whose traceback holds the pieces parsed so far
+        data = data.decode(*_UTF8)   # rebound before parsing: the bytes go first
+        obj = parse_json(data)
+    del data   # no frame holds the bytes while the pieces are joined
+    points = None if pieces is None else np.concatenate(pieces)
     if not isinstance(obj, dict) or "fps" not in obj or "points" not in obj:
         raise ParseError('trajectory JSON must contain "fps" and "points"')
     fps = obj["fps"]
@@ -409,33 +419,33 @@ def _point_rows(pts: list, width: int) -> np.ndarray | None:
     return points.reshape(-1, width) if np.isfinite(points).all() else None
 
 
-_PIECE_CHARS = 1 << 18   # "points" text parsed at a time, so the lists alive stay small
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-_POINTS_KEY = re.compile(r'(?<!\\)"points"[ \t\n\r]*:[ \t\n\r]*\[')   # quote not escaped
+_PIECE_CHARS = 1 << 18   # "points" bytes parsed at a time, so the lists alive stay small
+_JSON_SPACE = re.compile(rb"[ \t\n\r]*")
+_POINTS_KEY = re.compile(rb'(?<!\\)"points"[ \t\n\r]*:[ \t\n\r]*\[')   # quote not escaped
 
 
-def _load_json_pieces(text: str) -> tuple[dict, np.ndarray]:
-    """The object, its "points" emptied, and the points, when they are its last member and
-    hold no '"': the rows parsed about _PIECE_CHARS characters at a time, cut after a row's
-    "]".  ParseError when the text is laid out otherwise or a piece is in doubt."""
-    close = text.rfind("]")
-    key = _POINTS_KEY.match(text, text.rfind('"', 0, close) - 7)   # the last '"' ends the key
-    if not (key and text[close + 1:].strip(" \t\n\r") == "}"):
+def _load_json_pieces(data: bytes) -> tuple[dict, list]:
+    """The object, its "points" emptied, and the points' arrays, when they are its last member
+    and hold no '"': each piece of about _PIECE_CHARS bytes, cut after a row's "]", decoded and
+    parsed alone.  ParseError when the bytes are laid out otherwise or a piece is in doubt."""
+    close = data.rfind(b"]")
+    key = _POINTS_KEY.match(data, data.rfind(b'"', 0, close) - 7)   # the last '"' ends the key
+    if not (key and data[close + 1:].strip(b" \t\n\r") == b"}"):
         raise ParseError('"points" is not the last member, or holds a string')
-    obj = parse_json(text[:key.start()] + '"points": []}')
+    obj = parse_json(data[:key.start()].decode(*_UTF8) + '"points": []}')
     pieces, pos = [], key.end()
     while pos <= close:   # past close only once a piece ends with no comma after it
-        cut = text.find("]", pos + _PIECE_CHARS, close) + 1 or close
-        rows = parse_json("[" + text[pos:cut] + "]")
+        cut = data.find(b"]", pos + _PIECE_CHARS, close) + 1 or close
+        rows = parse_json("[" + data[pos:cut].decode(*_UTF8) + "]")
         if not pieces:   # the first row sets the width
             width = len(rows[0]) if rows and type(rows[0]) is list else 0
         pieces.append(_point_rows(rows, width) if width in (2, 3) else None)
         del rows   # before the next piece's lists are built
-        pos = _JSON_SPACE.match(text, cut, close).end()
-        if pieces[-1] is None or pos < close and text[pos] != ",":
+        pos = _JSON_SPACE.match(data, cut, close).end()
+        if pieces[-1] is None or pos < close and data[pos:pos + 1] != b",":
             raise ParseError("a bad row, or no comma after one")
         pos += 1
-    return obj, np.concatenate(pieces)
+    return obj, pieces
 
 
 def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:

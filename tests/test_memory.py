@@ -4,13 +4,17 @@ signing clip, in multiples of what each one reads.
 tracemalloc counts what Python and numpy allocate, so a peak reads the
 same on a busy host as on an idle one, unlike a timing.  Each bound sits
 15-25% above the peak measured when it was set, and below the peak of the
-code before it: 5.9x the file for the CSV load, when a StringIO held the
-text at 4 bytes a character; 3.4x for the JSON load, when json.loads built
-the lists of every row at once; 4.21x and 4.19x the points for extract, and
-47 bytes per laid-out sample for 25 nested intervals, when the velocity
-spanned the whole clip and one peak search spanned every interval.  Before
-that, 5.34x and 5.63x, and 188 bytes per laid-out sample, when the merit's
-work arrays spanned every interval at once.
+code before it: 2.0x the file for the JSON load, when the file's bytes and
+its decoded text were held together, and 3.4x before that, when json.loads
+built the lists of every row at once; 5.9x for the CSV load, when a
+StringIO held the text at 4 bytes a character.  The CSV load's next step,
+from 2.0x (the bytes and the text) to 1.99x (the bytes and np.loadtxt's
+table), is too small for its bound to tell apart.  For extract, 4.21x and
+4.19x the points, and 47 bytes per laid-out sample for 25 nested
+intervals, when the velocity spanned the whole clip and one peak search
+spanned every interval.  Before that, 5.34x and 5.63x, and 188 bytes per
+laid-out sample, when the merit's work arrays spanned every interval at
+once.
 """
 
 import tracemalloc
@@ -25,6 +29,7 @@ from trajkf import (
     load_trajectory,
     save_trajectory,
 )
+import trajkf.trajectory
 
 
 @pytest.fixture(scope="module")
@@ -46,17 +51,19 @@ def traced_peak(call) -> int:
 
 
 def test_csv_load_peaks_near_twice_the_file(clip, tmp_path):
-    # the decoded text and its ASCII bytes, 2.0x; the parsed table is smaller than either
+    # 1.99x: the file's bytes and the table np.loadtxt builds from them
     path = tmp_path / "clip.csv"
     save_trajectory(clip.trajectory, path)
-    assert traced_peak(lambda: load_trajectory(path)) < 2.5 * path.stat().st_size
+    assert traced_peak(lambda: load_trajectory(path)) < 2.3 * path.stat().st_size
 
 
-def test_json_load_peaks_near_twice_the_file(clip, tmp_path):
-    # the file's bytes and its text, 2.0x; then the text, one piece's lists and the points
+def test_json_load_peaks_near_the_file(clip, tmp_path, monkeypatch):
+    # 1.39x: the file's bytes, the points parsed so far and one 16 KB piece's lists; the
+    # bytes go before the pieces are joined (1.72x if they stayed)
+    monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", 2**14)
     path = tmp_path / "clip.json"
     save_trajectory(clip.trajectory, path, "json")
-    assert traced_peak(lambda: load_trajectory(path, "json")) < 2.5 * path.stat().st_size
+    assert traced_peak(lambda: load_trajectory(path, "json")) < 1.6 * path.stat().st_size
 
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["detected", "supplied"])

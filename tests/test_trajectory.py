@@ -36,6 +36,7 @@ from oracles import (
     brute_trajectory_text,
     random_rotation,
 )
+from trajkf.formats import read_text
 from trajkf.trajectory import MIN_SAMPLES, derivative, frozen
 
 
@@ -394,8 +395,10 @@ class TestJsonLoaderMatchesOracle:
         members.insert({"first": 0, "middle": len(members) // 2, "last": len(members)}[place],
                        f'"points": {body}')
         text = "{" + between.join(members) + "}"
-        assert json_outcome(lambda t: load_trajectory(io.StringIO(t), "json"), text) \
-            == json_outcome(brute_load_json, text)
+        expected = json_outcome(brute_load_json, text)
+        # a text stream is decoded and re-encoded; ASCII bytes with no CR are parsed as given
+        assert json_outcome(lambda t: load_trajectory(io.StringIO(t), "json"), text) == expected
+        assert json_outcome(lambda t: load_trajectory(t.encode(), "json"), text) == expected
 
     # a piece per row, a piece per row and then the whole document, the whole document alone
     @pytest.mark.parametrize("text, calls", [
@@ -432,6 +435,66 @@ class TestJsonLoaderMatchesOracle:
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
+
+
+def brute_load(text: str, fmt: str) -> TimedTrajectory:
+    """The oracle's trajectory from a file's text, at 60 fps for CSV."""
+    if fmt == "json":
+        return brute_load_json(text)
+    points, start = brute_load_csv(text)
+    return TimedTrajectory(points, 60.0, start)
+
+
+def load_outcome(load):
+    """Points bytes, shape, frame rate and start frame of load(), or its ParseError's text."""
+    try:
+        traj = load()
+    except ParseError as exc:
+        return str(exc)
+    return traj.points.tobytes(), traj.points.shape, traj.frame_rate, traj.start_frame
+
+
+# inserted anywhere: controls numpy skips, non-ASCII digits and letters, a BOM, structure
+SOURCE_TOKENS = ["\x00", "\r", "\r\n", "\n", "\ufeff", "\x1c", "\xe9", "\u0661", ",", "]",
+                 '"', " "]
+# bytes no UTF-8 text holds: a stray continuation byte, a cut sequence, an encoded surrogate
+INVALID_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xed\xa0\x80"]
+
+
+class TestEverySourceLoadsAlike:
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_same_points_or_same_error(self, data, monkeypatch, tmp_path):
+        # a path, bytes and a binary stream give the oracle's result on read_text's text of
+        # the bytes; a text stream, where an invalid byte is a lone surrogate, on its text
+        monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", data.draw(st.integers(1, 16)))
+        fmt, dim = data.draw(st.sampled_from(["csv", "json"])), data.draw(st.sampled_from([2, 3]))
+        rows = data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim),
+                                  min_size=1, max_size=5))
+        out = io.StringIO()
+        save_trajectory(make_traj(rows, start=data.draw(st.sampled_from([0, 7]))), out, fmt)
+        text = out.getvalue()
+        if data.draw(st.booleans()):   # a non-ASCII member before "points", or CSV value
+            text = text.replace("{", '{\n  "\u03a9 na\xefve": "\u03c0",', 1) if fmt == "json" \
+                else text[:text.rindex(",") + 1] + "\u0661.5\n"
+        text = "\ufeff" * data.draw(st.sampled_from([0, 0, 0, 1, 2])) \
+            + text.replace("\n", data.draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])))
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(SOURCE_TOKENS)) + text[at:]
+        raw = text.encode()
+        if invalid := data.draw(st.sampled_from([b""] * 8 + INVALID_UTF8)):
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + invalid + raw[at:]
+        path = tmp_path / f"clip.{fmt}"
+        path.write_bytes(raw)
+        expected = load_outcome(lambda: brute_load(read_text(raw), fmt))
+        for source in (path, str(path), raw, io.BytesIO(raw)):
+            assert load_outcome(lambda: load_trajectory(source, fmt)) == expected, source
+        chars = raw.decode("utf-8", "surrogateescape")
+        assert load_outcome(lambda: load_trajectory(io.StringIO(chars), fmt)) \
+            == load_outcome(lambda: brute_load(read_text(chars), fmt))
 
 
 class TestAnnotations:

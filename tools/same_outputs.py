@@ -15,6 +15,9 @@ writes a keyframe JSON for each of k2dt, k3dt, k2ds and k3ds on the
 The JSON clip of `signing_json_pergloss` is also rewritten compact with
 `"points"` as its first member, which the loader parses whole rather than in
 pieces, and `extract` runs on that copy too.
+Each workload's clip is also copied with CR LF line ends and with a UTF-8
+byte order mark, which the loaders decode before parsing, while the clip
+itself is parsed from its bytes; `extract` runs on both copies.
 Each workload and seed also runs `extract --annotations` with two intervals,
 the first and the last 60 samples of the clip, under mt and those methods.
 It runs `extract --annotations` once more, under the same methods, with
@@ -84,6 +87,15 @@ for name in WORKLOADS:
             keys_first = work / "keys-points-first.json"
             if main(dataclasses.replace(inp, traj=first).extract_argv(keys_first)) != 0:
                 sys.exit(f"{name} seed {seed}: trajkf extract on the points-first clip failed")
+        # the clip with CR LF line ends, and with a byte order mark: both are decoded first
+        raw = inp.traj.read_bytes()
+        copies = {"crlf": raw.replace(b"\\n", b"\\r\\n"), "bom": b"\\xef\\xbb\\xbf" + raw}
+        for kind, copy in copies.items():
+            path = work / f"clip-{kind}.{inp.fmt}"
+            path.write_bytes(copy)
+            keys_copy = work / f"keys-{kind}.json"
+            if main(dataclasses.replace(inp, traj=path).extract_argv(keys_copy)) != 0:
+                sys.exit(f"{name} seed {seed}: trajkf extract on the {kind} clip failed")
         # intervals at both ends of the clip, where the one-sided stencils serve
         n = load_annotations(inp.truth).n_frames
         ends = work / "ends.json"

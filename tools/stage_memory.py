@@ -18,9 +18,10 @@ Extract runs twice.  The first pass reads the resident set size (RSS, from
 /proc/self/statm, so Linux only) after each stage.  The second runs under
 `tracemalloc` and reads the peak of traced memory within each stage; that
 peak counts what earlier stages still hold.  Both are in MB of 2**20 bytes,
-as the benchmark's `extract_rss_mb` is, and the last line of each workload
-gives the peak RSS of its interpreter over the first pass.  The inputs live
-in a temporary directory, removed at the end.
+as the benchmark's `extract_rss_mb` is.  The last lines of each workload
+give the peak RSS of its interpreter over the first pass, and the size of
+its trajectory file with the load's traced peak as a multiple of it.  The
+inputs live in a temporary directory, removed at the end.
 """
 
 import os
@@ -114,7 +115,9 @@ print(f"  {'stage':<14}{'tracemalloc peak MB':>20}{'RSS after MB':>14}")
 for name in ("load", *STAGES):
     if name in rss:
         print(f"  {name:<14}{peak[name]:>20.2f}{rss[name]:>14.2f}")
-print(f"  peak RSS {max_rss:.2f} MB", flush=True)
+print(f"  peak RSS {max_rss:.2f} MB")
+size = os.path.getsize(inp.traj) / MB
+print(f"  input file {size:.2f} MB; load peak {peak['load'] / size:.2f}x the file", flush=True)
 """
 
 
