@@ -35,7 +35,7 @@ class ParseError(ValueError):
 
 def read_bytes(source):
     """The bytes of a path (str or any os.PathLike), bytes as given, or a stream's ``read()``
-    (str from a text stream), uncopied: load_trajectory parses ASCII with no CR from them."""
+    (str from a text stream), uncopied: load_trajectory parses ASCII from them."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             return fh.read()
@@ -46,7 +46,7 @@ def read_text(data) -> str:
     """``data`` from ``read_bytes`` as text, by one rule for every source: UTF-8, with
     universal newlines (CR LF and a lone CR each read as LF) and leading byte order
     marks removed.  It holds the bytes and the text together, 2x an ASCII file, so
-    load_trajectory decodes only text streams and files not in ASCII or with a CR."""
+    load_trajectory decodes only text streams and files not in ASCII."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:

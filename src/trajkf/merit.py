@@ -25,7 +25,7 @@ from .formats import MeritMethod, SigningInterval
 from .geometry import BRANCH_NONPLANAR, BRANCH_PLANAR, DescriptorCurve
 # differentiate stays importable here: kept for perfbench/tracing.py
 from .trajectory import differentiate  # noqa: F401
-from .trajectory import DerivativeStack, TimedTrajectory, derivative, frozen, speed
+from .trajectory import DerivativeStack, TimedTrajectory, derivative, frozen, gaussian_smooth, speed
 
 DEFAULT_F_ERROR = 5e-2
 HARMONIC_EPS = 1e-12
@@ -147,7 +147,7 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     masked too; masked entries are stored as 0.  ``v`` is
     ``speed_profile(traj)``, computed when not given.
     """
-    parts = list(merit_batches(traj, intervals, method, f_error, speed_threshold, v))
+    parts = list(merit_batches(traj, intervals, method, f_error, speed_threshold, 0.0, v))
     if not parts:
         return DescriptorCurve(np.zeros(0), np.zeros(0, dtype=bool)), [], np.zeros(0, np.intp)
     curves, branches, rows = zip(*parts)
@@ -157,25 +157,36 @@ def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
             [b for batch in branches for b in batch], np.concatenate(rows))
 
 
-def speed_profile(traj: TimedTrajectory) -> np.ndarray:
-    """``speed(differentiate(traj, 1))`` bit for bit, d1 evaluated _BATCH_ROWS samples at a time."""
+def speed_profile(traj: TimedTrajectory, sigma: float = 0.0) -> np.ndarray:
+    """``speed(differentiate(gaussian_smooth(traj, sigma), 1))`` bit for bit, _BATCH_ROWS samples
+    at a time, each block (and its stencils' reach) smoothed just before d1 is evaluated there."""
     v = np.empty(traj.n_samples)
     for a in range(0, len(v), _BATCH_ROWS):
-        block = range(a, min(len(v), a + _BATCH_ROWS))
-        v[a:block.stop] = speed(DerivativeStack(derivative(traj, 1, block)))
+        b = min(len(v), a + _BATCH_ROWS)
+        window, lo = _smoothed(traj, sigma, a, b)
+        v[a:b] = speed(DerivativeStack(derivative(window, 1, range(a - lo, b - lo))))
     return v
+
+
+def _smoothed(traj, sigma, a, b):
+    """The clip smoothed at rows a - 6 to b + 5, as far as it goes, and its first row, so derivative
+    at a to b - 1, shifted by it, is the whole clip's (d3 needs 7 rows); traj and 0 at sigma 0."""
+    if not sigma:
+        return traj, 0
+    lo = max(0, a - 6)
+    return gaussian_smooth(traj, sigma, range(lo, min(traj.n_samples, b + 6))), lo
 
 
 def merit_batches(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                   method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
-                  speed_threshold: float = 0.0, v: np.ndarray | None = None):
-    """segmented_merit's (curve, branches, rows) for each batch of consecutive whole
-    intervals of at most _BATCH_ROWS laid-out samples (a longer one alone), in order.
-    Each evaluates d1 and d2 at its own samples and d3 at its non-planar ones, so only ``v``
-    spans the trajectory; O(N log N) over N laid-out samples.  A trajectory too short for
-    d2 raises ValueError on the first ``next``, as do the arguments segmented_merit refuses."""
+                  speed_threshold: float = 0.0, sigma: float = 0.0, v: np.ndarray | None = None):
+    """segmented_merit's (curve, branches, rows) on ``gaussian_smooth(traj, sigma)`` per batch of
+    consecutive whole intervals of at most _BATCH_ROWS laid-out samples (a longer one alone), in
+    order.  Each smooths its span (by start, they sum to about n + N), then evaluates d1 and d2 at
+    its samples and d3 at its non-planar ones: only ``v`` spans the clip; O(N log N) over N samples.
+    Too short a clip, or an argument segmented_merit refuses, raises ValueError on ``next``."""
     method, n = MeritMethod(method), traj.n_samples   # a member, or its tag
-    for name, x in [("f_error", f_error), ("speed_threshold", speed_threshold)]:
+    for name, x in [("sigma", sigma), ("f_error", f_error), ("speed_threshold", speed_threshold)]:
         if not x >= 0:   # NaN fails too
             raise ValueError(f"{name} must be >= 0, got {x}")
     for itv in intervals:
@@ -187,20 +198,22 @@ def merit_batches(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     if not intervals:
         return
     derivative(traj, 2, range(0))   # first, so a short trajectory fails naming order 2
-    v = speed_profile(traj) if v is None else v
+    v = speed_profile(traj, sigma) if v is None else v
     first, size = 0, 0
     for j, m in enumerate([*(itv.length for itv in intervals), _BATCH_ROWS + 1]):
         if size and size + m > _BATCH_ROWS:   # the sentinel ends the last
-            yield _merit_batch(traj, method, f_error, speed_threshold, v, intervals[first:j])
+            yield _merit_batch(traj, method, f_error, speed_threshold, sigma, v, intervals[first:j])
             first, size = j, 0
         size += m
 
 
-def _merit_batch(traj, method, f_error, speed_threshold, v, intervals):
+def _merit_batch(traj, method, f_error, speed_threshold, sigma, v, intervals):
     """merit_batches' (curve, branches, rows) for one batch of whole intervals."""
     offsets, lengths, rows = segment_layout(intervals)
+    traj, lo = _smoothed(traj, sigma, rows.min(), rows.max() + 1)
+    rows -= lo   # the batch's samples in the smoothed window, until the return
     d2 = derivative(traj, 2, rows)
-    d1, vb = derivative(traj, 1, rows), v[rows]
+    d1, vb = derivative(traj, 1, rows), v[lo:][rows]
     branches = [BRANCH_PLANAR if method is MeritMethod.MT else None] * len(lengths)
     if method is not MeritMethod.MT or traj.dim == 2:   # one kernel over the laid-out samples
         xy = method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3
@@ -229,7 +242,7 @@ def _merit_batch(traj, method, f_error, speed_threshold, v, intervals):
             mask[~flat] = h.valid_mask & (vh >= np.repeat(cut, lengths[~planar]))
     if speed_threshold > 0:
         mask = mask & (vb >= speed_threshold)
-    return DescriptorCurve(values, mask, offsets=offsets), branches, rows
+    return DescriptorCurve(values, mask, offsets=offsets), branches, rows + lo
 
 
 def merit_curves(traj: TimedTrajectory, intervals: Sequence[SigningInterval],

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .formats import KeyframeSet, MeritMethod, SigningInterval
-# merit_curve and differentiate stay importable here: kept for perfbench/tracing.py
+# merit_curve, differentiate and gaussian_smooth stay importable: kept for perfbench/tracing.py
 from .merit import DEFAULT_F_ERROR, merit_batches, merit_curve, speed_profile  # noqa: F401
 from .selection import (
     DEFAULT_MIN_GAP,
@@ -35,30 +35,29 @@ def extract_keyframes(
 ) -> KeyframeSet:
     """Select the ``count`` most prominent merit maxima of a trajectory.
 
-    The trajectory is smoothed, and its speed is computed once, in blocks of
-    samples, for the threshold, the interval detection (unless intervals are
-    supplied, e.g. from an annotation file) and the merit.  merit_batches scores
-    the distinct intervals in batches of whole intervals, and find_peaks takes
-    each batch's peaks; all the candidates are ranked by prominence, and a frame
-    where overlapping intervals both peak is one candidate at its best, so
-    keyframes are distinct.  Only the clip, its smoothing and the speed span it.
-    Frames slower than the speed threshold never become candidates, so rest
-    frames inside annotated intervals stay excluded.  Frames in the result are
-    sample indices into ``traj``.  Raises FloatingPointError on overflow.
+    The trajectory is never smoothed whole: speed_profile smooths and differentiates it in
+    blocks of samples, once, for the threshold, the interval detection (unless intervals are
+    supplied, e.g. from an annotation file) and the merit.  merit_batches scores the distinct
+    intervals, by start, in batches of whole intervals, each smoothing only its span, and
+    find_peaks takes each batch's peaks; all the candidates are ranked by prominence, and a
+    frame where overlapping intervals both peak is one candidate at its best, so keyframes
+    are distinct.  Only the clip and the speed span it.  Frames slower than the speed
+    threshold never become candidates, so rest frames inside annotated intervals stay
+    excluded.  Frames in the result are sample indices into ``traj``.  Raises
+    FloatingPointError on overflow.
     """
     method = MeritMethod(method)   # a member, or its tag
-    smoothed = gaussian_smooth(traj, sigma)
     with np.errstate(over="raise", invalid="raise"):
         # a shorter clip: each stage's own result or error
-        v = speed_profile(smoothed) if smoothed.n_samples >= MIN_SAMPLES[1] else None
+        v = speed_profile(traj, sigma) if traj.n_samples >= MIN_SAMPLES[1] else None
         threshold = speed_threshold if speed_threshold is not None \
-            else default_speed_threshold(smoothed, v)
+            else default_speed_threshold(traj, v)
         if intervals is None:
-            intervals = detect_intervals(smoothed, threshold, min_gap, min_len, v) \
+            intervals = detect_intervals(traj, threshold, min_gap, min_len, v) \
                 if threshold > 0 else []
-        distinct = list(dict.fromkeys(intervals))   # a repeat adds no candidate, only memory
+        distinct = sorted(set(intervals))   # each once; by start, the batches' spans overlap little
         frames, prominences = [np.zeros(0, np.intp)], [np.zeros(0)]
-        for curve, _, rows in merit_batches(smoothed, distinct, method, f_error, threshold, v):
+        for curve, _, rows in merit_batches(traj, distinct, method, f_error, threshold, sigma, v):
             peaks = find_peaks(curve)
             frames.append(rows[[p.frame for p in peaks]])
             prominences.append(np.array([p.prominence for p in peaks]))

@@ -119,7 +119,7 @@ class DerivativeStack:
         return self.d1.shape[1]
 
 
-def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
+def gaussian_smooth(traj: TimedTrajectory, sigma: float, rows=None) -> TimedTrajectory:
     """Smooth each coordinate channel with a truncated Gaussian kernel.
 
     The kernel has standard deviation ``sigma`` (in frames), is truncated at
@@ -127,31 +127,35 @@ def gaussian_smooth(traj: TimedTrajectory, sigma: float) -> TimedTrajectory:
     renormalized to sum 1; near the boundaries the truncated overlap is
     renormalized too, so constants are preserved.  ``sigma = 0`` is a no-op,
     and so is a sigma whose square underflows to 0 (its kernel is the unit
-    impulse).
+    impulse).  Only ``rows`` (a step-1 range, all by default) are smoothed, bit for
+    bit the whole clip's rows, from the points in reach; start_frame moves to rows[0].
     """
     if not sigma >= 0:   # NaN fails too
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    n, rows = traj.n_samples, range(traj.n_samples) if rows is None else rows
     # a huge sigma squares to inf (a flat kernel); a tiny one's off-centre taps reach exp(-inf)
     with np.errstate(over="ignore"):
         two_var = 2 * np.float64(sigma) ** 2
         if two_var == 0:
-            return traj
-        n = traj.n_samples
+            return traj if len(rows) == n else TimedTrajectory(
+                traj.points[rows.start:rows.stop], traj.frame_rate, traj.start_frame + rows.start)
         radius = math.ceil(min(4 * sigma, n - 1))
         k = np.arange(-radius, radius + 1, dtype=float)
         kernel = np.exp(-(k**2) / two_var)
     kernel /= kernel.sum()
+    # the points in reach, at least a kernel's length: np.convolve swaps its operands if fewer
+    lo, hi = max(0, min(rows.start - radius, n - k.size)), min(n, max(rows.stop + radius, k.size))
 
-    # full convolution sliced back to the signal length; mode="same" would
+    # full convolution sliced back to the rows; mode="same" would
     # return kernel-length output when the kernel outgrows a short signal
     def convolve(x):
-        return np.convolve(x, kernel, mode="full")[radius : radius + n]
+        return np.convolve(x, kernel, mode="full")[rows.start - lo + radius:][:len(rows)]
 
-    coverage = convolve(np.ones(n))
-    smoothed = np.empty((n, traj.dim))
+    coverage = convolve(np.ones(hi - lo))
+    smoothed = np.empty((len(rows), traj.dim))
     for j in range(traj.dim):   # a list of columns and their stack would hold the clip twice
-        np.divide(convolve(traj.points[:, j]), coverage, out=smoothed[:, j])
-    return TimedTrajectory(frozen(smoothed), traj.frame_rate, traj.start_frame)
+        np.divide(convolve(traj.points[lo:hi, j]), coverage, out=smoothed[:, j])
+    return TimedTrajectory(frozen(smoothed), traj.frame_rate, traj.start_frame + rows.start)
 
 
 MIN_SAMPLES = {1: 3, 2: 4, 3: 7}   # fewest samples per derivative order
@@ -237,10 +241,10 @@ def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> Ti
     JSON it comes from the file's "fps" field.  Dimensionality is inferred
     from the columns present.  Malformed rows, non-monotone or non-consecutive
     frame indices, and mixed dimensionality raise ParseError naming the row.
-    A file in ASCII with no CR, as save_trajectory writes, loads from its bytes in
-    about 1x the file plus the points; any other, and a text stream, is decoded by
-    read_text first.  JSON whose "points" is its last member and holds no '"' is
-    parsed about 256 KB at a time; any other layout, or any doubt, is parsed whole.
+    A file in ASCII after any BOMs, as save_trajectory writes, loads from its bytes (CRs
+    made LF) in about 1x the file plus the points; any other, and a text stream, is decoded
+    by read_text first.  CSV rows, and JSON "points" that are the last member with no '"',
+    are parsed about 64 KB at a time; any other JSON layout, or any doubt, is parsed whole.
     """
     if format == "csv":
         return _load_csv(_plain(read_bytes(source)), frame_rate)
@@ -257,13 +261,14 @@ def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> Ti
 
 
 def _plain(data) -> bytes:
-    """``data`` if it is bytes in ASCII with no CR; else its text by read_text, in _UTF8."""
-    if isinstance(data, bytes) and data.isascii() and b"\r" not in data:
-        return data
+    """read_text's text of ``data`` in _UTF8; ASCII bytes after any BOMs stay bytes, CRs made LF."""
+    if isinstance(data, bytes) and (rest := data[_BOMS.match(data).end():]).isascii():
+        return rest.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in rest else rest
     return read_text(data).encode(*_UTF8)
 
 
 _UTF8 = ("utf-8", "surrogatepass")   # how the loaders' bytes hold any str, lone surrogates too
+_BOMS = re.compile(rb"(?:\xef\xbb\xbf)*")   # UTF-8 byte order marks
 _CSV_HEADERS = (["frame", "x", "y"], ["frame", "x", "y", "z"])
 # ASCII controls numpy's number parsers skip as whitespace but int() and float() refuse
 _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
@@ -299,7 +304,7 @@ def _lines_within(data: bytes, limit: int) -> bool:
 
 
 def _load_csv(data: bytes, frame_rate: float) -> TimedTrajectory:
-    """One ``np.loadtxt`` pass over the rows after a plain header line.
+    """``np.loadtxt`` over the rows after a plain header line, a piece (``_cut``) at a time.
 
     Anything that pass refuses or cannot vouch for (quoting, a bad field, a
     frame gap or repeat, a non-finite value, no rows) goes to the row loop,
@@ -315,18 +320,26 @@ def _load_csv(data: bytes, frame_rate: float) -> TimedTrajectory:
             and _NOT_SPACE.search(data, end)   # no rows: loadtxt would warn
             and _lines_within(data, csv.field_size_limit())):
         dtype = np.dtype([("frame", np.int64), ("xyz", np.float64, (data.count(b",", 0, end),))])
+        points = np.empty((data.count(b"\n", end + 1) + (data[-1:] != b"\n"), *dtype["xyz"].shape))
+        pos, k, frames = end + 1, 0, np.zeros(0, np.int64)   # frames: the first and last so far
         try:
-            table = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
-                               quotechar=None, skiprows=1, ndmin=1)
+            while pos < len(data):
+                piece = data[pos:(pos := _cut(data, pos, b"\n", len(data)))]
+                if piece.strip(b"\n"):   # loadtxt warns on a piece of empty lines
+                    table = np.loadtxt(io.BytesIO(piece), dtype=dtype, delimiter=",", comments=None,
+                                       quotechar=None, ndmin=1)
+                    frames = np.r_[frames, table["frame"]]
+                    # diff 1 also holds across the int64 wrap from 2**63 - 1 to -2**63
+                    if not ((np.diff(frames[-len(table) - 1:]) == 1).all()
+                            and frames[-1] >= frames[0] and np.isfinite(table["xyz"]).all()):
+                        raise ValueError("a frame gap, repeat or wrap, or a non-finite value")
+                    points[k:k + len(table)] = table["xyz"]
+                    k, frames = k + len(table), frames[[0, -1]]
         except ValueError:
             pass
         else:
-            frames, points = table["frame"], table["xyz"]
-            # diff 1 also holds across the int64 wrap from 2**63 - 1 to -2**63
-            if ((np.diff(frames) == 1).all() and frames[-1] >= frames[0]
-                    and np.isfinite(points).all()):
-                del data
-                return TimedTrajectory(points, frame_rate, frames[0])
+            return TimedTrajectory(frozen(points if k == len(points) else points[:k].copy()),
+                                   frame_rate, frames[0])   # k is short by the empty lines
     return _load_csv_rows(data.decode(*_UTF8), frame_rate)
 
 
@@ -419,9 +432,14 @@ def _point_rows(pts: list, width: int) -> np.ndarray | None:
     return points.reshape(-1, width) if np.isfinite(points).all() else None
 
 
-_PIECE_CHARS = 1 << 18   # "points" bytes parsed at a time, so the lists alive stay small
+_PIECE_CHARS = 1 << 16   # bytes of CSV rows or JSON "points" parsed at a time
 _JSON_SPACE = re.compile(rb"[ \t\n\r]*")
 _POINTS_KEY = re.compile(rb'(?<!\\)"points"[ \t\n\r]*:[ \t\n\r]*\[')   # quote not escaped
+
+
+def _cut(data: bytes, pos: int, mark: bytes, stop: int) -> int:
+    """The end of the piece from ``pos``: after the first ``mark`` _PIECE_CHARS or more on."""
+    return data.find(mark, pos + _PIECE_CHARS, stop) + 1 or stop
 
 
 def _load_json_pieces(data: bytes) -> tuple[dict, list]:
@@ -435,7 +453,7 @@ def _load_json_pieces(data: bytes) -> tuple[dict, list]:
     obj = parse_json(data[:key.start()].decode(*_UTF8) + '"points": []}')
     pieces, pos = [], key.end()
     while pos <= close:   # past close only once a piece ends with no comma after it
-        cut = data.find(b"]", pos + _PIECE_CHARS, close) + 1 or close
+        cut = _cut(data, pos, b"]", close)
         rows = parse_json("[" + data[pos:cut].decode(*_UTF8) + "]")
         if not pieces:   # the first row sets the width
             width = len(rows[0]) if rows and type(rows[0]) is list else 0

@@ -19,6 +19,7 @@ from trajkf import (
     curvature_t,
     differentiate,
     extract_keyframes,
+    gaussian_smooth,
     generate,
     harmonic_mean_curve,
     merit_curves,
@@ -26,7 +27,13 @@ from trajkf import (
 )
 import trajkf.merit
 import trajkf.pipeline
-from trajkf.merit import merit_curve, segment_percentile, segmented_merit, speed_profile
+from trajkf.merit import (
+    merit_batches,
+    merit_curve,
+    segment_percentile,
+    segmented_merit,
+    speed_profile,
+)
 
 
 def curve(values, mask=None):
@@ -372,12 +379,14 @@ def keyframe_bytes(result):
 
 class TestBatches:
     """segmented_merit and extract_keyframes give the same bytes one interval per batch
-    as with all in one batch; extract searches each batch's curve for peaks."""
+    as with all in one batch; extract searches each batch's curve for peaks.  Each batch
+    smoothing only its own span gives the merit of the whole clip smoothed."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=clip_and_layout(), method=st.sampled_from(list(MeritMethod)),
-           threshold=st.sampled_from([0.0, None]), f_error=st.sampled_from([0.005, 0.05]))
-    def test_one_interval_per_batch_is_one_batch(self, case, method, threshold, f_error):
+           threshold=st.sampled_from([0.0, None]), f_error=st.sampled_from([0.005, 0.05]),
+           sigma=st.sampled_from([0.5, 2.0, 7.0, 1e9]))
+    def test_one_interval_per_batch_is_one_batch(self, case, method, threshold, f_error, sigma):
         traj, intervals = case
         whole = 10 * sum(itv.length for itv in intervals)
         merit = [batched(size, lambda: segmented_merit(traj, intervals, method, f_error,
@@ -385,6 +394,13 @@ class TestBatches:
         assert merit_bytes(merit[0]) == merit_bytes(merit[1])
         if traj.n_samples < 4:   # too short for d2, whatever the method
             assert "order 2" in merit[0] or "3-D" in merit[0]
+        # each interval's batch smoothed on its own, against the whole clip smoothed first
+        windows = batched(1, lambda: [merit_bytes(part) for part in merit_batches(
+            traj, intervals, method, f_error, threshold or 0.0, sigma)])
+        smoothed = batched(1, lambda: [merit_bytes(segmented_merit(
+            gaussian_smooth(traj, sigma), [itv], method, f_error, threshold or 0.0))
+            for itv in intervals])
+        assert windows == smoothed
         find_peaks, keys, segments = trajkf.pipeline.find_peaks, [], []
         for size in (1, whole):   # the segments of each curve find_peaks is called on
             segments.append([])
@@ -392,7 +408,7 @@ class TestBatches:
                 mp.setattr(trajkf.pipeline, "find_peaks", lambda curve: (
                     segments[-1].append(len(curve.offsets)), find_peaks(curve))[1])
                 keys.append(batched(size, lambda: extract_keyframes(
-                    traj, method, count=len(traj.points), f_error=f_error,
+                    traj, method, count=len(traj.points), sigma=sigma, f_error=f_error,
                     intervals=intervals, speed_threshold=threshold)))
         assert keyframe_bytes(keys[0]) == keyframe_bytes(keys[1])
         distinct = len(set(intervals))
@@ -403,22 +419,24 @@ class TestBatches:
 
 
 class TestSpeedProfile:
-    """speed_profile, d1 evaluated one block of samples at a time, is the whole-clip speed."""
+    """speed_profile, each block of samples smoothed and its d1 evaluated on its own, is the
+    speed of the whole clip smoothed."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_blocks_give_the_whole_clip_speed_bit_for_bit(self, data):
-        n, dim = data.draw(st.integers(4, 400)), data.draw(st.sampled_from([2, 3]))
+        n, dim = data.draw(st.integers(3, 400)), data.draw(st.sampled_from([2, 3]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
         traj = TimedTrajectory(scale * np.cumsum(rng.normal(size=(n, dim)), axis=0),
                                data.draw(st.sampled_from([1.0, 29.97, 60.0, 240.0])))
-        want = speed(differentiate(traj, 1)).tobytes()
+        sigma = data.draw(st.sampled_from([0.0, 1e-160, 0.5, 2.0, 7.0, 1e9]))
+        want = speed(differentiate(gaussian_smooth(traj, sigma), 1)).tobytes()
         # blocks that end one or two samples from either clip end, and one block for all
         for block in (1, 2, 7, data.draw(st.integers(1, n)), n + data.draw(st.integers(0, 3))):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(trajkf.merit, "_BATCH_ROWS", block)
-                assert speed_profile(traj).tobytes() == want
+                assert speed_profile(traj, sigma).tobytes() == want
 
 
 EXTREME = [0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308,

@@ -274,9 +274,18 @@ class TestCsvLoaderMatchesRowLoop:
     def test_edge_case(self, text):
         assert_loads_like_row_loop(text)
 
-    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @pytest.mark.parametrize("text", CSV_EDGE_CASES.values(), ids=CSV_EDGE_CASES.keys())
+    def test_edge_case_a_piece_a_row(self, text, monkeypatch):
+        # every cut is after the next row's "\n"
+        monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", 1)
+        assert_loads_like_row_loop(text)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_mutated_text(self, data):
+    def test_mutated_text(self, data, monkeypatch):
+        # pieces of a few characters: the frames must run on across every cut, the wrap too
+        monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", data.draw(st.integers(1, 16)))
         dim = data.draw(st.sampled_from([2, 3]))
         start = data.draw(st.sampled_from([0, 7, -3, 2**63 - 2]))
         value = st.one_of(st.integers(-9, 9).map(float),
@@ -616,6 +625,36 @@ class TestGaussianSmooth:
             warnings.simplefilter("error")
             out = gaussian_smooth(traj, sigma)
         assert np.array_equal(out.points, traj.points)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rows_are_the_whole_clips_bit_for_bit(self, data):
+        # any step-1 range, empty or holding either end, under kernels from the unit impulse
+        # (sigma 0, and 1e-160 whose off-centre taps are 0) to one longer than the clip
+        n, dim = data.draw(st.integers(1, 400)), data.draw(st.sampled_from([2, 3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        traj = make_traj(scale * np.cumsum(rng.normal(size=(n, dim)), axis=0),
+                         start=data.draw(st.sampled_from([0, 5, 2**62])))
+        sigma = data.draw(st.sampled_from([0.0, 1e-160, 0.5, 2.0, 7.0, 1e9]))
+        start = data.draw(st.sampled_from([0, 1, n - 1, n]) | st.integers(0, n))
+        stop = data.draw(st.sampled_from([start, start + 1, n])
+                         .filter(lambda b: start <= b <= n) | st.integers(start, n))
+        if start == stop:   # no trajectory is empty
+            with pytest.raises(ValueError, match="non-empty"):
+                gaussian_smooth(traj, sigma, range(start, stop))
+            return
+        whole = gaussian_smooth(traj, sigma)
+        part = gaussian_smooth(traj, sigma, range(start, stop))
+        assert part.points.tobytes() == whole.points[start:stop].tobytes()
+        assert (part.frame_rate, part.start_frame) == (60.0, traj.start_frame + start)
+        # only the points within the kernel's reach of the rows are read
+        reach = math.ceil(min(4 * sigma, n - 1))
+        poisoned = np.full((n, dim), np.nan)
+        kept = slice(max(0, start - reach), stop + reach)
+        poisoned[kept] = traj.points[kept]
+        got = gaussian_smooth(make_traj(poisoned), sigma, range(start, stop))
+        assert got.points.tobytes() == part.points.tobytes()
 
     @pytest.mark.parametrize("sigma", [1e5, 1e300])
     def test_huge_sigma_averages_the_clip(self, sigma):

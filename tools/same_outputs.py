@@ -16,8 +16,12 @@ The JSON clip of `signing_json_pergloss` is also rewritten compact with
 `"points"` as its first member, which the loader parses whole rather than in
 pieces, and `extract` runs on that copy too.
 Each workload's clip is also copied with CR LF line ends and with a UTF-8
-byte order mark, which the loaders decode before parsing, while the clip
-itself is parsed from its bytes; `extract` runs on both copies.
+byte order mark, which the loaders strip from the bytes before parsing;
+`extract` runs on both copies.  A CSV clip is also copied with blank lines
+(two after the header, one every 1000 rows) and no final newline, and the
+`signing_csv` clip of seed 1 also goes through `extract --sigma 1000`, whose
+8001-tap kernel is longer than most batches' spans, so their smoothing
+windows are widened to the kernel's length.
 Each workload and seed also runs `extract --annotations` with two intervals,
 the first and the last 60 samples of the clip, under mt and those methods.
 It runs `extract --annotations` once more, under the same methods, with
@@ -29,7 +33,9 @@ Three 7-sample clips (a helix, a parabola in a tilted plane and a 2-D
 parabola), each also run backwards, go through `extract --sigma 0` with one
 interval over the whole clip, under every method that takes their
 dimension. The one-sided stencils of the clip ends give the derivatives at
-their first and last two samples, and each pick's score reads them.
+their first and last two samples, and each pick's score reads them.  They
+also go through `extract` at the default sigma, whose 13-tap kernel is
+longer than the clip.
 Then `trajkf synth --a 0.7 --b 0.3 --seed 4` writes each curve kind in
 `synthetic.CURVE_KINDS` as CSV and as JSON: a trajectory and an annotation
 file each.  That radius and pitch give analytic curvature and torsion with
@@ -87,15 +93,22 @@ for name in WORKLOADS:
             keys_first = work / "keys-points-first.json"
             if main(dataclasses.replace(inp, traj=first).extract_argv(keys_first)) != 0:
                 sys.exit(f"{name} seed {seed}: trajkf extract on the points-first clip failed")
-        # the clip with CR LF line ends, and with a byte order mark: both are decoded first
+        # the clip with CR LF line ends, and with a byte order mark, both cut from the bytes
         raw = inp.traj.read_bytes()
         copies = {"crlf": raw.replace(b"\\n", b"\\r\\n"), "bom": b"\\xef\\xbb\\xbf" + raw}
+        if inp.fmt == "csv":   # blank lines, two after the header, and no final newline
+            lines = raw.split(b"\\n")[:-1]
+            copies["blank"] = b"\\n".join([lines[0], b"", b"", *(
+                line + b"\\n" * (i % 1000 == 0) for i, line in enumerate(lines[1:], 1))])
         for kind, copy in copies.items():
             path = work / f"clip-{kind}.{inp.fmt}"
             path.write_bytes(copy)
             keys_copy = work / f"keys-{kind}.json"
             if main(dataclasses.replace(inp, traj=path).extract_argv(keys_copy)) != 0:
                 sys.exit(f"{name} seed {seed}: trajkf extract on the {kind} clip failed")
+        if name == "signing_csv" and seed == 1:   # a kernel longer than most batches' spans
+            if main([*inp.extract_argv(work / "keys-sigma1000.json"), "--sigma", "1000"]):
+                sys.exit(f"{name} seed {seed}: trajkf extract --sigma 1000 failed")
         # intervals at both ends of the clip, where the one-sided stencils serve
         n = load_annotations(inp.truth).n_frames
         ends = work / "ends.json"
@@ -137,10 +150,13 @@ for kind, points in [*CLIPS.items(), *((f"{k}-backwards", p[::-1]) for k, p in C
     path.write_text("\\n".join([header, *(",".join([str(i), *map(repr, p)])
                                           for i, p in enumerate(points))]) + "\\n")
     for method in ("mt", "k2dt", "k2ds", *(("k3dt", "k3ds") if len(points[0]) == 3 else ())):
-        argv = ["extract", str(path), "--annotations", str(ann), "--count", "2", "--sigma", "0",
-                "--method", method, "-o", str(out / "short" / f"keys-{kind}-{method}.json")]
-        if main(argv) != 0:
-            sys.exit(f"trajkf extract --method {method} on the 7-sample {kind} clip failed")
+        for sigma in ("0", "2"):   # unsmoothed, and the default, whose kernel outgrows the clip
+            argv = ["extract", str(path), "--annotations", str(ann), "--count", "2", "--sigma",
+                    sigma, "--method", method,
+                    "-o", str(out / "short" / f"keys-{kind}-{method}-sigma{sigma}.json")]
+            if main(argv) != 0:
+                sys.exit(f"trajkf extract --method {method} --sigma {sigma} on the 7-sample "
+                         f"{kind} clip failed")
 for fmt in ("csv", "json"):
     (out / "synth" / fmt).mkdir(parents=True)
     for kind in CURVE_KINDS:

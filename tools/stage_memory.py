@@ -7,12 +7,15 @@ and the benchmark's size, with `perfbench/workloads.make_inputs`.  Then,
 for each workload, another fresh interpreter runs extract on them as the
 benchmark's in-process mirror does (`workloads.extract_inprocess`), so the
 RSS of writing the inputs stays out of it.  The stages are load
-(`load_trajectory`) and the steps of `extract_keyframes`: smooth, speed,
-threshold, detect, merit+peaks and select, each marked by a wrapper on the
+(`load_trajectory`) and the steps of `extract_keyframes`: speed, threshold,
+detect, merit+peaks and select, each marked by a wrapper on the
 `trajkf.pipeline` attribute the pipeline looks up.  Detect does not run when
-the workload supplies its intervals.  Merit+peaks is `merit_batches` from its
-call until it is exhausted, with the `find_peaks` call on each batch the
-pipeline makes in between, so its traced peak is the largest of any batch.
+the workload supplies its intervals.  Smoothing is no stage of its own: the
+speed smooths each of its blocks of samples, and merit+peaks each batch's
+span of the clip, just before differentiating it.  Merit+peaks is
+`merit_batches` from its call until it is exhausted, with the `find_peaks`
+call on each batch the pipeline makes in between, so its traced peak is the
+largest of any batch.
 
 Extract runs twice.  The first pass reads the resident set size (RSS, from
 /proc/self/statm, so Linux only) after each stage.  The second runs under
@@ -61,9 +64,9 @@ import trajkf.pipeline
 from workloads import Inputs, extract_inprocess
 
 MB = 2**20
-STAGES = {"smooth": "gaussian_smooth", "speed": "speed_profile",
-          "threshold": "default_speed_threshold", "detect": "detect_intervals",
-          "merit+peaks": "merit_batches", "select": "select_keyframes"}
+STAGES = {"speed": "speed_profile", "threshold": "default_speed_threshold",
+          "detect": "detect_intervals", "merit+peaks": "merit_batches",
+          "select": "select_keyframes"}
 
 
 def rss_mb():
