@@ -9,8 +9,8 @@ curvature in 2-D/3-D) share the same curve representation so one selection
 stage serves all of them.
 
 ``merit_batches`` computes the curves in batches of whole intervals, each laid
-end to end (``segment_layout``); ``segmented_merit`` concatenates the batches,
-and ``merit_curves`` splits the result per interval.
+end to end (``segment_layout``), and ``merit_curves`` splits each batch's curve
+per interval.
 """
 
 from __future__ import annotations
@@ -128,35 +128,6 @@ def segment_layout(intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return offsets, lengths, np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
 
-def segmented_merit(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
-                    method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
-                    speed_threshold: float = 0.0, v: np.ndarray | None = None
-                    ) -> tuple[DescriptorCurve, list, np.ndarray]:
-    """All intervals' descriptor curves under ``method``, laid end to end as
-    the segments of one curve (``segment_layout``), each one's branch, and the
-    trajectory sample of every curve slot: merit_batches' batches concatenated.
-
-    For MeritMethod.MT on 3-D input each interval's points are plane-fitted.
-    Planar intervals are ranked by the turn rate of the motion projected onto
-    their plane (the derivatives times the plane basis); non-planar ones by
-    the harmonic mean of turn and twist rates, masked where the speed is
-    below TORSION_SPEED_FRACTION of the interval's 95th-percentile speed.
-    2-D input takes the planar branch directly.  Baseline methods skip the
-    classification (branch None); the 2-D ones read the first two
-    coordinates.  Samples slower than a positive ``speed_threshold`` are
-    masked too; masked entries are stored as 0.  ``v`` is
-    ``speed_profile(traj)``, computed when not given.
-    """
-    parts = list(merit_batches(traj, intervals, method, f_error, speed_threshold, 0.0, v))
-    if not parts:
-        return DescriptorCurve(np.zeros(0), np.zeros(0, dtype=bool)), [], np.zeros(0, np.intp)
-    curves, branches, rows = zip(*parts)
-    return (DescriptorCurve(np.concatenate([c.values for c in curves]),
-                            np.concatenate([c.valid_mask for c in curves]),
-                            offsets=segment_layout(intervals)[0]),
-            [b for batch in branches for b in batch], np.concatenate(rows))
-
-
 def speed_profile(traj: TimedTrajectory, sigma: float = 0.0) -> np.ndarray:
     """``speed(differentiate(gaussian_smooth(traj, sigma), 1))`` bit for bit, _BATCH_ROWS samples
     at a time, each block (and its stencils' reach) smoothed just before d1 is evaluated there."""
@@ -179,12 +150,15 @@ def _smoothed(traj, sigma, a, b):
 
 def merit_batches(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                   method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
-                  speed_threshold: float = 0.0, sigma: float = 0.0, v: np.ndarray | None = None):
-    """segmented_merit's (curve, branches, rows) on ``gaussian_smooth(traj, sigma)`` per batch of
+                  speed_threshold: float = 0.0, sigma: float = 0.0):
+    """The intervals' descriptor curve on ``gaussian_smooth(traj, sigma)`` per batch of
     consecutive whole intervals of at most _BATCH_ROWS laid-out samples (a longer one alone), in
-    order.  Each smooths its span (by start, they sum to about n + N), then evaluates d1 and d2 at
-    its samples and d3 at its non-planar ones: only ``v`` spans the clip; O(N log N) over N samples.
-    Too short a clip, or an argument segmented_merit refuses, raises ValueError on ``next``."""
+    order: (curve, branches, rows), the batch's intervals laid end to end as the segments of one
+    curve (``segment_layout``), each one's branch, and the trajectory sample of every curve slot.
+    Each smooths its span (by start, they sum to about n + N), then evaluates d1, and the speed as
+    its norm, and d2 at its samples and d3 at its non-planar ones: nothing spans the clip;
+    O(N log N) over N samples.  Too short a clip, or a negative or NaN ``sigma``, ``f_error`` or
+    ``speed_threshold``, raises ValueError on ``next``."""
     method, n = MeritMethod(method), traj.n_samples   # a member, or its tag
     for name, x in [("sigma", sigma), ("f_error", f_error), ("speed_threshold", speed_threshold)]:
         if not x >= 0:   # NaN fails too
@@ -198,22 +172,22 @@ def merit_batches(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
     if not intervals:
         return
     derivative(traj, 2, range(0))   # first, so a short trajectory fails naming order 2
-    v = speed_profile(traj, sigma) if v is None else v
     first, size = 0, 0
     for j, m in enumerate([*(itv.length for itv in intervals), _BATCH_ROWS + 1]):
         if size and size + m > _BATCH_ROWS:   # the sentinel ends the last
-            yield _merit_batch(traj, method, f_error, speed_threshold, sigma, v, intervals[first:j])
+            yield _merit_batch(traj, method, f_error, speed_threshold, sigma, intervals[first:j])
             first, size = j, 0
         size += m
 
 
-def _merit_batch(traj, method, f_error, speed_threshold, sigma, v, intervals):
+def _merit_batch(traj, method, f_error, speed_threshold, sigma, intervals):
     """merit_batches' (curve, branches, rows) for one batch of whole intervals."""
     offsets, lengths, rows = segment_layout(intervals)
     traj, lo = _smoothed(traj, sigma, rows.min(), rows.max() + 1)
     rows -= lo   # the batch's samples in the smoothed window, until the return
+    d1 = derivative(traj, 1, rows)
+    vb = speed(DerivativeStack(d1))
     d2 = derivative(traj, 2, rows)
-    d1, vb = derivative(traj, 1, rows), v[lo:][rows]
     branches = [BRANCH_PLANAR if method is MeritMethod.MT else None] * len(lengths)
     if method is not MeritMethod.MT or traj.dim == 2:   # one kernel over the laid-out samples
         xy = method in (MeritMethod.K2DT, MeritMethod.KAPPA2DS) and traj.dim == 3
@@ -248,12 +222,26 @@ def _merit_batch(traj, method, f_error, speed_threshold, sigma, v, intervals):
 def merit_curves(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                  method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
                  speed_threshold: float = 0.0) -> list[DescriptorCurve]:
-    """segmented_merit's curve split into one curve per interval, each with its
-    ``branch``: all intervals laid end to end, in batches of whole intervals."""
-    curve, branches, _ = segmented_merit(traj, intervals, method, f_error, speed_threshold)
-    bounds = [*curve.offsets.tolist(), len(curve)]
-    return [DescriptorCurve(curve.values[a:b], curve.valid_mask[a:b], branch)
-            for a, b, branch in zip(bounds, bounds[1:], branches)]
+    """Each interval's descriptor curve under ``method``, with its ``branch``: merit_batches'
+    curves split at their offsets.
+
+    For MeritMethod.MT on 3-D input each interval's points are plane-fitted.
+    Planar intervals are ranked by the turn rate of the motion projected onto
+    their plane (the derivatives times the plane basis); non-planar ones by
+    the harmonic mean of turn and twist rates, masked where the speed is
+    below TORSION_SPEED_FRACTION of the interval's 95th-percentile speed.
+    2-D input takes the planar branch directly.  Baseline methods skip the
+    classification (branch None); the 2-D ones read the first two
+    coordinates.  Samples slower than a positive ``speed_threshold`` are
+    masked too; masked entries are stored as 0.  The speed is the norm of the
+    velocity evaluated at the interval's samples.
+    """
+    curves = []
+    for curve, branches, _ in merit_batches(traj, intervals, method, f_error, speed_threshold):
+        bounds = [*curve.offsets.tolist(), len(curve)]
+        curves += [DescriptorCurve(curve.values[a:b], curve.valid_mask[a:b], branch)
+                   for a, b, branch in zip(bounds, bounds[1:], branches)]
+    return curves
 
 
 def segment_percentile(values: np.ndarray, lengths: np.ndarray, q: float) -> np.ndarray:
@@ -284,5 +272,5 @@ def segment_percentile(values: np.ndarray, lengths: np.ndarray, q: float) -> np.
 # kept for perfbench/tracing.py and perfbench/test_perfbench.py
 def merit_curve(traj: TimedTrajectory, interval: SigningInterval, method: MeritMethod,
                 f_error: float = DEFAULT_F_ERROR) -> DescriptorCurve:
-    """merit_curves for one interval; each call differentiates the whole trajectory."""
+    """merit_curves for one interval; each call differentiates only the interval's samples."""
     return merit_curves(traj, [interval], method, f_error)[0]

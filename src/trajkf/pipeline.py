@@ -36,15 +36,15 @@ def extract_keyframes(
     """Select the ``count`` most prominent merit maxima of a trajectory.
 
     The trajectory is never smoothed whole: speed_profile smooths and differentiates it in
-    blocks of samples, once, for the threshold, the interval detection (unless intervals are
-    supplied, e.g. from an annotation file) and the merit.  merit_batches scores the distinct
-    intervals, by start, in batches of whole intervals, each smoothing only its span, and
-    find_peaks takes each batch's peaks; all the candidates are ranked by prominence, and a
-    frame where overlapping intervals both peak is one candidate at its best, so keyframes
-    are distinct.  Only the clip and the speed span it.  Frames slower than the speed
-    threshold never become candidates, so rest frames inside annotated intervals stay
-    excluded.  Frames in the result are sample indices into ``traj``.  Raises
-    FloatingPointError on overflow.
+    blocks of samples, once, for the threshold and the interval detection (unless intervals
+    are supplied, e.g. from an annotation file).  merit_batches scores the distinct intervals,
+    by start, in batches of whole intervals, each smoothing only its span and taking its speed
+    from the velocity it evaluates there, and find_peaks takes each batch's peaks; all the
+    candidates are ranked by prominence, and a frame where overlapping intervals both peak is
+    one candidate at its best, so keyframes are distinct.  Only the clip and the speed span
+    it.  Frames slower than the speed threshold never become candidates, so rest frames inside
+    annotated intervals stay excluded.  Frames in the result are sample indices into ``traj``.
+    Raises FloatingPointError on overflow.
     """
     method = MeritMethod(method)   # a member, or its tag
     with np.errstate(over="raise", invalid="raise"):
@@ -57,7 +57,7 @@ def extract_keyframes(
                 if threshold > 0 else []
         distinct = sorted(set(intervals))   # each once; by start, the batches' spans overlap little
         frames, prominences = [np.zeros(0, np.intp)], [np.zeros(0)]
-        for curve, _, rows in merit_batches(traj, distinct, method, f_error, threshold, sigma, v):
+        for curve, _, rows in merit_batches(traj, distinct, method, f_error, threshold, sigma):
             peaks = find_peaks(curve)
             frames.append(rows[[p.frame for p in peaks]])
             prominences.append(np.array([p.prominence for p in peaks]))

@@ -45,12 +45,12 @@ from trajkf import (
     fit_plane,
     gaussian_smooth,
     harmonic_mean_curve,
+    merit_curves,
     project_to_plane,
     score,
     speed,
     torsion_t,
 )
-from trajkf.merit import segmented_merit
 from trajkf.formats import float9, json_finite_number, parse_json
 from trajkf.trajectory import FRAME_RATES
 
@@ -494,12 +494,13 @@ def brute_select(frames, prominences, count, method=None) -> KeyframeSet:
 
 def extract_every_copy(traj, intervals, method, count, sigma=2.0):
     """extract_keyframes on supplied intervals with every listed interval,
-    repeats included, laid out and scored: one segment per copy, each copy's
-    candidates found on its own segment and all of them pooled by brute_select."""
+    repeats included, scored: each copy's candidates found on its own
+    merit_curves curve, at its start plus the peak's frame, and all of them
+    pooled by brute_select."""
     smoothed = gaussian_smooth(traj, sigma)
     with np.errstate(over="raise", invalid="raise"):
         threshold = default_speed_threshold(smoothed)
-        curve, _, rows = segmented_merit(smoothed, intervals, method, speed_threshold=threshold)
-    peaks = find_peaks(curve)
-    frames = rows[[p.frame for p in peaks]].tolist()
-    return brute_select(frames, [p.prominence for p in peaks], count, method=method)
+        curves = merit_curves(smoothed, intervals, method, speed_threshold=threshold)
+    peaks = [(itv.start + p.frame, p.prominence)
+             for itv, curve in zip(intervals, curves) for p in find_peaks(curve)]
+    return brute_select([f for f, _ in peaks], [p for _, p in peaks], count, method=method)

@@ -1,6 +1,7 @@
 """Peak memory of the CSV and JSON loads and of extract_keyframes on a 27k-sample
-signing clip, in multiples of what each one reads, and the smoothing work of
-extract with many small supplied intervals.
+signing clip, in multiples of what each one reads, the smoothing work of
+extract with many small supplied intervals, and the derivative rows that
+merit_curves evaluates for one short interval.
 
 tracemalloc counts what Python and numpy allocate, so a peak reads the
 same on a busy host as on an idle one, unlike a timing.  Each bound sits
@@ -32,10 +33,12 @@ import pytest
 
 from trajkf import (
     CurveSpec,
+    MeritMethod,
     SigningInterval,
     extract_keyframes,
     generate,
     load_trajectory,
+    merit_curves,
     save_trajectory,
 )
 import trajkf.merit
@@ -125,3 +128,17 @@ def test_smoothing_covers_the_clip_and_the_laid_out_samples_once(clip, monkeypat
     extract_keyframes(clip.trajectory, count=50, intervals=intervals)
     laid_out = sum(itv.length for itv in set(intervals))
     assert sum(smoothed) <= 2 * n + laid_out + 12 * len(smoothed)
+
+
+@pytest.mark.parametrize("method", list(MeritMethod), ids=lambda m: m.value)
+def test_merit_curves_of_one_interval_differentiate_only_its_samples(clip, monkeypatch, method):
+    # d1 (and the speed as its norm), d2 and d3 at the interval's 90 samples, and no speed
+    # profile, which differentiates the whole clip
+    itv = SigningInterval(13_500, 13_589)
+    rows, profiles, derivative = [], [], trajkf.merit.derivative
+    monkeypatch.setattr(trajkf.merit, "derivative", lambda traj, order, at=None: (
+        rows.append(traj.n_samples if at is None else len(at)), derivative(traj, order, at))[1])
+    monkeypatch.setattr(trajkf.merit, "speed_profile", lambda *args, _f=trajkf.merit.speed_profile:
+                        profiles.append(args) or _f(*args))
+    [curve] = merit_curves(clip.trajectory, [itv], method, speed_threshold=0.05)
+    assert len(curve) == 90 and profiles == [] and sum(rows) <= 3 * 90

@@ -31,7 +31,6 @@ from trajkf.merit import (
     merit_batches,
     merit_curve,
     segment_percentile,
-    segmented_merit,
     speed_profile,
 )
 
@@ -353,7 +352,7 @@ def clip_and_layout(draw):
 
 
 def batched(size, call):
-    """``call()`` with segmented_merit's batch size set to ``size``, or its ValueError's text."""
+    """``call()`` with merit's batch size set to ``size``, or its ValueError's text."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trajkf.merit, "_BATCH_ROWS", size)
         try:
@@ -370,6 +369,24 @@ def merit_bytes(result):
             branches, rows.tobytes())
 
 
+def joined_bytes(parts):
+    """merit_batches' batches laid end to end as merit_bytes of one curve, or the error's text."""
+    if isinstance(parts, str):
+        return parts
+    starts = np.cumsum([0, *(len(curve) for curve, _, _ in parts)])
+    return (b"".join(curve.values.tobytes() for curve, _, _ in parts),
+            b"".join(curve.valid_mask.tobytes() for curve, _, _ in parts),
+            b"".join((curve.offsets + a).tobytes() for (curve, _, _), a in zip(parts, starts)),
+            [branch for _, branches, _ in parts for branch in branches],
+            b"".join(rows.tobytes() for _, _, rows in parts))
+
+
+def curve_bytes(curves):
+    if isinstance(curves, str):
+        return curves
+    return [(c.values.tobytes(), c.valid_mask.tobytes(), c.branch) for c in curves]
+
+
 def keyframe_bytes(result):
     if isinstance(result, str):
         return result
@@ -378,9 +395,10 @@ def keyframe_bytes(result):
 
 
 class TestBatches:
-    """segmented_merit and extract_keyframes give the same bytes one interval per batch
-    as with all in one batch; extract searches each batch's curve for peaks.  Each batch
-    smoothing only its own span gives the merit of the whole clip smoothed."""
+    """merit_batches' batches laid end to end, merit_curves and extract_keyframes give the
+    same bytes one interval per batch as with all in one batch; extract searches each batch's
+    curve for peaks.  Each batch smoothing only its own span gives the merit of the whole clip
+    smoothed."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=clip_and_layout(), method=st.sampled_from(list(MeritMethod)),
@@ -389,17 +407,23 @@ class TestBatches:
     def test_one_interval_per_batch_is_one_batch(self, case, method, threshold, f_error, sigma):
         traj, intervals = case
         whole = 10 * sum(itv.length for itv in intervals)
-        merit = [batched(size, lambda: segmented_merit(traj, intervals, method, f_error,
-                                                       threshold or 0.0)) for size in (1, whole)]
-        assert merit_bytes(merit[0]) == merit_bytes(merit[1])
+        merit = [batched(size, lambda: list(merit_batches(traj, intervals, method, f_error,
+                                                          threshold or 0.0)))
+                 for size in (1, whole)]
+        assert joined_bytes(merit[0]) == joined_bytes(merit[1])
         if traj.n_samples < 4:   # too short for d2, whatever the method
             assert "order 2" in merit[0] or "3-D" in merit[0]
+        elif not isinstance(merit[0], str):   # one batch per interval, or one for all of them
+            assert [len(merit[0]), len(merit[1])] == [len(intervals), 1]
+        curves = [batched(size, lambda: curve_bytes(merit_curves(traj, intervals, method,
+                                                                 f_error, threshold or 0.0)))
+                  for size in (1, whole)]
+        assert curves[0] == curves[1]
         # each interval's batch smoothed on its own, against the whole clip smoothed first
         windows = batched(1, lambda: [merit_bytes(part) for part in merit_batches(
             traj, intervals, method, f_error, threshold or 0.0, sigma)])
-        smoothed = batched(1, lambda: [merit_bytes(segmented_merit(
-            gaussian_smooth(traj, sigma), [itv], method, f_error, threshold or 0.0))
-            for itv in intervals])
+        smoothed = batched(1, lambda: [merit_bytes(part) for part in merit_batches(
+            gaussian_smooth(traj, sigma), intervals, method, f_error, threshold or 0.0)])
         assert windows == smoothed
         find_peaks, keys, segments = trajkf.pipeline.find_peaks, [], []
         for size in (1, whole):   # the segments of each curve find_peaks is called on
@@ -416,6 +440,41 @@ class TestBatches:
             assert segments == [[], []]
         else:   # one call per distinct interval, or one for all of them
             assert segments == [[1] * distinct, [distinct]]
+
+
+class TestSpeedMask:
+    """Each batch masks by the norm of the velocity it evaluates at its rows, and that is
+    speed_profile's speed bit for bit: a threshold at one of the clip's own speeds, where one
+    ulp flips a mask bit, keeps the same samples as speed_profile's speed would."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), sigma=st.sampled_from([0.0, 0.5, 2.0, 7.0, 1e9]))
+    def test_mask_is_the_unmasked_curve_and_the_speed_profile(self, data, sigma):
+        n, dim = data.draw(st.integers(7, 400)), data.draw(st.sampled_from([2, 3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        steps = rng.normal(size=(n, dim)) * rng.exponential(size=(n, 1)) ** 2
+        steps[:, dim - 1] *= data.draw(st.sampled_from([0.0, 0.05, 1.0]))
+        traj = TimedTrajectory(np.cumsum(steps, axis=0), 60.0)
+        method = data.draw(st.sampled_from([m for m in MeritMethod if dim == 3 or m not in (
+            MeritMethod.K3DT, MeritMethod.KAPPA3DS)]))
+        intervals = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            start = data.draw(st.integers(0, n - 1))
+            intervals.append(SigningInterval(start, data.draw(st.integers(start, n - 1))))
+        v = speed_profile(traj, sigma)
+        threshold = float(v[data.draw(st.integers(intervals[0].start, intervals[0].end))])
+        for size in (1, sum(itv.length for itv in intervals)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trajkf.merit, "_BATCH_ROWS", size)
+                open_ = list(merit_batches(traj, intervals, method, sigma=sigma))
+                cut = list(merit_batches(traj, intervals, method, speed_threshold=threshold,
+                                         sigma=sigma))
+            assert len(open_) == len(cut) == (len(intervals) if size == 1 else 1)
+            for (whole, _, rows), (masked, _, masked_rows) in zip(open_, cut):
+                assert rows.tobytes() == masked_rows.tobytes()
+                keep = masked.valid_mask
+                assert keep.tobytes() == (whole.valid_mask & (v[rows] >= threshold)).tobytes()
+                assert masked.values[keep].tobytes() == whole.values[keep].tobytes()
 
 
 class TestSpeedProfile:

@@ -29,6 +29,10 @@ intervals that cross the merit's batches of laid-out samples: one of 10,000
 samples (longer than a batch), five nested around the middle of the clip,
 one of them listed twice, and about 300 short ones, many to a batch, which
 the longer ones overlap; all are listed out of order.
+Each workload and seed also writes, from the library, the bytes of the
+`merit_curves` curves (values, mask and branch) on the truth intervals of
+the clip smoothed at the default sigma, with the default speed threshold,
+under every method that the clip's dimension allows.
 Three 7-sample clips (a helix, a parabola in a tilted plane and a 2-D
 parabola), each also run backwards, go through `extract --sigma 0` with one
 interval over the whole clip, under every method that takes their
@@ -64,7 +68,8 @@ import math
 import sys
 from pathlib import Path
 
-from trajkf import load_annotations
+from trajkf import (MeritMethod, default_speed_threshold, gaussian_smooth, load_annotations,
+                    load_trajectory, merit_curves)
 from trajkf.cli import main
 from trajkf.synthetic import CURVE_KINDS
 from workloads import WORKLOADS, make_inputs
@@ -133,6 +138,15 @@ for name in WORKLOADS:
                     "--method", method, "-o", str(work / f"keys-batches-{method}.json")]
             if main(argv) != 0:
                 sys.exit(f"{name} seed {seed}: trajkf extract across merit batches failed")
+        # the library's merit on the truth intervals, each curve's values, mask and branch
+        clip = gaussian_smooth(load_trajectory(inp.traj, inp.fmt), 2.0)
+        truth, threshold = load_annotations(inp.truth).intervals, default_speed_threshold(clip)
+        for method in MeritMethod:
+            if clip.dim == 3 or method not in (MeritMethod.K3DT, MeritMethod.KAPPA3DS):
+                curves = merit_curves(clip, truth, method, speed_threshold=threshold)
+                (work / f"merit-{method.value}.bin").write_bytes(b"".join(
+                    c.values.tobytes() + c.valid_mask.tobytes() + str(c.branch).encode()
+                    for c in curves))
 # 7-sample clips, the fewest third derivatives need, run unsmoothed: every sample is within
 # two of an end.  The helix peaks next to both ends; each parabola's pick has its base at
 # the first sample, or, run backwards, at the last.  So each score reads an end's stencils.
