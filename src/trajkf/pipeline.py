@@ -36,20 +36,22 @@ def extract_keyframes(
     """Select the ``count`` most prominent merit maxima of a trajectory.
 
     The trajectory is never smoothed whole: speed_profile smooths and differentiates it in
-    blocks of samples, once, for the threshold and the interval detection (unless intervals
-    are supplied, e.g. from an annotation file).  merit_batches scores the distinct intervals,
-    by start, in batches of whole intervals, each smoothing only its span and taking its speed
-    from the velocity it evaluates there, and find_peaks takes each batch's peaks; all the
-    candidates are ranked by prominence, and a frame where overlapping intervals both peak is
-    one candidate at its best, so keyframes are distinct.  Only the clip and the speed span
-    it.  Frames slower than the speed threshold never become candidates, so rest frames inside
-    annotated intervals stay excluded.  Frames in the result are sample indices into ``traj``.
+    blocks of samples, once, for the threshold and the interval detection, and not at all
+    when both the threshold and the intervals (e.g. from an annotation file) are supplied.
+    merit_batches scores the distinct intervals, by start, in batches of whole intervals, each
+    smoothing only its span and taking its speed from the velocity it evaluates there, and
+    find_peaks takes each batch's peaks; all the candidates are ranked by prominence, and a
+    frame where overlapping intervals both peak is one candidate at its best, so keyframes are
+    distinct.  Only the clip and the speed span it.  Frames slower than the speed threshold
+    never become candidates, so rest frames inside annotated intervals stay excluded.  Frames
+    in the result are sample indices into ``traj``.
     Raises FloatingPointError on overflow.
     """
     method = MeritMethod(method)   # a member, or its tag
     with np.errstate(over="raise", invalid="raise"):
-        # a shorter clip: each stage's own result or error
-        v = speed_profile(traj, sigma) if traj.n_samples >= MIN_SAMPLES[1] else None
+        # read only by the threshold and the detection; a shorter clip: each stage's own error
+        v = speed_profile(traj, sigma) if traj.n_samples >= MIN_SAMPLES[1] and (
+            speed_threshold is None or intervals is None) else None
         threshold = speed_threshold if speed_threshold is not None \
             else default_speed_threshold(traj, v)
         if intervals is None:

@@ -244,7 +244,8 @@ def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> Ti
     A file in ASCII after any BOMs, as save_trajectory writes, loads from its bytes (CRs
     made LF) in about 1x the file plus the points; any other, and a text stream, is decoded
     by read_text first.  CSV rows, and JSON "points" that are the last member with no '"',
-    are parsed about 64 KB at a time; any other JSON layout, or any doubt, is parsed whole.
+    are parsed about 64 KB at a time, each JSON piece only once its bytes have the shape of
+    rows of 2 or 3 numbers; any other JSON layout, or any doubt, is parsed whole.
     """
     if format == "csv":
         return _load_csv(_plain(read_bytes(source)), frame_rate)
@@ -420,9 +421,11 @@ def _load_json(data: bytes) -> TimedTrajectory:
     return TimedTrajectory(frozen(points), fps, start_frame)
 
 
-def _point_rows(pts: list, width: int) -> np.ndarray | None:
-    """``pts`` as an array if it holds rows of ``width`` JSON numbers in the float range."""
-    if not (set(map(type, pts)) == {list} and set(map(len, pts)) == {width}
+def _point_rows(pts: list, width: int, shaped: bool = False) -> np.ndarray | None:
+    """``pts`` as an array if it holds rows of ``width`` JSON numbers in the float range.
+    The type scans run unless ``shaped``: a piece whose bytes have the shape of such rows
+    parses to them, and only the range is left to check."""
+    if not (shaped or set(map(type, pts)) == {list} and set(map(len, pts)) == {width}
             and set(map(type, itertools.chain.from_iterable(pts))) <= {int, float}):
         return None
     try:
@@ -445,7 +448,10 @@ def _cut(data: bytes, pos: int, mark: bytes, stop: int) -> int:
 def _load_json_pieces(data: bytes) -> tuple[dict, list]:
     """The object, its "points" emptied, and the points' arrays, when they are its last member
     and hold no '"': each piece of about _PIECE_CHARS bytes, cut after a row's "]", decoded and
-    parsed alone.  ParseError when the bytes are laid out otherwise or a piece is in doubt."""
+    parsed alone.  A piece is parsed only if its bytes less JSON's number characters and
+    whitespace are "[,]" or "[,,]" rows, as wide as the first, joined by commas: what JSON then
+    accepts are rows of numbers, as _point_rows would check, in ASCII.  ParseError when the
+    bytes are laid out otherwise or a piece is in doubt."""
     close = data.rfind(b"]")
     key = _POINTS_KEY.match(data, data.rfind(b'"', 0, close) - 7)   # the last '"' ends the key
     if not (key and data[close + 1:].strip(b" \t\n\r") == b"}"):
@@ -454,10 +460,14 @@ def _load_json_pieces(data: bytes) -> tuple[dict, list]:
     pieces, pos = [], key.end()
     while pos <= close:   # past close only once a piece ends with no comma after it
         cut = _cut(data, pos, b"]", close)
-        rows = parse_json("[" + data[pos:cut].decode(*_UTF8) + "]")
-        if not pieces:   # the first row sets the width
-            width = len(rows[0]) if rows and type(rows[0]) is list else 0
-        pieces.append(_point_rows(rows, width) if width in (2, 3) else None)
+        shape = data[pos:cut].translate(None, b"0123456789+-.eE \t\n\r")   # brackets, commas
+        if not pieces:   # the first row's shape sets the width
+            row = shape[:shape.find(b"]") + 1]
+        k = shape.count(b"[")
+        if not (k and row in (b"[,]", b"[,,]") and shape == (row + b",") * (k - 1) + row):
+            raise ParseError("a piece is not rows of 2 or 3 numbers")
+        rows = parse_json("[" + data[pos:cut].decode() + "]")   # the shape left no non-ASCII
+        pieces.append(_point_rows(rows, len(row) - 1, shaped=True))
         del rows   # before the next piece's lists are built
         pos = _JSON_SPACE.match(data, cut, close).end()
         if pieces[-1] is None or pos < close and data[pos:pos + 1] != b",":

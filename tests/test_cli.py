@@ -182,6 +182,25 @@ class TestExtract:
         assert run(*argv, "--annotations", str(truth)) == 0   # supplied intervals need none
         assert json.loads(keys.read_text())["frames"] == [60, 150, 240]
 
+    def test_supplied_intervals_and_threshold_read_only_the_intervals(self, tmp_path):
+        # no speed over the whole clip, so samples past the intervals' reach may overflow
+        from trajkf import CurveSpec, TimedTrajectory, generate, save_trajectory
+
+        clip = generate(CurveSpec(kind="helix", radius=1.0, pitch=0.3, phase="burst",
+                                  n_bursts=10, duration=10.0, fps=60.0), seed=0)
+        points = clip.trajectory.points.copy()
+        points[400:] *= 1e200
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({"intervals": [{"start": 10, "end": 200}]}))
+        keys = []
+        for name, p in [("plain", clip.trajectory.points), ("scaled", points)]:
+            save_trajectory(TimedTrajectory(p, 60.0), tmp_path / f"{name}.csv")
+            out = tmp_path / f"{name}.keys.json"
+            assert run("extract", str(tmp_path / f"{name}.csv"), "--annotations", str(ann),
+                       "--speed-threshold", "0.05", "--count", "3", "-o", str(out)) == 0
+            keys.append(json.loads(out.read_text()))
+        assert keys[0]["frames"] == [30, 90, 150] and keys[1] == keys[0]
+
     @pytest.mark.parametrize("case,message", [
         ("resting_2d", "method k3dt needs a 3-D trajectory"),
         ("moving_2d", "method k3dt needs a 3-D trajectory"),

@@ -530,8 +530,9 @@ def test_library_resolves_and_checks_its_arguments(options, error):
 
 
 class TestMotionProfile:
-    """extract_keyframes computes the smoothed trajectory's speed once, for the
-    threshold, the detection and the merit, and no derivative over the whole clip."""
+    """extract_keyframes computes the smoothed trajectory's speed once, for the threshold
+    and the detection, not at all when both are supplied, and no derivative over the whole
+    clip."""
 
     @pytest.fixture(scope="class")
     def clip(self):
@@ -541,20 +542,21 @@ class TestMotionProfile:
                                   rest_duration=0.5, n_segments=3, noise_sigma=0.001,
                                   fps=60.0), seed=20)
 
-    CASES = ["mt_detected", "mt_supplied", "two_dim", "k3ds", "k2dt", "user_threshold"]
+    CASES = ["mt_detected", "mt_supplied", "two_dim", "k3ds", "k2dt", "user_threshold",
+             "both_supplied"]
 
     @staticmethod
     def extract(clip, case):
         from trajkf import extract_keyframes
 
         traj, options = clip.trajectory, {}
-        if case == "mt_supplied":
+        if case in ("mt_supplied", "both_supplied"):
             options["intervals"] = list(clip.intervals)
         elif case == "two_dim":
             traj = TimedTrajectory(traj.points[:, :2], traj.frame_rate)
         elif case in ("k3ds", "k2dt"):
             options["method"] = MeritMethod(case)
-        elif case == "user_threshold":
+        if case in ("user_threshold", "both_supplied"):
             options["speed_threshold"] = 0.05
         return extract_keyframes(traj, count=5, **options)
 
@@ -586,14 +588,32 @@ class TestMotionProfile:
             monkeypatch.setattr(trajkf.pipeline, name, recording)
         keys = self.extract(clip, case)
         assert differentiated == [] and len(keys.frames) == 5
-        [(_, v)], [(merit_args, _)] = stages.pop("speed_profile"), stages["merit_batches"]
+        [(merit_args, _)] = stages.pop("merit_batches")
         assert max(covered) <= max(block, *(itv.length for itv in merit_args[1]))
-        # the threshold and the detection take that one speed profile as their last argument
-        skipped = {"user_threshold": "default_speed_threshold", "mt_supplied": "detect_intervals"}
-        assert sorted(stages) == sorted({"default_speed_threshold", "detect_intervals",
-                                         "merit_batches"} - {skipped.get(case)})
-        assert all(args[-1] is v for name, calls in stages.items() if name != "merit_batches"
-                   for args, _ in calls)
+        # the threshold and the detection take one speed profile as their last argument;
+        # with both supplied nothing reads it, and it is never computed
+        skipped = {"user_threshold": {"default_speed_threshold"},
+                   "mt_supplied": {"detect_intervals"},
+                   "both_supplied": {"speed_profile", "default_speed_threshold",
+                                     "detect_intervals"}}.get(case, set())
+        assert sorted(stages) == sorted({"speed_profile", "default_speed_threshold",
+                                         "detect_intervals"} - skipped)
+        if "speed_profile" in stages:
+            [(_, v)] = stages.pop("speed_profile")
+            assert all(args[-1] is v for calls in stages.values() for args, _ in calls)
+
+    def test_both_supplied_reads_only_the_intervals(self):
+        # no speed over the whole clip: samples past the intervals' reach may overflow
+        from trajkf import CurveSpec, SigningInterval, extract_keyframes, generate
+
+        clip = generate(CurveSpec(kind="helix", radius=1.0, pitch=0.3, phase="burst",
+                                  n_bursts=10, duration=10.0, fps=60.0), seed=0)
+        points = clip.trajectory.points.copy()
+        points[400:] *= 1e200
+        keys = [extract_keyframes(TimedTrajectory(p, 60.0), count=3, speed_threshold=0.05,
+                                  intervals=[SigningInterval(10, 200)])
+                for p in (clip.trajectory.points, points)]
+        assert keys[0].frames == (30, 90, 150) and keys[1] == keys[0]
 
     @pytest.mark.parametrize("case", CASES)
     def test_one_segment_layout(self, monkeypatch, clip, case):

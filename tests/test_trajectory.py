@@ -409,10 +409,11 @@ class TestJsonLoaderMatchesOracle:
         assert json_outcome(lambda t: load_trajectory(io.StringIO(t), "json"), text) == expected
         assert json_outcome(lambda t: load_trajectory(t.encode(), "json"), text) == expected
 
-    # a piece per row, a piece per row and then the whole document, the whole document alone
+    # a piece per row; two rows, the empty last piece refused by its shape, then the whole
+    # document; the whole document alone
     @pytest.mark.parametrize("text, calls", [
         ('{"fps": 60, "points": [[1, 2], [3, 4]]}', 3),
-        ('{"fps": 60, "points": [[1, 2], [3, 4], ]}', 5),
+        ('{"fps": 60, "points": [[1, 2], [3, 4], ]}', 4),
         ('{"points": [[1, 2], [3, 4]], "fps": 60, "tags": [1]}', 1)])
     def test_collector_paused_while_the_lists_live(self, monkeypatch, text, calls):
         states = []
@@ -444,6 +445,71 @@ class TestJsonLoaderMatchesOracle:
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("writer", ["save 2-D", "save 3-D", "dumps", "dumps indent 2",
+                                        "dumps indent 4"])
+    def test_written_files_are_parsed_in_pieces(self, monkeypatch, writer):
+        # a silent fallback to the whole document would give the same points, so look at the
+        # texts parsed: the members before "points", then pieces of rows, never the document
+        rng = np.random.default_rng(11)
+        dim = 2 if writer == "save 2-D" else 3
+        pts = rng.normal(size=(6000, dim)) * 10.0 ** rng.integers(-300, 300, (6000, dim))
+        if writer.startswith("save"):
+            out = io.StringIO()
+            save_trajectory(make_traj(pts, fps=29.97, start=3), out, "json")
+            text = out.getvalue()
+        else:
+            rows = pts.tolist()
+            rows[:3] = [[1, -2, 0][:dim], [-0.0] * dim, [2**53 + 1, 7, -(10**30)][:dim]]
+            indent = int(writer[-1]) if writer[-1].isdigit() else None
+            text = json.dumps({"fps": 29.97, "start_frame": 3, "points": rows}, indent=indent)
+        texts = []
+        parse = trajkf.trajectory.parse_json
+        monkeypatch.setattr(trajkf.trajectory, "parse_json",
+                            lambda t: texts.append(t) or parse(t))
+        expected = json_outcome(brute_load_json, text)
+        assert json_outcome(lambda t: load_trajectory(t.encode(), "json"), text) == expected
+        assert len(texts) > 3 and texts[0].endswith('"points": []}')
+        assert all(t.startswith("[") for t in texts[1:])
+
+
+# raw tokens spliced into the rows' text: in place of a value, in place of a row, or anywhere
+VALUE_TOKENS = ["01", "+1", ".5", "1.", "1e", "-", "1 2", "1e5.3", "1\f", "--1", "[]", "[[1]]",
+                "-0", "1E+5", "2e-3", "1e400", "-1e999", "123456789012345678901234567890"]
+ROW_TOKENS = ["[0, ]1e5", "1e5[0,1]", "[0,1]1e5", "[0, 1e5]", "[]", "[[1]]", "[[0, 1]]",
+              "[0,,1]", "[0,\f1]", "[0, 1, 2]", "[0, 1]]", "[[0, 1]"]
+SPLICED = [" ", "\f", ",", "[", "]", "[]", "e", "1", ".", "-", "+"]
+
+
+class TestJsonLoaderTokens:
+    @settings(max_examples=1500, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_same_points_or_same_error(self, data, monkeypatch):
+        # the rows' text as no json.dumps writes it: numbers JSON refuses or reads otherwise,
+        # numbers outside their brackets, empty and nested rows, and whitespace JSON refuses
+        monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", data.draw(st.integers(1, 24)))
+        width = data.draw(st.sampled_from([2, 3]))
+        number = st.one_of(st.integers(-999, 999), st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(EDGE_NUMBERS[:10]))
+        rows = [[json.dumps(x) for x in row] for row in data.draw(
+            st.lists(st.lists(number, min_size=width, max_size=width), min_size=1, max_size=6))]
+        texts = ["[" + ", ".join(row) + "]" for row in rows]
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            if data.draw(st.booleans()):
+                j = data.draw(st.integers(0, width - 1))
+                rows[i][j] = data.draw(st.sampled_from(VALUE_TOKENS))
+                texts[i] = "[" + ", ".join(rows[i]) + "]"
+            else:
+                texts[i] = data.draw(st.sampled_from(ROW_TOKENS))
+        body = data.draw(st.sampled_from([",", ", ", ",\n  "])).join(texts)
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+            at = data.draw(st.integers(0, len(body)))
+            body = body[:at] + data.draw(st.sampled_from(SPLICED)) + body[at:]
+        text = '{"fps": 30, "start_frame": 2, "points": [' + body + "]}"
+        expected = json_outcome(brute_load_json, text)
+        assert json_outcome(lambda t: load_trajectory(t.encode(), "json"), text) == expected
 
 
 def brute_load(text: str, fmt: str) -> TimedTrajectory:

@@ -18,7 +18,8 @@ call on each batch the pipeline makes in between, so its traced peak is the
 largest of any batch.
 
 Extract runs twice.  The first pass reads the resident set size (RSS, from
-/proc/self/statm, so Linux only) after each stage.  The second runs under
+/proc/self/statm, so Linux only) after each stage, and the CPU time the
+process spent in it (`time.process_time`, in ms).  The second runs under
 `tracemalloc` and reads the peak of traced memory within each stage; that
 peak counts what earlier stages still hold.  Both are in MB of 2**20 bytes,
 as the benchmark's `extract_rss_mb` is.  The last lines of each workload
@@ -57,6 +58,7 @@ import json
 import os
 import resource
 import sys
+import time
 import tracemalloc
 from contextlib import contextmanager, nullcontext
 
@@ -105,19 +107,29 @@ def run(inp, enter, leave):
             setattr(trajkf.pipeline, attr, fn)
 
 
+def enter():
+    global entered
+    entered = time.process_time()
+
+
+def leave(name):
+    cpu[name] = (time.process_time() - entered) * 1e3
+    rss[name] = rss_mb()
+
+
 inp = Inputs(**json.loads(sys.argv[1]))
-rss, peak = {}, {}
-run(inp, lambda: None, lambda name: rss.__setitem__(name, rss_mb()))
+rss, peak, cpu = {}, {}, {}
+run(inp, enter, leave)
 max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MB
 tracemalloc.start()
 run(inp, tracemalloc.reset_peak,
     lambda name: peak.__setitem__(name, tracemalloc.get_traced_memory()[1] / MB))
 tracemalloc.stop()
 print(f"{inp.workload} (seed {sys.argv[2]})")
-print(f"  {'stage':<14}{'tracemalloc peak MB':>20}{'RSS after MB':>14}")
+print(f"  {'stage':<14}{'tracemalloc peak MB':>20}{'RSS after MB':>14}{'CPU ms':>10}")
 for name in ("load", *STAGES):
     if name in rss:
-        print(f"  {name:<14}{peak[name]:>20.2f}{rss[name]:>14.2f}")
+        print(f"  {name:<14}{peak[name]:>20.2f}{rss[name]:>14.2f}{cpu[name]:>10.1f}")
 print(f"  peak RSS {max_rss:.2f} MB")
 size = os.path.getsize(inp.traj) / MB
 print(f"  input file {size:.2f} MB; load peak {peak['load'] / size:.2f}x the file", flush=True)
