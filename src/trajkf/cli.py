@@ -46,8 +46,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_output(path: str | None, text: str) -> None:
-    """Write to stdout, or atomically to a path."""
+def _write_output(path: str | None, text) -> None:
+    """Write a str or its pieces (see ``write_text``) to stdout, or atomically to a path."""
     write_text(sys.stdout if path in (None, "-") else path, text)
 
 
@@ -144,7 +144,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .evaluation import reports_to_csv, reports_to_json, sweep
+    from .evaluation import report_pieces, reports_to_csv, sweep
 
     pred, pred_n = _read(args.pred, keyframes_from_json)
     truth = _read(args.truth, load_annotations)
@@ -194,7 +194,7 @@ def cmd_evaluate(args) -> int:
         intervals=truth.intervals or None,
         per_gloss=args.per_gloss,
     )
-    _write_output(args.output, reports_to_json(reports))
+    _write_output(args.output, report_pieces(reports))
     if args.csv:
         _write_output(args.csv, reports_to_csv(reports))
     return EXIT_OK

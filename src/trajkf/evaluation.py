@@ -16,7 +16,7 @@ from collections.abc import Callable, Sequence
 from itertools import accumulate, repeat
 from operator import sub
 
-from .formats import MAX_N_FRAMES, SigningInterval, budget_for_ratio, float9, json_text
+from .formats import MAX_N_FRAMES, SigningInterval, budget_for_ratio, float9, json_pieces
 
 
 class EvaluationReport(namedtuple("EvaluationReport", "recall precision f2 delta r_c c_s "
@@ -256,8 +256,13 @@ def sweep(
 
 
 def reports_to_json(reports: Sequence[EvaluationReport]) -> str:
-    """The reports as JSON rows, laid out as ``json.dumps(rows, indent=2)`` writes them, plus
-    a newline.  Each row holds r_c, delta, recall, precision, f2, c_s (floats at 9
+    """The reports' JSON text as one str, the join of ``report_pieces(reports)``."""
+    return "".join(report_pieces(reports))
+
+
+def report_pieces(reports: Sequence[EvaluationReport]) -> list[str]:
+    """The reports as ``json.dumps(rows, indent=2)`` lays them out, plus a newline, in pieces
+    for ``write_text``.  Each row: r_c, delta, recall, precision, f2, c_s (floats at 9
     significant digits, null when unset) and degenerate, then per_sign when set."""
     rows = []
     for r in reports:
@@ -267,7 +272,7 @@ def reports_to_json(reports: Sequence[EvaluationReport]) -> str:
         if r.per_sign is not None:
             row["per_sign"] = r.per_sign   # sweep shares one tuple across a ratio's deltas
         rows.append(row)
-    return json_text(rows) + "\n"
+    return [*json_pieces(rows), "\n"]
 
 
 def reports_to_csv(reports: Sequence[EvaluationReport]) -> str:

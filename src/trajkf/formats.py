@@ -54,15 +54,15 @@ def read_text(data) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n").lstrip("\ufeff")
 
 
-def write_text(dest, text: str) -> None:
-    """Write ``text`` to a stream, or atomically to a path (str or any os.PathLike).
-
-    A path gets a temp file in its directory, renamed over it once written,
-    so a failed write leaves any old file whole.  The temp file is created
-    with mode 0o666, which the umask narrows as for any new file.
-    """
+def write_text(dest, text) -> None:
+    """Write ``text``, a str or an iterable of str pieces written one at a time (so their
+    join need never exist), to a stream, or atomically to a path (str or any os.PathLike).
+    A path gets a temp file in its directory, renamed over it once written, so a failed
+    write, or a piece that raises, leaves any old file whole.  The temp file is created
+    with mode 0o666, which the umask narrows as for any new file."""
+    pieces = [text] if isinstance(text, str) else text
     if not isinstance(dest, (str, os.PathLike)):
-        dest.write(text)
+        dest.writelines(pieces)
         return
     target = os.fsdecode(dest)
     head, name = os.path.split(target)
@@ -70,7 +70,7 @@ def write_text(dest, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
         if os.path.lexists(tmp):
@@ -121,12 +121,12 @@ def json_n_frames(obj: dict) -> int | None:
     return n_frames
 
 
-def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, spelled by one C-encoder call per list of scalars
-    or of equal-shaped rows of scalars (laid out by one % template).  Anything else
-    recurses down to a leaf's ``json.dumps``, so an odd type gives the same bytes or
-    TypeError.  A container met twice at one depth is laid out once; ``obj`` holds no cycle."""
-    out, memo = [], {}   # the pieces, joined once; each container's pieces by (id, nl)
+def json_pieces(obj) -> list[str]:
+    """The pieces of ``json.dumps(obj, indent=2)``, the one JSON layout: a list of scalars or of
+    equal-shaped rows of scalars is one piece, one C-encoder call (rows laid out by one %
+    template).  Anything else recurses down to a leaf's ``json.dumps``, so an odd type gives the
+    same bytes or TypeError.  A container met twice at one depth is laid out once; no cycles."""
+    out, memo = [], {}   # the pieces; each container's pieces by (id, nl)
 
     def layout(obj, nl: str) -> None:   # append obj's pieces, met where a line starts with nl
         inner, start, is_dict = nl + "  ", len(out), isinstance(obj, dict)
@@ -147,7 +147,12 @@ def json_text(obj) -> str:
             memo[id(obj), nl] = out[start:]
 
     layout(obj, "\n")
-    return "".join(out)
+    return out
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``: the join of ``json_pieces(obj)``."""
+    return "".join(json_pieces(obj))
 
 
 def _spelled(values) -> list[str]:

@@ -37,7 +37,7 @@ def extract_keyframes(
 
     The trajectory is never smoothed whole: speed_profile smooths and differentiates it in
     blocks of samples, once, for the threshold and the interval detection, and not at all
-    when both the threshold and the intervals (e.g. from an annotation file) are supplied.
+    when the threshold is supplied with the intervals (e.g. from an annotation file) or is 0.
     merit_batches scores the distinct intervals, by start, in batches of whole intervals, each
     smoothing only its span and taking its speed from the velocity it evaluates there, and
     find_peaks takes each batch's peaks; all the candidates are ranked by prominence, and a
@@ -51,7 +51,7 @@ def extract_keyframes(
     with np.errstate(over="raise", invalid="raise"):
         # read only by the threshold and the detection; a shorter clip: each stage's own error
         v = speed_profile(traj, sigma) if traj.n_samples >= MIN_SAMPLES[1] and (
-            speed_threshold is None or intervals is None) else None
+            speed_threshold is None or intervals is None and speed_threshold > 0) else None
         threshold = speed_threshold if speed_threshold is not None \
             else default_speed_threshold(traj, v)
         if intervals is None:

@@ -436,6 +436,7 @@ def _point_rows(pts: list, width: int, shaped: bool = False) -> np.ndarray | Non
 
 
 _PIECE_CHARS = 1 << 16   # bytes of CSV rows or JSON "points" parsed at a time
+_WRITE_ROWS = 8192   # CSV rows save_trajectory formats at a time
 _JSON_SPACE = re.compile(rb"[ \t\n\r]*")
 _POINTS_KEY = re.compile(rb'(?<!\\)"points"[ \t\n\r]*:[ \t\n\r]*\[')   # quote not escaped
 
@@ -478,11 +479,14 @@ def _load_json_pieces(data: bytes) -> tuple[dict, list]:
 
 def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:
     """Write a trajectory as CSV or JSON (floats at 9 significant digits); the JSON
-    is laid out as ``json.dumps(obj, indent=2)`` writes it."""
+    is laid out as ``json.dumps(obj, indent=2)`` writes it.  The CSV is written in pieces
+    of _WRITE_ROWS rows, each formatted as it is written, so no piece outlives its write."""
     if format == "csv":
-        row = "%d" + ",%.9g" * traj.dim
-        lines = [row % (n, *p) for n, p in enumerate(traj.points.tolist(), traj.start_frame)]
-        text = "\n".join(["frame," + ",".join("xyz"[: traj.dim]), *lines]) + "\n"
+        row, pts = "%d" + ",%.9g" * traj.dim + "\n", traj.points
+        blocks = (enumerate(pts[a:a + _WRITE_ROWS].tolist(), traj.start_frame + a)
+                  for a in range(0, len(pts), _WRITE_ROWS))
+        text = itertools.chain(["frame," + ",".join("xyz"[: traj.dim]) + "\n"],
+                               ("".join([row % (n, *p) for n, p in block]) for block in blocks))
     elif format == "json":
         flat = float9s(traj.points.ravel().tolist())
         text = json_text({"fps": float9(traj.frame_rate), "start_frame": traj.start_frame,

@@ -12,7 +12,7 @@ import pytest
 import trajkf
 from trajkf import load_annotations, reports_to_json, sweep
 from trajkf.cli import main
-from trajkf.formats import keyframes_from_json
+from trajkf.formats import keyframes_from_json, rank_order
 
 
 def run(*argv):
@@ -503,6 +503,21 @@ class TestEvaluate:
         assert run("evaluate", "--pred", str(pred), "--truth", str(truth), "--per-gloss",
                    "--r-c", repr(r_c), "--delta", "0,5") == 0
         assert capsys.readouterr().out == self.reference_json(pred, truth, [r_c], [0, 5])
+
+    @pytest.mark.parametrize("per_gloss", [False, True], ids=["global", "per_gloss"])
+    def test_report_to_stdout_and_file_is_reports_to_json(self, tmp_path, capsys, per_gloss):
+        # the CLI writes the report piece by piece: the same bytes as the joined text
+        pred, truth = self.repeats_and_ties(tmp_path)
+        argv = ["evaluate", "--pred", str(pred), "--truth", str(truth), "--r-c", "0.2,1,2",
+                "--delta", "0,5", *(["--per-gloss"] if per_gloss else [])]
+        assert run(*argv) == 0
+        assert run(*argv, "-o", str(tmp_path / "report.json")) == 0
+        keys, _ = keyframes_from_json(pred)
+        ann = load_annotations(truth)
+        ranked = [keys.frames[i] for i in rank_order(keys.frames, keys.scores)]
+        want = reports_to_json(sweep(ranked, ann.keyframes, 100, [0.2, 1.0, 2.0], [0, 5],
+                                     intervals=ann.intervals, per_gloss=per_gloss))
+        assert capsys.readouterr().out == (tmp_path / "report.json").read_text() == want
 
     def test_round_trip_with_extract(self, tmp_path, capsys):
         out = tmp_path / "vid"

@@ -39,7 +39,7 @@ from trajkf import (
 )
 from trajkf.cli import main
 from trajkf.formats import MAX_N_FRAMES, float9, float9s, json_text, keyframes_from_json, \
-    keyframes_to_json
+    keyframes_to_json, write_text
 from oracles import ODD_FLOATS, brute_keyframes_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -160,6 +160,48 @@ def test_paths_may_be_any_path_like(tmp_path):
     save_annotations(ann, entry)
     assert load_annotations(entry) == ann
     assert [e.name for e in os.scandir(tmp_path)] == ["ann.json"]   # no temp file left
+
+
+class Recorder(io.StringIO):
+    """A text stream that keeps each str it is asked to write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+def test_write_text_writes_a_str_as_one_piece():
+    stream = Recorder()
+    write_text(stream, '{\n  "a": 1\n}\n')
+    assert stream.writes == ['{\n  "a": 1\n}\n']
+
+
+def test_write_text_writes_pieces_one_at_a_time(tmp_path):
+    pieces = ["[", "\n  ", "", "1.5", ",\n  ", '"%s"', "\n]", "\n"]
+    stream = Recorder()
+    write_text(stream, iter(pieces))
+    write_text(tmp_path / "out.json", iter(pieces))
+    assert stream.writes == pieces
+    assert stream.getvalue() == (tmp_path / "out.json").read_text() == "".join(pieces)
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_write_text_piece_that_raises_leaves_old_file_whole(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+
+    def pieces():
+        yield "[\n"
+        raise RuntimeError("no second piece")
+
+    with pytest.raises(RuntimeError, match="no second piece"):
+        write_text(path, pieces())
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["report.json"]   # no .tmp-* file left
 
 
 # --- the one JSON layout ----------------------------------------------------

@@ -1,7 +1,8 @@
 """Peak memory of the CSV and JSON loads and of extract_keyframes on a 27k-sample
 signing clip, in multiples of what each one reads, the smoothing work of
-extract with many small supplied intervals, and the derivative rows that
-merit_curves evaluates for one short interval.
+extract with many small supplied intervals, the derivative rows that
+merit_curves evaluates for one short interval, and the CSV write and the
+evaluate report's write, in multiples of what each one writes.
 
 tracemalloc counts what Python and numpy allocate, so a peak reads the
 same on a busy host as on an idle one, unlike a timing.  Each bound sits
@@ -23,7 +24,11 @@ the smoothed clip spanned it too, 3.3x at the default batch size.  For 25
 nested intervals, 47 bytes per laid-out sample when the velocity spanned the
 whole clip and one peak search spanned every interval.  Before that, 5.34x
 and 5.63x the points, and 188 bytes per laid-out sample, when the merit's work
-arrays spanned every interval at once.
+arrays spanned every interval at once.  The CSV write formats pieces of 2048
+rows here, as it formats 8192 at a time for a clip of several MB: 0.48x the
+file, 6.2x when every row was formatted before the write.  The per-gloss
+evaluate report, 0.26 MB, adds 0.74x its bytes to what sweep leaves, written
+piece by piece; 2.4x when it was joined, copied and encoded whole.
 """
 
 import tracemalloc
@@ -32,15 +37,20 @@ import numpy as np
 import pytest
 
 from trajkf import (
+    Annotations,
     CurveSpec,
     MeritMethod,
     SigningInterval,
     extract_keyframes,
     generate,
+    keyframes_to_json,
     load_trajectory,
     merit_curves,
+    save_annotations,
     save_trajectory,
 )
+from trajkf.cli import main
+import trajkf.evaluation
 import trajkf.merit
 import trajkf.trajectory
 
@@ -142,3 +152,37 @@ def test_merit_curves_of_one_interval_differentiate_only_its_samples(clip, monke
                         profiles.append(args) or _f(*args))
     [curve] = merit_curves(clip.trajectory, [itv], method, speed_threshold=0.05)
     assert len(curve) == 90 and profiles == [] and sum(rows) <= 3 * 90
+
+
+def test_csv_write_peaks_at_one_piece_of_rows(clip, tmp_path, monkeypatch):
+    # 0.48x: one piece of 2048 rows, as lists of floats, as lines and as their join; 6.2x
+    # when the rows of the whole clip were formatted and joined before the write
+    monkeypatch.setattr(trajkf.trajectory, "_WRITE_ROWS", 2048)
+    path = tmp_path / "clip.csv"
+    assert traced_peak(lambda: save_trajectory(clip.trajectory, path)) < 0.6 * path.stat().st_size
+
+
+def test_evaluate_writes_its_report_in_pieces(clip, tmp_path, monkeypatch):
+    # what the report's write adds to what sweep leaves, 0.74x the report: the rows, each
+    # ratio's per-sign rows laid out once for its three deltas, and one piece encoded at a
+    # time; 2.4x when the report was joined, copied with its newline and encoded whole
+    traj, n = clip.trajectory, clip.trajectory.n_samples
+    pred, truth, report = tmp_path / "kf.json", tmp_path / "truth.json", tmp_path / "report.json"
+    keys = extract_keyframes(traj, count=2 * len(clip.keyframes), intervals=list(clip.intervals))
+    pred.write_text(keyframes_to_json(keys, 0, n))
+    save_annotations(Annotations(clip.intervals, clip.keyframes, n), truth)
+    after_sweep, sweep = [], trajkf.evaluation.sweep
+
+    def sweep_then_reset(*args, **kwargs):   # cmd_evaluate looks sweep up when it runs
+        reports = sweep(*args, **kwargs)
+        after_sweep.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return reports
+
+    monkeypatch.setattr(trajkf.evaluation, "sweep", sweep_then_reset)
+    argv = ["evaluate", "--pred", str(pred), "--truth", str(truth), "--r-c", "0.5,1,2",
+            "--delta", "0,5,10", "--per-gloss", "-o", str(report)]
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [0, 0]
+    assert peak - after_sweep[-1] < 0.9 * report.stat().st_size

@@ -531,8 +531,8 @@ def test_library_resolves_and_checks_its_arguments(options, error):
 
 class TestMotionProfile:
     """extract_keyframes computes the smoothed trajectory's speed once, for the threshold
-    and the detection, not at all when both are supplied, and no derivative over the whole
-    clip."""
+    and the detection, not at all when both are supplied or the threshold is 0, and no
+    derivative over the whole clip."""
 
     @pytest.fixture(scope="class")
     def clip(self):
@@ -558,9 +558,11 @@ class TestMotionProfile:
             options["method"] = MeritMethod(case)
         if case in ("user_threshold", "both_supplied"):
             options["speed_threshold"] = 0.05
+        elif case == "zero_threshold":   # detection off and no intervals: nothing to score
+            options["speed_threshold"] = 0.0
         return extract_keyframes(traj, count=5, **options)
 
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", [*CASES, "zero_threshold"])
     def test_no_whole_clip_derivative(self, monkeypatch, clip, case):
         import trajkf.merit
         import trajkf.pipeline
@@ -587,17 +589,22 @@ class TestMotionProfile:
 
             monkeypatch.setattr(trajkf.pipeline, name, recording)
         keys = self.extract(clip, case)
-        assert differentiated == [] and len(keys.frames) == 5
+        if case == "zero_threshold":
+            assert keys.frames == () and keys.shortfall
+        else:
+            assert len(keys.frames) == 5
+        assert differentiated == []
         [(merit_args, _)] = stages.pop("merit_batches")
-        assert max(covered) <= max(block, *(itv.length for itv in merit_args[1]))
+        assert max(covered, default=0) <= max([block, *(itv.length for itv in merit_args[1])])
         # the threshold and the detection take one speed profile as their last argument;
-        # with both supplied nothing reads it, and it is never computed
+        # with both supplied, or a threshold of 0 and no intervals, nothing reads it, and it
+        # is never computed
+        profile_stages = {"speed_profile", "default_speed_threshold", "detect_intervals"}
         skipped = {"user_threshold": {"default_speed_threshold"},
                    "mt_supplied": {"detect_intervals"},
-                   "both_supplied": {"speed_profile", "default_speed_threshold",
-                                     "detect_intervals"}}.get(case, set())
-        assert sorted(stages) == sorted({"speed_profile", "default_speed_threshold",
-                                         "detect_intervals"} - skipped)
+                   "both_supplied": profile_stages,
+                   "zero_threshold": profile_stages}.get(case, set())
+        assert sorted(stages) == sorted(profile_stages - skipped)
         if "speed_profile" in stages:
             [(_, v)] = stages.pop("speed_profile")
             assert all(args[-1] is v for calls in stages.values() for args, _ in calls)

@@ -325,8 +325,10 @@ class TestCsvLoaderMatchesRowLoop:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_writer_bytes_equal_per_value_writer(fmt, dim):
-    # random bit patterns: every sign and exponent, 1e-300 and 1e300 alike
+def test_writer_bytes_equal_per_value_writer(fmt, dim, monkeypatch):
+    # random bit patterns: every sign and exponent, 1e-300 and 1e300 alike; the CSV is
+    # formatted in pieces of 150 rows, the last one short
+    monkeypatch.setattr(trajkf.trajectory, "_WRITE_ROWS", 150)
     bits = np.random.default_rng(dim).integers(0, 2**64, size=(400, dim), dtype=np.uint64)
     pts = bits.view(np.float64)
     pts[~np.isfinite(pts)] = -0.0
