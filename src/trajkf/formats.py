@@ -35,7 +35,9 @@ class ParseError(ValueError):
 
 def read_bytes(source):
     """The bytes of a path (str or any os.PathLike), bytes as given, or a stream's ``read()``
-    (str from a text stream), uncopied: load_trajectory parses ASCII from them."""
+    (str from a text stream), uncopied.  load_trajectory reads only bytes and streams that
+    cannot seek through it, parsing ASCII from them in pieces; a path or a seekable binary
+    stream it reads itself, in pieces, and never whole unless it falls back to read_text."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             return fh.read()
@@ -46,7 +48,7 @@ def read_text(data) -> str:
     """``data`` from ``read_bytes`` as text, by one rule for every source: UTF-8, with
     universal newlines (CR LF and a lone CR each read as LF) and leading byte order
     marks removed.  It holds the bytes and the text together, 2x an ASCII file, so
-    load_trajectory decodes only text streams and files not in ASCII."""
+    load_trajectory decodes only text streams, files not in ASCII and files in doubt."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:

@@ -42,9 +42,9 @@ def extract_keyframes(
     smoothing only its span and taking its speed from the velocity it evaluates there, and
     find_peaks takes each batch's peaks; all the candidates are ranked by prominence, and a
     frame where overlapping intervals both peak is one candidate at its best, so keyframes are
-    distinct.  Only the clip and the speed span it.  Frames slower than the speed threshold
-    never become candidates, so rest frames inside annotated intervals stay excluded.  Frames
-    in the result are sample indices into ``traj``.
+    distinct.  Only the clip and the speed span it, the speed only until the batches begin.
+    Frames slower than the speed threshold never become candidates, so rest frames inside
+    annotated intervals stay excluded.  Frames in the result are sample indices into ``traj``.
     Raises FloatingPointError on overflow.
     """
     method = MeritMethod(method)   # a member, or its tag
@@ -57,6 +57,7 @@ def extract_keyframes(
         if intervals is None:
             intervals = detect_intervals(traj, threshold, min_gap, min_len, v) \
                 if threshold > 0 else []
+        del v   # the merit takes its speed from its own velocity: v goes before the batches
         distinct = sorted(set(intervals))   # each once; by start, the batches' spans overlap little
         frames, prominences = [np.zeros(0, np.intp)], [np.zeros(0)]
         for curve, _, rows in merit_batches(traj, distinct, method, f_error, threshold, sigma):

@@ -9,12 +9,15 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import io
 import itertools
 import math
+import os
 import re
+import sys
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -235,45 +238,68 @@ def speed(d: DerivativeStack) -> np.ndarray:
 
 
 def load_trajectory(source, format: str = "csv", frame_rate: float = 60.0) -> TimedTrajectory:
-    """Read a trajectory from a CSV or JSON stream, path, or bytes.
+    """Read a trajectory from a CSV or JSON path, stream, or bytes.
 
     For CSV the frame rate comes from ``frame_rate`` (the file has none); for
     JSON it comes from the file's "fps" field.  Dimensionality is inferred
     from the columns present.  Malformed rows, non-monotone or non-consecutive
     frame indices, and mixed dimensionality raise ParseError naming the row.
-    A file in ASCII after any BOMs, as save_trajectory writes, loads from its bytes (CRs
-    made LF) in about 1x the file plus the points; any other, and a text stream, is decoded
-    by read_text first.  CSV rows, and JSON "points" that are the last member with no '"',
-    are parsed about 64 KB at a time, each JSON piece only once its bytes have the shape of
-    rows of 2 or 3 numbers; any other JSON layout, or any doubt, is parsed whole.
+    A path or a seekable binary stream is never held whole: it is read twice, _PIECE_CHARS
+    bytes at a time, as ASCII after any BOMs with CRs made LF.  The first pass counts the rows
+    and checks the bytes; the second parses the rows a piece at a time into the points,
+    allocated once, so the load holds about the points and one piece.  Bytes, and any other
+    stream, read whole (a text stream's str as read_text's text), take the same passes from
+    memory.  A file not in ASCII, JSON "points" that are not the last member or hold a '"',
+    and any doubt go to the whole document, decoded by read_text, whose reader gives the
+    result or names the error.
     """
-    if format == "csv":
-        return _load_csv(_plain(read_bytes(source)), frame_rate)
-    if format != "json":
+    if format not in ("csv", "json"):
         raise ValueError(f"unknown trajectory format {format!r}")
-    # json.loads makes no cycles: the collector would only re-walk its lists, freed on return
+    rewound, decode = _opener(source)
+    # the loads make no cycles: the collector would only re-walk their lists, freed on return
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load_json(_plain(read_bytes(source)))
+        try:
+            loaded = (_load_csv if format == "csv" else _load_json_pieces)(rewound)
+        except ValueError:   # any doubt: the whole document gives the result or the error
+            loaded = None
+        if loaded is None:   # out of the handler, whose traceback holds the points parsed so far
+            with rewound() as fh:
+                text = decode(fh.read())
+            loaded = _load_csv_rows(text) if format == "csv" else (parse_json(text), None)
+            del text   # before the points are built from the lists
+        if format == "csv":
+            return TimedTrajectory(frozen(loaded[1]), frame_rate, loaded[0])
+        return _load_json(*loaded)
     finally:
         if enabled:
             gc.enable()
 
 
-def _plain(data) -> bytes:
-    """read_text's text of ``data`` in _UTF8; ASCII bytes after any BOMs stay bytes, CRs made LF."""
-    if isinstance(data, bytes) and (rest := data[_BOMS.match(data).end():]).isascii():
-        return rest.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in rest else rest
-    return read_text(data).encode(*_UTF8)
+def _opener(source):
+    """(rewound, decode): ``rewound()`` gives a binary stream of ``source`` from its start, for a
+    with block, at each call, and ``decode`` makes its bytes read_text's text.  A path is opened
+    afresh and a seekable binary stream sought back (and left open); anything else is read whole
+    once and served from memory, a text stream's str as read_text's text in _UTF8."""
+    if isinstance(source, (str, os.PathLike)):
+        return lambda: open(source, "rb"), read_text
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable():
+        start = source.tell()
+        return lambda: (source.seek(start), contextlib.nullcontext(source))[1], read_text
+    data = read_bytes(source)
+    if isinstance(data, str):
+        data = read_text(data).encode(*_UTF8)
+        return lambda: io.BytesIO(data), lambda raw: raw.decode(*_UTF8)
+    return lambda: io.BytesIO(data), read_text
 
 
 _UTF8 = ("utf-8", "surrogatepass")   # how the loaders' bytes hold any str, lone surrogates too
-_BOMS = re.compile(rb"(?:\xef\xbb\xbf)*")   # UTF-8 byte order marks
+_BOM = b"\xef\xbb\xbf"   # a UTF-8 byte order mark
+_BOMS = re.compile(rb"(?:\xef\xbb\xbf)*")
 _CSV_HEADERS = (["frame", "x", "y"], ["frame", "x", "y", "z"])
 # ASCII controls numpy's number parsers skip as whitespace but int() and float() refuse
 _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
-_NOT_SPACE = re.compile(rb"\S")
 
 
 def _loadtxt_refuses_float_ints() -> bool:
@@ -304,47 +330,54 @@ def _lines_within(data: bytes, limit: int) -> bool:
     return all(data.find(b"\n", i, i + step) >= 0 for i in range(0, len(data) - step + 1, step))
 
 
-def _load_csv(data: bytes, frame_rate: float) -> TimedTrajectory:
-    """``np.loadtxt`` over the rows after a plain header line, a piece (``_cut``) at a time.
+def _load_csv(rewound) -> tuple[int, np.ndarray]:
+    """The first frame and the points: ``np.loadtxt`` over the rows after a plain header line.
 
-    Anything that pass refuses or cannot vouch for (quoting, a bad field, a
-    frame gap or repeat, a non-finite value, no rows) goes to the row loop,
-    which accepts exactly what it always has and otherwise names the row.
-    Non-ASCII text goes there too: numpy reads some non-ASCII letters as digits.
-    So does a line that may hold a field over ``csv.field_size_limit()``,
-    which the row loop refuses whether or not it is quoted.
+    The first pass counts the lines and checks each piece of whole lines (``_pieces``); the
+    second parses the pieces into the points, allocated once.  Anything the passes refuse or
+    cannot vouch for (quoting, a bad field, a frame gap or repeat, a non-finite value, no rows)
+    raises ValueError, and the row loop, which accepts exactly what it always has and otherwise
+    names the row, reads the file.  So does non-ASCII text (numpy reads some non-ASCII letters
+    as digits), a control numpy skips as space, and a line that may hold a field over
+    ``csv.field_size_limit()``, which the row loop refuses whether or not it is quoted.
     """
-    end = data.find(b"\n")
-    if (_LOADTXT_EXACT_INTS and end >= 0 and data.isascii()
-            and [c.strip().lower() for c in data[:end].decode().split(",")] in _CSV_HEADERS
-            and not any(c in data for c in _NUMPY_ONLY_SPACE)
-            and _NOT_SPACE.search(data, end)   # no rows: loadtxt would warn
-            and _lines_within(data, csv.field_size_limit())):
-        dtype = np.dtype([("frame", np.int64), ("xyz", np.float64, (data.count(b",", 0, end),))])
-        points = np.empty((data.count(b"\n", end + 1) + (data[-1:] != b"\n"), *dtype["xyz"].shape))
-        pos, k, frames = end + 1, 0, np.zeros(0, np.int64)   # frames: the first and last so far
-        try:
-            while pos < len(data):
-                piece = data[pos:(pos := _cut(data, pos, b"\n", len(data)))]
-                if piece.strip(b"\n"):   # loadtxt warns on a piece of empty lines
-                    table = np.loadtxt(io.BytesIO(piece), dtype=dtype, delimiter=",", comments=None,
-                                       quotechar=None, ndmin=1)
-                    frames = np.r_[frames, table["frame"]]
-                    # diff 1 also holds across the int64 wrap from 2**63 - 1 to -2**63
-                    if not ((np.diff(frames[-len(table) - 1:]) == 1).all()
-                            and frames[-1] >= frames[0] and np.isfinite(table["xyz"]).all()):
-                        raise ValueError("a frame gap, repeat or wrap, or a non-finite value")
-                    points[k:k + len(table)] = table["xyz"]
-                    k, frames = k + len(table), frames[[0, -1]]
-        except ValueError:
-            pass
-        else:
-            return TimedTrajectory(frozen(points if k == len(points) else points[:k].copy()),
-                                   frame_rate, frames[0])   # k is short by the empty lines
-    return _load_csv_rows(data.decode(*_UTF8), frame_rate)
+    if not _LOADTXT_EXACT_INTS:
+        raise ValueError("np.loadtxt reads 1.5 as an int64")
+    lines = 0
+    with rewound() as fh:
+        for piece in _pieces(fh, b"\n"):
+            if any(c in piece for c in _NUMPY_ONLY_SPACE) \
+                    or not _lines_within(piece, csv.field_size_limit()):
+                raise ValueError("a control numpy skips, or a long line")
+            lines += piece.count(b"\n") + (piece[-1:] != b"\n")   # the last line may have no LF
+    points, k, frames = None, 0, np.zeros(0, np.int64)   # frames: the first and last so far
+    with rewound() as fh:
+        for piece in _pieces(fh, b"\n"):
+            if points is None:   # the first piece holds the header line
+                end = piece.find(b"\n")
+                if end < 0 or [c.strip().lower() for c in piece[:end].decode().split(",")] \
+                        not in _CSV_HEADERS:
+                    raise ValueError("no plain header line, or no rows")
+                dtype = np.dtype([("frame", np.int64),
+                                  ("xyz", np.float64, (piece.count(b",", 0, end),))])
+                points, piece = np.empty((lines - 1, *dtype["xyz"].shape)), piece[end + 1:]
+            if piece.strip(b"\n"):   # loadtxt warns on a piece of empty lines
+                table = np.loadtxt(io.BytesIO(piece), dtype=dtype, delimiter=",", comments=None,
+                                   quotechar=None, ndmin=1)
+                frames = np.r_[frames, table["frame"]]
+                # diff 1 also holds across the int64 wrap from 2**63 - 1 to -2**63
+                if not ((np.diff(frames[-len(table) - 1:]) == 1).all()
+                        and frames[-1] >= frames[0] and np.isfinite(table["xyz"]).all()):
+                    raise ValueError("a frame gap, repeat or wrap, or a non-finite value")
+                points[k:k + len(table)] = table["xyz"]
+                k, frames = k + len(table), frames[[0, -1]]
+    if not k:   # loadtxt would have warned
+        raise ValueError("no rows")
+    return frames[0], points if k == len(points) else points[:k].copy()   # short by empty lines
 
 
-def _load_csv_rows(text: str, frame_rate: float) -> TimedTrajectory:
+def _load_csv_rows(text: str) -> tuple[int, np.ndarray]:
+    """The first frame and the points of a CSV text, row by row, naming the first bad row."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
@@ -383,19 +416,11 @@ def _load_csv_rows(text: str, frame_rate: float) -> TimedTrajectory:
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
         raise ParseError(f"row {rows[1 + bad[0]][0]}: non-finite coordinate")
-    return TimedTrajectory(points, frame_rate, frames[0])
+    return frames[0], points
 
 
-def _load_json(data: bytes) -> TimedTrajectory:
-    try:
-        obj, pieces = _load_json_pieces(data)
-    except ParseError:   # any doubt: the whole document gives the result or the error
-        obj = pieces = None
-    if pieces is None:   # out of the handler, whose traceback holds the pieces parsed so far
-        data = data.decode(*_UTF8)   # rebound before parsing: the bytes go first
-        obj = parse_json(data)
-    del data   # no frame holds the bytes while the pieces are joined
-    points = None if pieces is None else np.concatenate(pieces)
+def _load_json(obj, points: np.ndarray | None) -> TimedTrajectory:
+    """The trajectory of a JSON document's object; its points, if not given, from its lists."""
     if not isinstance(obj, dict) or "fps" not in obj or "points" not in obj:
         raise ParseError('trajectory JSON must contain "fps" and "points"')
     fps = obj["fps"]
@@ -435,46 +460,98 @@ def _point_rows(pts: list, width: int, shaped: bool = False) -> np.ndarray | Non
     return points.reshape(-1, width) if np.isfinite(points).all() else None
 
 
-_PIECE_CHARS = 1 << 16   # bytes of CSV rows or JSON "points" parsed at a time
+_PIECE_CHARS = 1 << 16   # bytes read, and about the bytes of rows or "points" parsed, at a time
 _WRITE_ROWS = 8192   # CSV rows save_trajectory formats at a time
-_JSON_SPACE = re.compile(rb"[ \t\n\r]*")
 _POINTS_KEY = re.compile(rb'(?<!\\)"points"[ \t\n\r]*:[ \t\n\r]*\[')   # quote not escaped
 
 
-def _cut(data: bytes, pos: int, mark: bytes, stop: int) -> int:
-    """The end of the piece from ``pos``: after the first ``mark`` _PIECE_CHARS or more on."""
-    return data.find(mark, pos + _PIECE_CHARS, stop) + 1 or stop
+def _pieces(fh, mark: bytes, stop: int = sys.maxsize):
+    """The first ``stop`` bytes of ``fh`` after any byte order marks, each CR LF or lone CR made
+    LF (also where the reads split them), read _PIECE_CHARS at a time and cut after the last
+    ``mark`` of each read that has one: pieces of about _PIECE_CHARS bytes, each but the last
+    ending in ``mark``.  ValueError at the first read that holds a byte not in ASCII."""
+    chunk, parts, pos, cr = b"", [], 0, False   # cr: the last read ended with a CR
+    while _BOM.startswith(chunk) and (more := fh.read(_PIECE_CHARS)):   # a BOM the reads split
+        chunk += more
+        chunk = chunk[_BOMS.match(chunk).end():]
+    while chunk and pos < stop:
+        if not chunk.isascii():
+            raise ValueError("a byte not in ASCII")
+        if cr and chunk.startswith(b"\n"):   # the LF of a CR LF the reads split
+            chunk = chunk[1:]
+        cr = chunk.endswith(b"\r")
+        chunk = (chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in chunk
+                 else chunk)[:stop - pos]
+        pos += len(chunk)
+        if cut := chunk.rfind(mark) + 1:
+            yield b"".join([*parts, memoryview(chunk)[:cut]])
+            parts = [chunk[cut:]]
+        else:
+            parts.append(chunk)
+        chunk = fh.read(_PIECE_CHARS)
+    if rest := b"".join(parts):
+        yield rest
 
 
-def _load_json_pieces(data: bytes) -> tuple[dict, list]:
-    """The object, its "points" emptied, and the points' arrays, when they are its last member
-    and hold no '"': each piece of about _PIECE_CHARS bytes, cut after a row's "]", decoded and
-    parsed alone.  A piece is parsed only if its bytes less JSON's number characters and
-    whitespace are "[,]" or "[,,]" rows, as wide as the first, joined by commas: what JSON then
-    accepts are rows of numbers, as _point_rows would check, in ASCII.  ParseError when the
-    bytes are laid out otherwise or a piece is in doubt."""
-    close = data.rfind(b"]")
-    key = _POINTS_KEY.match(data, data.rfind(b'"', 0, close) - 7)   # the last '"' ends the key
-    if not (key and data[close + 1:].strip(b" \t\n\r") == b"}"):
-        raise ParseError('"points" is not the last member, or holds a string')
-    obj = parse_json(data[:key.start()].decode(*_UTF8) + '"points": []}')
-    pieces, pos = [], key.end()
-    while pos <= close:   # past close only once a piece ends with no comma after it
-        cut = _cut(data, pos, b"]", close)
-        shape = data[pos:cut].translate(None, b"0123456789+-.eE \t\n\r")   # brackets, commas
-        if not pieces:   # the first row's shape sets the width
-            row = shape[:shape.find(b"]") + 1]
-        k = shape.count(b"[")
-        if not (k and row in (b"[,]", b"[,,]") and shape == (row + b",") * (k - 1) + row):
-            raise ParseError("a piece is not rows of 2 or 3 numbers")
-        rows = parse_json("[" + data[pos:cut].decode() + "]")   # the shape left no non-ASCII
-        pieces.append(_point_rows(rows, len(row) - 1, shaped=True))
-        del rows   # before the next piece's lists are built
-        pos = _JSON_SPACE.match(data, cut, close).end()
-        if pieces[-1] is None or pos < close and data[pos:pos + 1] != b",":
-            raise ParseError("a bad row, or no comma after one")
-        pos += 1
-    return obj, pieces
+def _load_json_pieces(rewound) -> tuple[dict, np.ndarray]:
+    """The object, its "points" emptied, and the points, when they are its last member and hold
+    no '"'.  The first pass finds the last '"', which must end the "points" key, the first '['
+    after it, which opens the points, the rows (the further '['s) and the last ']', which must
+    close them with only '}' after it.  The second parses the members before the key, then the
+    rows a piece (``_pieces``) at a time into the points, allocated once.  A piece is parsed
+    only if its bytes less JSON's number characters and whitespace are the '[' that opens the
+    points (the first) or the ',' after the last piece's row, then "[,]" or "[,,]" rows, as wide
+    as the first, joined by commas: what JSON then accepts are rows of numbers, as _point_rows
+    would check.  ValueError when the bytes are laid out otherwise or a piece is in doubt."""
+    quote = start = -1
+    opens, pos, piece = 0, 0, b""
+    with rewound() as fh:
+        for piece in _pieces(fh, b"]"):
+            if i := piece.rfind(b'"') + 1:   # the '['s counted from the last '"' on
+                quote, start, opens = pos + i - 1, -1, 0
+            if start < 0 and (j := piece.find(b"[", i)) >= 0:
+                start = pos + j
+            opens += piece.count(b"[", i)
+            pos += len(piece)
+    tail = piece[piece.rfind(b"]") + 1:]   # the last piece holds all that follows the last ']'
+    close = pos - len(tail) - 1
+    if not (0 <= quote < start < close and tail.strip(b" \t\n\r") == b"}"):
+        raise ValueError('"points" is not the last member, or holds a string')
+    points, n = None, 0
+    with rewound() as fh:
+        pieces, head = _pieces(fh, b"]", close), []
+        for piece in pieces:   # the members before the points, and the first rows
+            head.append(piece)
+            if sum(map(len, head)) > start:
+                break
+        head = b"".join(head)
+        key = _POINTS_KEY.match(head, quote - 7)
+        if not key:
+            raise ValueError("the last '\"' ends no \"points\" key")
+        obj = parse_json(head[:key.start()].decode() + '"points": []}')
+        for piece in itertools.chain([head[start:]], pieces):
+            if not piece.strip(b" \t\n\r"):   # the space before the ']' that closes the points
+                continue
+            shape = piece.translate(None, b"0123456789+-.eE \t\n\r")   # brackets, commas
+            if not n:   # the first row's shape sets the width
+                row = shape[1:shape.find(b"]") + 1]
+            k = shape.count(b"[") - (not n)
+            if not (k and row in (b"[,]", b"[,,]")
+                    and shape == (b"," if n else b"[") + (row + b",") * (k - 1) + row):
+                raise ValueError("a piece is not rows of 2 or 3 numbers")
+            # after the first piece, a row in place of the last piece's before the ','
+            rows = parse_json(("[[]" if n else "") + piece.decode() + "]")
+            block = _point_rows(rows[bool(n):], len(row) - 1, shaped=True)
+            del rows   # before the next piece's lists are built
+            if block is None:
+                raise ValueError("a number beyond the float range")
+            if not n:
+                points = np.empty((opens - 1, len(row) - 1))
+            points[n:n + k] = block
+            n += k
+    if not n or n < len(points):   # no rows, or a '[' in no row
+        raise ValueError("no rows")
+    return obj, points
 
 
 def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:

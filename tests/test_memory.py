@@ -1,5 +1,5 @@
 """Peak memory of the CSV and JSON loads and of extract_keyframes on a 27k-sample
-signing clip, in multiples of what each one reads, the smoothing work of
+signing clip, in multiples of the clip's points, the smoothing work of
 extract with many small supplied intervals, the derivative rows that
 merit_curves evaluates for one short interval, and the CSV write and the
 evaluate report's write, in multiples of what each one writes.
@@ -7,22 +7,27 @@ evaluate report's write, in multiples of what each one writes.
 tracemalloc counts what Python and numpy allocate, so a peak reads the
 same on a busy host as on an idle one, unlike a timing.  Each bound sits
 15-25% above the peak measured when it was set, and below the peak of the
-code before it.  The loads parse pieces of 16 KB here, as a file of several
-MB is parsed in pieces of 64 KB: 1.39x the file for JSON, 1.62x for CSV
-(the bytes, the points and one piece), and 2.0x for a copy of either with
-CR LF line ends or a byte order mark, which are cut from the bytes.  Before
-that: 2.0x the file for the JSON load, when the file's bytes and its decoded
-text were held together, and 3.4x before that, when json.loads built the
-lists of every row at once; 1.99x for the CSV load, the bytes and np.loadtxt's
-table of the whole file, and 2.0x before, the bytes and the text; 5.9x when a
-StringIO held the text at 4 bytes a character; 2.9-3.0x for a CR LF copy and
-4.0x for a BOM copy, decoded whole while the bytes were alive.  Extract runs in
-merit batches of at most 2048 laid-out samples here, so that the batch, a
-third of the clip's laid-out samples at the default 8192, does not hide what
-spans the clip: 1.05x and 0.96x the points, the speed and one batch; 2.0x when
-the smoothed clip spanned it too, 3.3x at the default batch size.  For 25
-nested intervals, 47 bytes per laid-out sample when the velocity spanned the
-whole clip and one peak search spanned every interval.  Before that, 5.34x
+code before it.  The loads read and parse pieces of 16 KB here, as a file of
+several MB is read in pieces of 64 KB, and never hold the file: 1.16x the
+points for CSV and 1.24x for JSON (the points and one piece's table or
+lists), and the same for a copy of either with CR LF line ends or a byte
+order mark.  Before that, with the file's bytes beside the points: 1.62x the
+file (2.8x the points) for CSV, 1.39x (4.0x) for JSON, and 2.0x the file for
+a CR LF or BOM copy, made from the bytes; 2.0x the file for the JSON load,
+when the file's bytes and its decoded text were held together, and 3.4x
+before that, when json.loads built the lists of every row at once; 1.99x for
+the CSV load, the bytes and np.loadtxt's table of the whole file, and 2.0x
+before, the bytes and the text; 5.9x when a StringIO held the text at 4
+bytes a character; 2.9-3.0x for a CR LF copy and 4.0x for a BOM copy,
+decoded whole while the bytes were alive.  Extract runs in merit batches of
+at most 2048 laid-out samples here, so that the batch, a third of the clip's
+laid-out samples at the default 8192, does not hide what spans the clip:
+0.72x and 0.68x the points, one batch, or the speed and the copy the
+threshold sorts, with the speed freed before the batches; 1.05x and 0.96x
+while it lived through them; 2.0x when the smoothed clip spanned it too,
+3.3x at the default batch size.  For 25 nested intervals, 47 bytes per
+laid-out sample when the velocity spanned the whole clip and one peak search
+spanned every interval.  Before that, 5.34x
 and 5.63x the points, and 188 bytes per laid-out sample, when the merit's work
 arrays spanned every interval at once.  The CSV write formats pieces of 2048
 rows here, as it formats 8192 at a time for a clip of several MB: 0.48x the
@@ -32,6 +37,7 @@ piece by piece; 2.4x when it was joined, copied and encoded whole.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -52,6 +58,7 @@ from trajkf import (
 from trajkf.cli import main
 import trajkf.evaluation
 import trajkf.merit
+import trajkf.pipeline
 import trajkf.trajectory
 
 
@@ -73,45 +80,69 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_csv_load_peaks_near_the_file_and_the_points(clip, tmp_path, monkeypatch):
-    # 1.62x: the file's bytes, the points (0.63x) and one 16 KB piece's table
+def test_csv_load_peaks_near_the_points(clip, tmp_path, monkeypatch):
+    # 1.16x: the points and a 16 KB piece's table; the file is read in pieces, never whole
     monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", 2**14)
     path = tmp_path / "clip.csv"
     save_trajectory(clip.trajectory, path)
-    assert traced_peak(lambda: load_trajectory(path)) < 1.9 * path.stat().st_size
+    assert traced_peak(lambda: load_trajectory(path)) < 1.4 * clip.trajectory.points.nbytes
 
 
-def test_json_load_peaks_near_the_file(clip, tmp_path, monkeypatch):
-    # 1.39x: the file's bytes, the points parsed so far and one 16 KB piece's lists; the
-    # bytes go before the pieces are joined (1.72x if they stayed)
+def test_json_load_peaks_near_the_points(clip, tmp_path, monkeypatch):
+    # 1.24x: the points and a 16 KB piece's text and lists; the file is read in pieces
     monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", 2**14)
     path = tmp_path / "clip.json"
     save_trajectory(clip.trajectory, path, "json")
-    assert traced_peak(lambda: load_trajectory(path, "json")) < 1.6 * path.stat().st_size
+    assert traced_peak(lambda: load_trajectory(path, "json")) < 1.5 * clip.trajectory.points.nbytes
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("kind", ["crlf", "bom"])
 def test_crlf_and_bom_copies_load_from_their_bytes(clip, tmp_path, monkeypatch, fmt, kind):
-    # 2.0x: the file's bytes and their copy with the BOM cut, or with each CR LF made LF
+    # as the plain files: 1.15x and 1.22-1.24x; each read made LF, or the BOM cut, in pieces
     monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", 2**14)
     plain = tmp_path / f"clip.{fmt}"
     save_trajectory(clip.trajectory, plain, fmt)
     raw = plain.read_bytes()
     path = tmp_path / f"{kind}.{fmt}"
     path.write_bytes(raw.replace(b"\n", b"\r\n") if kind == "crlf" else b"\xef\xbb\xbf" + raw)
-    assert traced_peak(lambda: load_trajectory(path, fmt)) < 2.35 * path.stat().st_size
+    bound = {"csv": 1.4, "json": 1.5}[fmt]
+    assert traced_peak(lambda: load_trajectory(path, fmt)) < bound * clip.trajectory.points.nbytes
 
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["detected", "supplied"])
 def test_extract_peaks_at_the_speed_and_a_batch(clip, supplied, monkeypatch):
-    # 1.05x and 0.96x: the speed (a third of the points), the candidates pooled so far, and
-    # one batch of intervals' smoothed span, derivatives, kernel work arrays, curve and peaks
+    # 0.72x and 0.68x the points: one batch of intervals' smoothed span, derivatives, kernel
+    # work arrays, curve and peaks with the candidates pooled so far, or the speed (a third of
+    # the points) and the copy the threshold's percentile sorts; 1.05x and 0.96x when the
+    # speed lived on through the batches
     monkeypatch.setattr(trajkf.merit, "_BATCH_ROWS", 2048)
     traj = clip.trajectory
     intervals = list(clip.intervals) if supplied else None
     peak = traced_peak(lambda: extract_keyframes(traj, count=600, intervals=intervals))
-    assert peak < 1.25 * traj.points.nbytes
+    assert peak < 0.84 * traj.points.nbytes
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["detected", "supplied"])
+def test_the_speed_is_freed_before_the_merit(clip, supplied, monkeypatch):
+    # only the threshold and the detection read it: the merit takes its own from its velocity
+    speeds, alive = [], []
+    speed_profile, merit_batches = trajkf.pipeline.speed_profile, trajkf.pipeline.merit_batches
+
+    def profile(*args):
+        v = speed_profile(*args)
+        speeds.append(weakref.ref(v))
+        return v
+
+    def batches(*args, **kwargs):
+        alive.append([ref() is not None for ref in speeds])
+        return merit_batches(*args, **kwargs)
+
+    monkeypatch.setattr(trajkf.pipeline, "speed_profile", profile)
+    monkeypatch.setattr(trajkf.pipeline, "merit_batches", batches)
+    intervals = list(clip.intervals) if supplied else None
+    extract_keyframes(clip.trajectory, count=600, intervals=intervals)
+    assert alive == [[False]]
 
 
 def test_nested_intervals_cost_a_few_bytes_per_laid_out_sample(clip):

@@ -574,6 +574,96 @@ class TestEverySourceLoadsAlike:
             == load_outcome(lambda: brute_load(read_text(chars), fmt))
 
 
+def whole_document(text: str, fmt: str) -> TimedTrajectory:
+    """The loader's own whole-document reader on read_text's text: the row loop for CSV (at
+    60 fps), parse_json of the whole text for JSON."""
+    if fmt == "csv":
+        start, points = trajkf.trajectory._load_csv_rows(text)
+        return TimedTrajectory(points, 60.0, start)
+    return trajkf.trajectory._load_json(trajkf.trajectory.parse_json(text), None)
+
+
+class UnseekableBytes(io.BytesIO):
+    """A binary stream that cannot seek, as a pipe's."""
+
+    def seekable(self):
+        return False
+
+
+DEFECTS = ["quote", "second key", "member after", "bad number", "non-ASCII", "blank lines",
+           "no final newline", "lone CRs", "CR LF", "BOMs"]
+# numbers JSON or the CSV fast path refuse, or read as something else
+BAD_NUMBERS = ["1e999", "-", "1.2.3", "NaN", "nan", "01", "1e", "0x1", "+1", "1_0", "1 2"]
+
+
+def mutate_file(text: str, fmt: str, how: str, data) -> str:
+    """``text`` with one defect of kind ``how``; the places and values are drawn from ``data``."""
+    body = text.index("[", text.index('"points"')) if fmt == "json" else text.find("\n") + 1
+    at = data.draw(st.integers(body, len(text) - 1))
+    if how == "quote":   # a '"' in the points, or the rows
+        return text[:at] + '"' + text[at:]
+    if how == "second key":   # a decoy before the points, or a second set that wins after them
+        if fmt == "csv":
+            return text[:body] + "frame,x,y\n" + text[body:]
+        extra = data.draw(st.sampled_from(['"points": [[1, 2]], ', '"points": [[5, 6, 7]]']))
+        return text.replace("{", "{" + extra, 1) if extra.endswith(" ") \
+            else text[:text.rindex("}")] + ", " + extra + text[text.rindex("}"):]
+    if how == "member after":   # or a stray bracket after the points
+        if fmt == "csv":
+            return text + "# end\n"
+        extra = data.draw(st.sampled_from([', "tags": [1, 2]', ', "n": 5', "]", "}", ","]))
+        return text[:text.rindex("}")] + extra + text[text.rindex("}"):]
+    if how == "bad number":
+        numbers = list(re.finditer(r"-?[0-9][0-9.e+-]*", text[body:]))
+        m = data.draw(st.sampled_from(numbers))
+        return text[:body + m.start()] + data.draw(st.sampled_from(BAD_NUMBERS)) \
+            + text[body + m.end():]
+    if how == "non-ASCII":
+        return text[:at] + data.draw(st.sampled_from(["\xe9", "\u0661", "\ufeff"])) + text[at:]
+    if how == "blank lines":
+        return text + data.draw(st.sampled_from(["\n", "\n\n", "\n  \n", "\r\n\r\n"]))
+    if how == "no final newline":
+        return text.rstrip("\n")
+    if how == "lone CRs":
+        return text.replace("\n", "\r")
+    if how == "CR LF":
+        return text.replace("\n", "\r\n")
+    return "\ufeff" * data.draw(st.integers(1, 3)) + text   # byte order marks
+
+
+class TestStreamedLoadEqualsWholeDocument:
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_same_points_or_same_error(self, data, monkeypatch, tmp_path):
+        # reads of 1-64 bytes: cuts inside numbers, CR LF pairs, BOMs, the "points" key and the
+        # closing "]}"; from a path, bytes, a binary stream, seekable or not, and a text stream
+        monkeypatch.setattr(trajkf.trajectory, "_PIECE_CHARS", data.draw(st.integers(1, 64)))
+        fmt, dim = data.draw(st.sampled_from(["csv", "json"])), data.draw(st.sampled_from([2, 3]))
+        rows = data.draw(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim),
+                                  min_size=1, max_size=8))
+        out = io.StringIO()
+        save_trajectory(make_traj(rows, start=data.draw(st.sampled_from([0, 7]))), out, fmt)
+        text = out.getvalue()
+        for how in sorted(data.draw(st.lists(st.sampled_from(DEFECTS), max_size=2, unique=True)),
+                          key=DEFECTS.index):   # the line ends and BOMs last
+            text = mutate_file(text, fmt, how, data)
+        raw = text.encode()
+        path = tmp_path / f"clip.{fmt}"
+        path.write_bytes(raw)
+        expected = load_outcome(lambda: whole_document(read_text(raw), fmt))
+        for source in (path, raw, io.BytesIO(raw), UnseekableBytes(raw), io.StringIO(text)):
+            assert load_outcome(lambda: load_trajectory(source, fmt)) == expected, source
+
+    def test_a_stream_is_read_from_where_it_stands(self):
+        # a seekable stream is sought back to the position it was handed over at, each pass
+        data = b"junk" + b"frame,x,y\n3,1,2\n4,5,6\n"
+        stream = io.BytesIO(data)
+        stream.seek(4)
+        traj = load_trajectory(stream, "csv")
+        assert traj.start_frame == 3 and traj.points.tolist() == [[1, 2], [5, 6]]
+
+
 class TestAnnotations:
     def test_round_trip(self, tmp_path):
         from trajkf import Annotations, load_annotations, save_annotations

@@ -16,7 +16,7 @@ The JSON clip of `signing_json_pergloss` is also rewritten compact with
 `"points"` as its first member, which the loader parses whole rather than in
 pieces, and `extract` runs on that copy too.
 Each workload's clip is also copied with CR LF line ends and with a UTF-8
-byte order mark, which the loaders strip from the bytes before parsing;
+byte order mark, which the loaders cut and make LF in each piece they read;
 `extract` runs on both copies.  A CSV clip is also copied with blank lines
 (two after the header, one every 1000 rows) and no final newline, and the
 `signing_csv` clip of seed 1 also goes through `extract --sigma 1000`, whose

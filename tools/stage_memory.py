@@ -23,13 +23,17 @@ is exhausted, with the `find_peaks` call on each batch the pipeline makes
 in between, so its traced peak is the largest of any batch.
 
 Extract runs twice.  The first pass reads the resident set size (RSS, from
-/proc/self/statm, so Linux only) after each stage, and the CPU time the
-process spent in it (`time.process_time`, in ms).  The second runs under
-`tracemalloc` and reads the peak of traced memory within each stage; that
-peak counts what earlier stages still hold.  Both are in MB of 2**20 bytes,
-as the benchmark's `extract_rss_mb` is.  The last lines of each workload
-give the peak RSS of its interpreter over the first pass, and the size of
-its trajectory file with the load's traced peak as a multiple of it.
+/proc/self/status, so Linux only) after each stage, split into its anonymous
+part (`RssAnon`: the heap and numpy's arrays, what a data change can lower)
+and its file-backed part (`RssFile`: the interpreter's and the libraries'
+code pages, which grow as modules are imported and first run), and the CPU
+time the process spent in the stage (`time.process_time`, in ms).  The
+second runs under `tracemalloc` and reads the peak of traced memory within
+each stage; that peak counts what earlier stages still hold.  All are in MB
+of 2**20 bytes, as the benchmark's `extract_rss_mb` is.  The last lines of
+each workload give the peak RSS of its interpreter over the first pass, the
+size of its trajectory file and of the points loaded from it, and the load's
+traced peak as a multiple of each.
 
 Evaluate runs twice as well, measured the same way.  Its stages follow one
 another: each ends when the call that marks it returns, and the next one
@@ -87,8 +91,11 @@ MB = 2**20
 
 
 def rss_mb():
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / MB
+    # the resident set, and its anonymous and its file-backed (code and mapped files) parts
+    keys = ("VmRSS:", "RssAnon:", "RssFile:")
+    with open("/proc/self/status") as fh:
+        kb = dict(line.split()[:2] for line in fh if line.startswith(keys))
+    return tuple(int(kb[key]) * 1024 / MB for key in keys)
 
 
 def enter():
@@ -103,10 +110,12 @@ def leave(name):
 
 def table(title, stages):
     print(f"{inputs['workload']} {title} (seed {sys.argv[2]})")
-    print(f"  {'stage':<16}{'tracemalloc peak MB':>20}{'RSS after MB':>14}{'CPU ms':>10}")
+    print(f"  {'stage':<16}{'tracemalloc peak MB':>20}{'RSS after MB':>14}{'anon MB':>9}"
+          f"{'file MB':>9}{'CPU ms':>10}")
     for name in stages:
         if name in rss:
-            print(f"  {name:<16}{peak[name]:>20.2f}{rss[name]:>14.2f}{cpu[name]:>10.1f}")
+            print(f"  {name:<16}{peak[name]:>20.2f}{rss[name][0]:>14.2f}{rss[name][1]:>9.2f}"
+                  f"{rss[name][2]:>9.2f}{cpu[name]:>10.1f}")
     print(f"  peak RSS {max_rss:.2f} MB")
 
 
@@ -119,6 +128,7 @@ MEASURE = COMMON + """
 from contextlib import contextmanager, nullcontext
 
 import trajkf.pipeline
+from trajkf import load_trajectory
 from workloads import Inputs, extract_inprocess
 
 STAGES = {"speed": "speed_profile", "threshold": "default_speed_threshold",
@@ -166,7 +176,9 @@ run(inp, tracemalloc.reset_peak,
 tracemalloc.stop()
 table("extract", ("load", *STAGES))
 size = os.path.getsize(inp.traj) / MB
-print(f"  input file {size:.2f} MB; load peak {peak['load'] / size:.2f}x the file", flush=True)
+points = load_trajectory(inp.traj, inp.fmt).points.nbytes / MB
+print(f"  input file {size:.2f} MB, points {points:.2f} MB; load peak {peak['load'] / size:.2f}x "
+      f"the file, {peak['load'] / points:.2f}x the points", flush=True)
 """
 
 # prints the workload's evaluate table
