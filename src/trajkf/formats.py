@@ -149,6 +149,7 @@ def json_pieces(obj) -> list[str]:
             memo[id(obj), nl] = out[start:]
 
     layout(obj, "\n")
+    del layout   # a cycle through its own cell would keep memo's pieces until a collection
     return out
 
 

@@ -40,6 +40,7 @@ class DescriptorCurve:
     records which merit branch produced the curve, when applicable.
     ``offsets`` are the start indices of the curve's segments (one by default,
     one per interval when intervals are laid end to end); peaks stay inside.
+    The values and mask are copied (masked values as 0), the offsets checked.
     """
 
     values: np.ndarray
@@ -53,7 +54,8 @@ class DescriptorCurve:
         if vals.shape != mask.shape or vals.ndim != 1:
             raise ValueError("values and valid_mask must be 1-D arrays of equal length")
         offsets = np.array(self.offsets, dtype=np.intp, ndmin=1)
-        if offsets[:1].tolist() != [0] or (np.diff(offsets, append=max(len(vals), 1)) <= 0).any():
+        if offsets[:1].tolist() != [0] or offsets[-1] >= max(len(vals), 1) \
+                or (offsets[1:] <= offsets[:-1]).any():
             raise ValueError("offsets must rise from 0 and start segments inside the curve")
         vals = np.where(mask, vals, 0.0)
         mask = mask.copy()
@@ -71,7 +73,7 @@ class DescriptorCurve:
 
 def masked_ratio(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> DescriptorCurve:
     """num / den where ``mask`` holds; elsewhere masked, and stored as 0."""
-    vals = np.zeros_like(num)
+    vals = np.zeros(len(num))
     np.divide(num, den, out=vals, where=mask)
     return DescriptorCurve(vals, mask)
 
@@ -93,16 +95,20 @@ def descriptor_kernel(d: DerivativeStack, v: np.ndarray, rate: bool, torsion: bo
         cross_vec = None
         cross_mag = np.abs(d.d1[:, 0] * d.d2[:, 1] - d.d1[:, 1] * d.d2[:, 0])
     else:
-        cross_vec = np.cross(d.d1, d.d2)
-        cross_mag = np.linalg.norm(cross_vec, axis=1)
+        cross_vec = np.empty_like(d.d1)   # np.cross's component products, in its order
+        for i, (j, k) in enumerate([(1, 2), (2, 0), (0, 1)]):
+            np.subtract(d.d1[:, j] * d.d2[:, k], d.d1[:, k] * d.d2[:, j], out=cross_vec[:, i])
+        cross_mag = np.sqrt(np.add.reduce(cross_vec * cross_vec, axis=1))   # its norm
     moving = v >= SPEED_EPS
     curvature = masked_ratio(cross_mag, v**2 if rate else v**3, moving)
     if not torsion:
         return curvature, None
     num = np.abs(np.einsum("ij,ij->i", cross_vec, d.d3))
+    del cross_vec   # freed once read: a merit batch's traced peak is in this kernel
     if rate:
-        num = num * v
-    tau = masked_ratio(num, cross_mag**2, moving & (cross_mag >= CROSS_EPS))
+        num *= v
+    valid = moving & (cross_mag >= CROSS_EPS)
+    tau = masked_ratio(num, np.square(cross_mag, out=cross_mag), valid)
     return curvature, tau
 
 

@@ -29,7 +29,9 @@ from .trajectory import DerivativeStack, TimedTrajectory, derivative, frozen, ga
 
 DEFAULT_F_ERROR = 5e-2
 HARMONIC_EPS = 1e-12
-_BATCH_ROWS = 8192   # most samples in a block of the speed, or in a merit batch of whole intervals
+# most samples in a block of the speed, or in a merit batch of whole intervals: a batch's work
+# arrays grow with it, and the batches' fixed cost (a few hundred calls each) with their count
+_BATCH_ROWS = 4096
 
 # Twist-rate estimates divide by |d1 x d2|^2 ~ v^6, so samples in the slow
 # tails near rest boundaries are noise-dominated; they are masked (and thus
@@ -65,7 +67,7 @@ def fit_planes(seg, offsets, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarra
     fitting error 0.
     """
     centroids = np.add.reduceat(seg, offsets, axis=0) / lengths[:, None]
-    seg = seg - np.repeat(centroids, lengths, axis=0)
+    seg = seg - centroids.repeat(lengths, axis=0)
     cov = np.empty((len(lengths), 3, 3))
     for a in range(3):
         for b in range(a, 3):
@@ -123,14 +125,14 @@ def harmonic_mean_curve(k: DescriptorCurve, t_abs: DescriptorCurve) -> Descripto
 def segment_layout(intervals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Offsets and lengths of the intervals laid end to end, and each slot's sample index."""
     lengths = np.array([itv.length for itv in intervals], dtype=np.intp)
-    offsets = np.cumsum(lengths) - lengths
+    offsets = lengths.cumsum() - lengths
     starts = np.array([itv.start for itv in intervals], dtype=np.intp)
-    return offsets, lengths, np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+    return offsets, lengths, np.arange(lengths.sum()) + (starts - offsets).repeat(lengths)
 
 
 def speed_profile(traj: TimedTrajectory, sigma: float = 0.0) -> np.ndarray:
-    """``speed(differentiate(gaussian_smooth(traj, sigma), 1))`` bit for bit, _BATCH_ROWS samples
-    at a time, each block (and its stencils' reach) smoothed just before d1 is evaluated there."""
+    """``speed(differentiate(gaussian_smooth(traj, sigma), 1))`` bit for bit, in blocks of 4096
+    (_BATCH_ROWS) samples, each (with its stencils' reach) smoothed just before d1 is evaluated."""
     v = np.empty(traj.n_samples)
     for a in range(0, len(v), _BATCH_ROWS):
         b = min(len(v), a + _BATCH_ROWS)
@@ -152,13 +154,14 @@ def merit_batches(traj: TimedTrajectory, intervals: Sequence[SigningInterval],
                   method: MeritMethod | str, f_error: float = DEFAULT_F_ERROR,
                   speed_threshold: float = 0.0, sigma: float = 0.0):
     """The intervals' descriptor curve on ``gaussian_smooth(traj, sigma)`` per batch of
-    consecutive whole intervals of at most _BATCH_ROWS laid-out samples (a longer one alone), in
-    order: (curve, branches, rows), the batch's intervals laid end to end as the segments of one
-    curve (``segment_layout``), each one's branch, and the trajectory sample of every curve slot.
-    Each smooths its span (by start, they sum to about n + N), then evaluates d1, and the speed as
-    its norm, and d2 at its samples and d3 at its non-planar ones: nothing spans the clip;
-    O(N log N) over N samples.  Too short a clip, or a negative or NaN ``sigma``, ``f_error`` or
-    ``speed_threshold``, raises ValueError on ``next``."""
+    consecutive whole intervals of at most _BATCH_ROWS (4096) laid-out samples (a longer one
+    alone), in order: (curve, branches, rows), the batch's intervals laid end to end as the
+    segments of one curve (``segment_layout``), each one's branch, and the trajectory sample of
+    every curve slot.  Each smooths its span (by start, they sum to about n + N), then evaluates
+    d1, and the speed as its norm, and d2 at its samples and d3 at its non-planar ones: nothing
+    spans the clip; O(N log N) over N samples.  The curve's values and mask are allocated only
+    once the batch's kernels have run.  Too short a clip, or a negative or NaN ``sigma``,
+    ``f_error`` or ``speed_threshold``, raises ValueError on ``next``."""
     method, n = MeritMethod(method), traj.n_samples   # a member, or its tag
     for name, x in [("sigma", sigma), ("f_error", f_error), ("speed_threshold", speed_threshold)]:
         if not x >= 0:   # NaN fails too
@@ -196,24 +199,27 @@ def _merit_batch(traj, method, f_error, speed_threshold, sigma, intervals):
         base = geometry.descriptor_kernel(shape, speed(shape) if xy else vb, rate)[0]
         values, mask = base.values, base.valid_mask
     else:   # one kernel over the projected planar samples, one over the rest
-        values, mask = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
         errors, bases, _ = fit_planes(traj.points[rows], offsets, lengths)
         planar = errors < f_error
-        flat = np.repeat(planar, lengths)
+        flat = planar.repeat(lengths)
         branches = np.where(planar, BRANCH_PLANAR, BRANCH_NONPLANAR).tolist()
+        parts = []   # each kernel's samples, values and mask
         if planar.any():   # per-interval products: a batched product rounds differently
-            sl = [(offsets[j], lengths[j], bases[j].T) for j in np.flatnonzero(planar).tolist()]
+            sl = [(offsets[j], lengths[j], bases[j].T) for j in planar.nonzero()[0].tolist()]
             k = geometry.curvature_t(DerivativeStack(
                 frozen(np.concatenate([d1[o:o + m] @ b for o, m, b in sl])),
                 frozen(np.concatenate([d2[o:o + m] @ b for o, m, b in sl]))))
-            values[flat], mask[flat] = k.values, k.valid_mask
+            parts.append((flat, k.values, k.valid_mask))
         if not planar.all():   # rebound, the batch-long d1 and d2 are freed before the kernel
-            d1, d2, vh = frozen(d1[~flat]), frozen(d2[~flat]), vb[~flat]
+            d1, d2, vh = (frozen(d1[~flat]), frozen(d2[~flat]), vb[~flat]) if planar.any() \
+                else (d1, d2, vb)
             h = harmonic_mean_curve(*geometry.descriptor_kernel(DerivativeStack(
                 d1, d2, derivative(traj, 3, rows[~flat])), vh, True, torsion=True))
             cut = TORSION_SPEED_FRACTION * segment_percentile(vh, lengths[~planar], 95)
-            values[~flat] = h.values
-            mask[~flat] = h.valid_mask & (vh >= np.repeat(cut, lengths[~planar]))
+            parts.append((~flat, h.values, h.valid_mask & (vh >= cut.repeat(lengths[~planar]))))
+        values, mask = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)   # after the kernels
+        for at, part_values, part_mask in parts:
+            values[at], mask[at] = part_values, part_mask
     if speed_threshold > 0:
         mask = mask & (vb >= speed_threshold)
     return DescriptorCurve(values, mask, offsets=offsets), branches, rows + lo
@@ -252,7 +258,7 @@ def segment_percentile(values: np.ndarray, lengths: np.ndarray, q: float) -> np.
     (n - 1) * q / 100 and its ``_lerp`` with the ``t >= 0.5`` form.  Lengths
     must be positive, values NaN-free.
     """
-    offsets = np.cumsum(lengths) - lengths
+    offsets = lengths.cumsum() - lengths
     index = (lengths - 1) * (q / 100)
     t = index - np.floor(index) + (lengths == 1)   # numpy reads a lone sample at -1: t = 1
     first = offsets + np.floor(index).astype(np.intp)
@@ -263,7 +269,7 @@ def segment_percentile(values: np.ndarray, lengths: np.ndarray, q: float) -> np.
         order = np.argsort(values)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        key = np.repeat(offsets, lengths) * len(order)   # segments in order, ranks within
+        key = offsets.repeat(lengths) * len(order)   # segments in order, ranks within
         ordered = values[order[np.sort(key + rank) - key]]
     a, b = ordered[first], ordered[second]
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)

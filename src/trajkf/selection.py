@@ -12,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .formats import KeyframeSet, MeritMethod, SigningInterval, rank_order
+from .formats import KeyframeSet, MeritMethod, SigningInterval
 # kept for perfbench/workloads.py and driver.py
 from .formats import keyframes_from_json, keyframes_to_json  # noqa: F401
 from .geometry import DescriptorCurve
@@ -136,13 +136,14 @@ def select_keyframes(frames, prominences, count: int,
 
     ``prominences`` runs parallel to ``frames``.  A frame listed several times
     is one candidate, at its best prominence, so the result never repeats a
-    frame.  Candidates are taken in ``rank_order``; the result is sorted by
-    frame and flags a shortfall when fewer distinct frames than requested exist.
+    frame.  Candidates are taken in ``rank_order``'s order, which ``np.lexsort``
+    gives over arrays; the result is sorted by frame and flags a shortfall when
+    fewer distinct frames than requested exist.
     """
     if not (count >= 1 and count % 1 == 0):
         raise ValueError(f"count must be a whole number >= 1, got {count}")
     frames, prominences = np.asarray(frames, dtype=np.int64), np.asarray(prominences, dtype=float)
-    order = np.array(rank_order(frames.tolist(), prominences.tolist()), dtype=np.intp)
+    order = np.lexsort((frames, -prominences))   # by descending prominence, frame, position
     first = np.unique(frames[order], return_index=True)[1]   # each frame's best rank, by frame
     top = order[first[np.sort(np.argsort(first)[:int(count)])]]   # the ``count`` best, by frame
     return KeyframeSet(tuple(frames[top].tolist()), tuple(prominences[top].tolist()), method,

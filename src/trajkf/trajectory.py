@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import gc
 import io
 import itertools
@@ -24,33 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import (
-    ParseError,
-    float9,
-    float9s,
-    json_finite_number,
-    json_text,
-    parse_json,
-    read_bytes,
-    read_text,
-    write_text,
-)
+from .formats import (ParseError, float9, float9s, json_finite_number, json_pieces, parse_json,
+                      read_bytes, read_text, write_text)
 # kept for perfbench/workloads.py, driver.py, tracing.py and test_perfbench.py
 from .formats import Annotations, SigningInterval, load_annotations, save_annotations  # noqa: F401
 
 
-_FROZEN = weakref.WeakValueDictionary()   # id -> each live array `frozen` marked
+_FROZEN = {}   # id -> a weak reference to each live array `frozen` marked, popped as it dies
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
     """Mark ``a``, a new float64 array, read-only; the containers copy any unmarked array."""
     a.flags.writeable = False
-    _FROZEN[id(a)] = a
+    _FROZEN[id(a)] = weakref.ref(a, functools.partial(_FROZEN.pop, id(a)))   # no Python call
     return a
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    return a if _FROZEN.get(id(a)) is a else frozen(np.array(a, dtype=float))
+    return a if (ref := _FROZEN.get(id(a))) and ref() is a else frozen(np.array(a, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +141,7 @@ def gaussian_smooth(traj: TimedTrajectory, sigma: float, rows=None) -> TimedTraj
     # the points in reach, at least a kernel's length: np.convolve swaps its operands if fewer
     lo, hi = max(0, min(rows.start - radius, n - k.size)), min(n, max(rows.stop + radius, k.size))
 
-    # full convolution sliced back to the rows; mode="same" would
-    # return kernel-length output when the kernel outgrows a short signal
+    # the full convolution sliced to the rows: mode="same" is kernel-long past a short signal
     def convolve(x):
         return np.convolve(x, kernel, mode="full")[rows.start - lo + radius:][:len(rows)]
 
@@ -195,7 +186,8 @@ def differentiate(traj: TimedTrajectory, order_max: int = 3) -> DerivativeStack:
 
 def derivative(traj: TimedTrajectory, order: int, rows=None) -> np.ndarray:
     """differentiate's ``order``-th derivative (1, 2 or 3) at ``rows``, sample indices or a
-    step-1 range (all by default), bit for bit, evaluated only there: read-only, (len(rows), D)."""
+    step-1 range (all by default), bit for bit, evaluated only there: read-only, (len(rows), D).
+    Each row takes the central stencil, then those within reach of an end are rewritten."""
     n = traj.n_samples
     if n < MIN_SAMPLES[order]:
         raise ValueError(f"need at least {MIN_SAMPLES[order]} samples for order {order}, got {n}")
@@ -203,33 +195,35 @@ def derivative(traj: TimedTrajectory, order: int, rows=None) -> np.ndarray:
     scale = {1: 2 * h, 2: h**2, 3: 2 * h**3}[order]
     reach, central, one_sided = _STENCILS[order]
 
-    def stencil(weights, at, out=None):   # sum of weight * at(offset), left to right, / scale
+    def stencil(weights, at, out):   # sum of weight * at(offset, buffer), left to right, / scale
         (offset, weight), *rest = weights
-        out = np.multiply(weight, at(offset), out=out)
+        np.multiply(at(offset, out), weight, out=out)
+        term = np.empty_like(out)
         for offset, weight in rest:
-            out += weight * at(offset)
+            out += np.multiply(at(offset, term), weight, out=term)
         return np.divide(out, scale, out=out)
 
     rows = range(n) if rows is None else rows
     out = np.empty((len(rows), p.shape[1]))
-    if isinstance(rows, range):   # the interior through slices of the points, the ends as rows
+    if isinstance(rows, range):   # the interior through slices of the points
         a, b = rows.start, rows.stop
         lo, hi = max(a, reach), max(a, reach, min(b, n - reach))
-        stencil(central, lambda o: p[lo + o:hi + o], out[lo - a:hi - a])
-        ends = np.r_[a:min(b, reach), max(a, n - reach):b]
-        out[ends - a] = derivative(traj, order, ends)
-        return frozen(out)
-    lead, trail = rows < reach, rows >= n - reach
-    mirrored = [(-o, -w if order % 2 else w) for o, w in one_sided]
-    for part, weights in [(~(lead | trail), central), (lead, one_sided), (trail, mirrored)]:
-        at = rows[part]
-        out[part] = stencil(weights, lambda o: p.take(at + o, axis=0))
+        stencil(central, lambda o, _: p[lo + o:hi + o], out[lo - a:hi - a])
+        at = (ends := np.r_[a:min(b, reach), max(a, n - reach):b]) - a
+    else:   # take's "clip" clips each index into p[reach + o:n - reach + o], the interior
+        i = rows - reach
+        stencil(central, lambda o, buf: p[reach + o:n - reach + o].take(i, 0, buf, "clip"), out)
+        at = ((rows < reach) | (rows >= n - reach)).nonzero()[0]
+        ends = rows[at]
+    if ends.size:   # the one-sided stencils, mirrored at the last `reach` samples (_STENCILS),
+        s = np.where(ends < reach, 1, -1)   # summed in a gathered copy of their rows
+        out[at] = stencil(one_sided, lambda o, _: p[ends + s * o] * (s**order)[:, None], out[at])
     return frozen(out)
 
 
 def speed(d: DerivativeStack) -> np.ndarray:
-    """Per-sample speed: Euclidean norm of the first derivative."""
-    return np.linalg.norm(d.d1, axis=1)
+    """Per-sample speed: Euclidean norm of the first derivative (np.linalg.norm's sum)."""
+    return np.sqrt(np.add.reduce(d.d1 * d.d1, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -556,18 +550,24 @@ def _load_json_pieces(rewound) -> tuple[dict, np.ndarray]:
 
 def save_trajectory(traj: TimedTrajectory, dest, format: str = "csv") -> None:
     """Write a trajectory as CSV or JSON (floats at 9 significant digits); the JSON
-    is laid out as ``json.dumps(obj, indent=2)`` writes it.  The CSV is written in pieces
+    is laid out as ``json.dumps(obj, indent=2)`` writes it.  Both are written in pieces
     of _WRITE_ROWS rows, each formatted as it is written, so no piece outlives its write."""
+    pts, starts = traj.points, range(0, traj.n_samples, _WRITE_ROWS)
+
+    def laid_out(a):   # json_pieces of the trajectory with only its points a to a + _WRITE_ROWS
+        flat = float9s(pts[a:a + _WRITE_ROWS].ravel().tolist())
+        return json_pieces({"fps": float9(traj.frame_rate), "start_frame": traj.start_frame,
+                            "points": list(zip(*[iter(flat)] * traj.dim))})
+
     if format == "csv":
-        row, pts = "%d" + ",%.9g" * traj.dim + "\n", traj.points
-        blocks = (enumerate(pts[a:a + _WRITE_ROWS].tolist(), traj.start_frame + a)
-                  for a in range(0, len(pts), _WRITE_ROWS))
+        row = "%d" + ",%.9g" * traj.dim + "\n"
+        blocks = (enumerate(pts[a:a + _WRITE_ROWS].tolist(), traj.start_frame + a) for a in starts)
         text = itertools.chain(["frame," + ",".join("xyz"[: traj.dim]) + "\n"],
                                ("".join([row % (n, *p) for n, p in block]) for block in blocks))
-    elif format == "json":
-        flat = float9s(traj.points.ravel().tolist())
-        text = json_text({"fps": float9(traj.frame_rate), "start_frame": traj.start_frame,
-                          "points": list(zip(*[iter(flat)] * traj.dim))}) + "\n"
+    elif format == "json":   # the first block's pieces end "[", nl, its rows, "\n  ]", "\n}"
+        *head, nl, rows, close_points, close = laid_out(0)   # the later rows follow "," and nl
+        text = itertools.chain(head, [nl, rows], itertools.chain.from_iterable(
+            [",", nl, laid_out(a)[-3]] for a in starts[1:]), [close_points, close, "\n"])
     else:
         raise ValueError(f"unknown trajectory format {format!r}")
     write_text(dest, text)

@@ -7,10 +7,13 @@ the arc-length-route oracle in oracles.py.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trajkf.geometry
 from trajkf import (
     CurveSpec,
+    DerivativeStack,
     DescriptorCurve,
     TimedTrajectory,
     curvature_s,
@@ -254,6 +257,58 @@ class TestDescriptorKernel:
         d = differentiate(helix_traj().trajectory, order)
         with pytest.raises(ValueError, match=match):
             descriptor(d)
+
+
+class TestCrossProduct:
+    """descriptor_kernel's d1 x d2, written out as np.cross's three component products in its
+    order, and its norm as np.linalg.norm's sum, give the kernel as np.cross and
+    np.linalg.norm gave it, bit for bit, near overflow too; under extract's errstate an
+    overflowing product still raises FloatingPointError."""
+
+    @staticmethod
+    def np_cross_kernel(d1, d2, d3, v):   # descriptor_kernel's rates spelled with np.cross
+        cross = np.cross(d1, d2)
+        mag = np.linalg.norm(cross, axis=1)
+        moving = v >= trajkf.geometry.SPEED_EPS
+        k, tau = np.zeros(len(v)), np.zeros(len(v))
+        np.divide(mag, v**2, out=k, where=moving)
+        np.divide(np.abs(np.einsum("ij,ij->i", cross, d3)) * v, mag**2, out=tau,
+                  where=moving & (mag >= trajkf.geometry.CROSS_EPS))
+        return k.tobytes() + tau.tobytes()
+
+    @staticmethod
+    def kernel(d1, d2, d3, v):
+        k, tau = trajkf.geometry.descriptor_kernel(DerivativeStack(d1, d2, d3), v, True, True)
+        return k.values.tobytes() + tau.values.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    @example(data=None)   # a product overflows, the speed does not
+    def test_is_np_cross_bit_for_bit(self, data):
+        if data is None:
+            d1, d2, d3 = np.array([[1e10, 2e10, 0.0]]), np.array([[0.0, 1e300, 1e300]]), \
+                np.ones((1, 3))
+        else:
+            n = data.draw(st.integers(1, 30))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            scale = st.sampled_from([0.0, 1e-300, 1e-160, 1.0, 1e100, 1e150, 1e154, 1e155, 1e160])
+            d1, d2, d3 = (rng.normal(size=(n, 3)) * data.draw(scale) for _ in range(3))
+            parallel = rng.random(n) < 0.2   # a cross product of exact zeros
+            d2[parallel] = 2 * d1[parallel]
+            d1[rng.random((n, 3)) < 0.2] = 0.0   # zero components
+        with np.errstate(all="ignore"):
+            v = speed(DerivativeStack(d1))
+            assert self.kernel(d1, d2, d3, v) == self.np_cross_kernel(d1, d2, d3, v)
+        got, want = [], []
+        for out, call in ((got, self.kernel), (want, self.np_cross_kernel)):
+            with np.errstate(over="raise", invalid="raise"):
+                try:
+                    out.append(call(d1, d2, d3, v))
+                except FloatingPointError:
+                    out.append("raised")
+        assert got == want
+        if data is None:
+            assert got == ["raised"]
 
 
 @pytest.mark.parametrize("values,mask", [

@@ -1,8 +1,8 @@
 """Peak memory of the CSV and JSON loads and of extract_keyframes on a 27k-sample
 signing clip, in multiples of the clip's points, the smoothing work of
 extract with many small supplied intervals, the derivative rows that
-merit_curves evaluates for one short interval, and the CSV write and the
-evaluate report's write, in multiples of what each one writes.
+merit_curves evaluates for one short interval, and the CSV and JSON writes
+and the evaluate report's write, in multiples of what each one writes.
 
 tracemalloc counts what Python and numpy allocate, so a peak reads the
 same on a busy host as on an idle one, unlike a timing.  Each bound sits
@@ -20,18 +20,22 @@ the CSV load, the bytes and np.loadtxt's table of the whole file, and 2.0x
 before, the bytes and the text; 5.9x when a StringIO held the text at 4
 bytes a character; 2.9-3.0x for a CR LF copy and 4.0x for a BOM copy,
 decoded whole while the bytes were alive.  Extract runs in merit batches of
-at most 2048 laid-out samples here, so that the batch, a third of the clip's
-laid-out samples at the default 8192, does not hide what spans the clip:
-0.72x and 0.68x the points, one batch, or the speed and the copy the
+at most 2048 laid-out samples here, so that the batch, a sixth of the clip's
+laid-out samples at the default 4096, does not hide what spans the clip:
+0.69x and 0.67x the points, one batch, or the speed and the copy the
 threshold sorts, with the speed freed before the batches; 1.05x and 0.96x
-while it lived through them; 2.0x when the smoothed clip spanned it too,
-3.3x at the default batch size.  For 25 nested intervals, 47 bytes per
-laid-out sample when the velocity spanned the whole clip and one peak search
-spanned every interval.  Before that, 5.34x
+while it lived through them; 2.0x when the smoothed clip spanned it too.
+At the default batch size, 1.25x and 1.14x; 2.49x and 2.36x in batches of
+8192, and 3.3x before that.  For 25 nested intervals, 7.5 bytes per
+laid-out sample, one interval's batch; 9.1 when select_keyframes ranked the
+pooled candidates over Python lists, 47 when the velocity spanned the whole
+clip and one peak search spanned every interval.  Before that, 5.34x
 and 5.63x the points, and 188 bytes per laid-out sample, when the merit's work
 arrays spanned every interval at once.  The CSV write formats pieces of 2048
 rows here, as it formats 8192 at a time for a clip of several MB: 0.48x the
-file, 6.2x when every row was formatted before the write.  The per-gloss
+file, 6.2x when every row was formatted before the write.  The JSON write
+lays out as many rows at a time: 0.61x the file, 7.5x when the whole clip's
+values, rows and text were built before the write.  The per-gloss
 evaluate report, 0.26 MB, adds 0.74x its bytes to what sweep leaves, written
 piece by piece; 2.4x when it was joined, copied and encoded whole.
 """
@@ -112,7 +116,7 @@ def test_crlf_and_bom_copies_load_from_their_bytes(clip, tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["detected", "supplied"])
 def test_extract_peaks_at_the_speed_and_a_batch(clip, supplied, monkeypatch):
-    # 0.72x and 0.68x the points: one batch of intervals' smoothed span, derivatives, kernel
+    # 0.69x and 0.67x the points: one batch of intervals' smoothed span, derivatives, kernel
     # work arrays, curve and peaks with the candidates pooled so far, or the speed (a third of
     # the points) and the copy the threshold's percentile sorts; 1.05x and 0.96x when the
     # speed lived on through the batches
@@ -121,6 +125,18 @@ def test_extract_peaks_at_the_speed_and_a_batch(clip, supplied, monkeypatch):
     intervals = list(clip.intervals) if supplied else None
     peak = traced_peak(lambda: extract_keyframes(traj, count=600, intervals=intervals))
     assert peak < 0.84 * traj.points.nbytes
+
+
+@pytest.mark.parametrize("supplied,bound", [(False, 1.45), (True, 1.35)],
+                         ids=["detected", "supplied"])
+def test_extract_peaks_at_a_default_batch(clip, supplied, bound):
+    # 1.25x and 1.14x the points at batches of 4096 laid-out samples: one batch's smoothed
+    # span, derivatives and kernel work arrays; 2.49x and 2.36x at 8192, before each batch's
+    # fixed calls were cut to pay for twice as many batches
+    traj = clip.trajectory
+    intervals = list(clip.intervals) if supplied else None
+    peak = traced_peak(lambda: extract_keyframes(traj, count=600, intervals=intervals))
+    assert peak < bound * traj.points.nbytes
 
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["detected", "supplied"])
@@ -146,12 +162,14 @@ def test_the_speed_is_freed_before_the_merit(clip, supplied, monkeypatch):
 
 
 def test_nested_intervals_cost_a_few_bytes_per_laid_out_sample(clip):
-    # 25 intervals [i, n - 1 - i]: 675,150 laid-out samples, 9.4 bytes each; select_keyframes
-    # ranking the 28,675 pooled candidates sets the peak, a little above one interval's batch
+    # 25 intervals [i, n - 1 - i]: 675,150 laid-out samples, 7.5 bytes each; one interval's
+    # batch, its cross product freed once read and its curve allocated after its kernel, sets
+    # the peak, now that select_keyframes ranks the 28,675 pooled candidates with np.lexsort
+    # (48 bytes each, not 156-160 over Python lists); 9.1 bytes before
     n = clip.trajectory.n_samples
     nested = [SigningInterval(i, n - 1 - i) for i in range(25)]
     peak = traced_peak(lambda: extract_keyframes(clip.trajectory, count=600, intervals=nested))
-    assert peak < 11.5 * sum(itv.length for itv in nested)
+    assert peak < 8.7 * sum(itv.length for itv in nested)
 
 
 def test_smoothing_covers_the_clip_and_the_laid_out_samples_once(clip, monkeypatch):
@@ -191,6 +209,15 @@ def test_csv_write_peaks_at_one_piece_of_rows(clip, tmp_path, monkeypatch):
     monkeypatch.setattr(trajkf.trajectory, "_WRITE_ROWS", 2048)
     path = tmp_path / "clip.csv"
     assert traced_peak(lambda: save_trajectory(clip.trajectory, path)) < 0.6 * path.stat().st_size
+
+
+def test_json_write_peaks_at_one_block_of_rows(clip, tmp_path, monkeypatch):
+    # 0.61x: one block of 2048 rows laid out by json_pieces, its rows written as one piece;
+    # 7.5x when the whole clip's values, rows and text were built before the write
+    monkeypatch.setattr(trajkf.trajectory, "_WRITE_ROWS", 2048)
+    path = tmp_path / "clip.json"
+    peak = traced_peak(lambda: save_trajectory(clip.trajectory, path, "json"))
+    assert peak < 0.72 * path.stat().st_size
 
 
 def test_evaluate_writes_its_report_in_pieces(clip, tmp_path, monkeypatch):

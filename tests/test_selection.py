@@ -29,6 +29,7 @@ from oracles import (
     brute_intervals,
     brute_peaks,
     brute_rank_order,
+    brute_select,
     extract_every_copy,
     random_rotation,
 )
@@ -329,6 +330,27 @@ class TestSelectKeyframes:
         a = select_keyframes(*peaks, 2, method=MeritMethod.MT)
         b = select_keyframes(*peaks, 2, method=MeritMethod.MT)
         assert a == b
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.data())
+    @example(data=None)   # no candidates
+    def test_equals_brute_select(self, data):
+        # few frames and prominences, so ties and repeats are common; 0.0 against -0.0, frames
+        # near 2**63, and counts beyond the distinct frames
+        frames, prominences, count = [], [], 3
+        if data is not None:
+            frame = st.integers(0, 6) | st.sampled_from([2**63 - 2, 2**63 - 1])
+            prominence = st.sampled_from([0.0, -0.0, 1.0, 5e-324, float("inf")]) \
+                | st.floats(allow_nan=False) | st.integers(0, 3).map(float)
+            frames = data.draw(st.lists(frame, max_size=30))
+            prominences = data.draw(st.lists(prominence, min_size=len(frames),
+                                             max_size=len(frames)))
+            count = data.draw(st.integers(1, len(set(frames)) + 3))
+        got = select_keyframes(frames, prominences, count, method=MeritMethod.MT)
+        want = brute_select(frames, prominences, count, method=MeritMethod.MT)
+        assert got == want and all(type(f) is int for f in got.frames)
+        # the same prominence of each frame, the sign of a zero too
+        assert np.array(got.scores).tobytes() == np.array(want.scores).tobytes()
 
 
 class TestRankOrder:

@@ -32,8 +32,16 @@ second runs under `tracemalloc` and reads the peak of traced memory within
 each stage; that peak counts what earlier stages still hold.  All are in MB
 of 2**20 bytes, as the benchmark's `extract_rss_mb` is.  The last lines of
 each workload give the peak RSS of its interpreter over the first pass, the
-size of its trajectory file and of the points loaded from it, and the load's
-traced peak as a multiple of each.
+size of its trajectory file and of the points loaded from it, the load's
+traced peak as a multiple of each, and the number of merit batches.
+
+On `signing_csv` a fourth interpreter probes the fixed cost of one merit
+batch: two 61-sample intervals of the clip, each from the start of a truth
+interval, the first that `fit_planes` calls planar and the first it does
+not, taken as extract takes a batch (`next(merit_batches(...))` at the
+default sigma and speed threshold, under extract's errstate).  It prints the
+batch's CPU time (median of 200 runs) and the Python-level and C calls one
+batch makes, counted under `sys.setprofile`.
 
 Evaluate runs twice as well, measured the same way.  Its stages follow one
 another: each ends when the call that marks it returns, and the next one
@@ -47,6 +55,7 @@ multiple of it.  The inputs and outputs live in a temporary directory,
 removed at the end.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -153,7 +162,9 @@ def run(inp, enter, leave):
 
         def batches(*args, **kwargs):   # the stage lasts until the last batch is taken
             with stage(name):
-                yield from fn(*args, **kwargs)
+                for batch in fn(*args, **kwargs):
+                    batch_count[-1] += 1
+                    yield batch
         return batches if name == "merit+peaks" else call
 
     saved = {attr: getattr(trajkf.pipeline, attr) for attr in STAGES.values()}
@@ -168,7 +179,9 @@ def run(inp, enter, leave):
 
 
 inp = Inputs(**inputs)
+batch_count = [0]   # merit batches of the run
 run(inp, enter, leave)
+batch_count.append(0)
 max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MB
 tracemalloc.start()
 run(inp, tracemalloc.reset_peak,
@@ -178,7 +191,54 @@ table("extract", ("load", *STAGES))
 size = os.path.getsize(inp.traj) / MB
 points = load_trajectory(inp.traj, inp.fmt).points.nbytes / MB
 print(f"  input file {size:.2f} MB, points {points:.2f} MB; load peak {peak['load'] / size:.2f}x "
-      f"the file, {peak['load'] / points:.2f}x the points", flush=True)
+      f"the file, {peak['load'] / points:.2f}x the points")
+print(f"  merit batches: {batch_count[0]}", flush=True)
+"""
+
+# prints the cost of one merit batch of two 61-sample intervals of the workload's clip, the first
+# from the start of a truth interval that fit_planes calls planar and the first it does not
+PROBE = COMMON + """
+import statistics
+from collections import Counter
+
+import numpy as np
+
+from trajkf import SigningInterval, load_annotations, load_trajectory
+from trajkf.merit import DEFAULT_F_ERROR, fit_planes, merit_batches, speed_profile
+from trajkf.pipeline import DEFAULT_SIGMA
+from trajkf.selection import default_speed_threshold
+from trajkf.trajectory import gaussian_smooth
+
+traj = load_trajectory(inputs["traj"], inputs["fmt"])
+smoothed = gaussian_smooth(traj, DEFAULT_SIGMA).points
+first = {}   # planar or not: the first such interval
+for itv in load_annotations(inputs["truth"]).intervals:
+    start = itv.start - traj.start_frame
+    if len(first) < 2 and start + 61 <= traj.n_samples:
+        error = fit_planes(smoothed[start:start + 61], np.zeros(1, np.intp), np.array([61]))[0][0]
+        first.setdefault(bool(error < DEFAULT_F_ERROR), SigningInterval(start, start + 60))
+pair = sorted(first.values())
+threshold = default_speed_threshold(traj, speed_profile(traj, DEFAULT_SIGMA))
+
+
+def batch():   # the batch as extract takes it: merit_batches' first, under extract's errstate
+    with np.errstate(over="raise", invalid="raise"):
+        return next(merit_batches(traj, pair, "mt", DEFAULT_F_ERROR, threshold, DEFAULT_SIGMA))
+
+
+batch()   # warm-up
+calls = Counter()
+sys.setprofile(lambda frame, event, arg: calls.update([event]))
+batch()
+sys.setprofile(None)
+times = []
+for _ in range(200):
+    entered = time.process_time()
+    batch()
+    times.append(time.process_time() - entered)
+print(f"{inputs['workload']} merit batch probe (seed {sys.argv[2]}): intervals "
+      f"{[tuple(itv) for itv in pair]}, {statistics.median(times) * 1e6:.0f} us CPU (median of "
+      f"200), {calls['call']} Python-level and {calls['c_call']} C calls", flush=True)
 """
 
 # prints the workload's evaluate table
@@ -238,7 +298,8 @@ def main() -> int:
             print("writing the inputs failed")
             return 1
         for line in write.stdout.splitlines():
-            for script in (MEASURE, EVALUATE):
+            probe = [PROBE] if json.loads(line)[0]["workload"] == "signing_csv" else []
+            for script in (MEASURE, *probe, EVALUATE):
                 if subprocess.run([sys.executable, "-c", script, line, str(SEED)],
                                   env=env).returncode != 0:
                     print(f"run failed on {line}")
